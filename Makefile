@@ -10,8 +10,10 @@ ci: build test clippy bench-compile repro-quick
 build:
 	$(CARGO) build --release
 
+# Every workspace member (root `default-members`); a hang fails after
+# 20 minutes instead of wedging the run.
 test:
-	$(CARGO) test -q
+	timeout 1200 $(CARGO) test -q
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings

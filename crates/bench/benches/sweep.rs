@@ -2,10 +2,10 @@
 //!
 //! 1. `sweep_executor` — a Figure-4-quick-sized grid (6 strategies × 10
 //!    loads, N = 40, 600 steps) run with the old spawn-one-thread-per-
-//!    point pattern vs the pooled work-stealing executor. The pool must
+//!    point pattern vs the pooled shared-chunk-claim executor. The pool must
 //!    win by ≥ 1.5× on ≥ 4 cores: per-point spawns oversubscribe the
 //!    machine with 60 threads of wildly uneven lifetime, while the pool
-//!    keeps exactly `thread_count()` workers busy via stealing.
+//!    keeps exactly `thread_count()` workers busy claiming chunks.
 //! 2. `correlation_sample` — the hot `CorrelationBox::sample` kernel
 //!    (cached CDF, one uniform draw, branchless inversion) vs the seed
 //!    formulation that recomputed the agreement probability and drew

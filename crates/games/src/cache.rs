@@ -426,7 +426,7 @@ pub fn solve_values(game: &XorGame, opts: &SolverOpts) -> Result<GameValues, Gam
 }
 
 /// Solves a batch of games through the [`global`] cache, fanned out over
-/// the [`runtime`] work-stealing pool.
+/// the [`runtime`] pool.
 ///
 /// There is no RNG parameter: per-item determinism here is *stronger*
 /// than the usual `par_sweep` stream-splitting — each value is a pure

@@ -1,7 +1,7 @@
 //! # qnlg-obs — std-only metrics and tracing
 //!
 //! The observability layer of the workspace: every simulation and sweep
-//! can record *how* it behaved (events processed, pairs dropped, steal
+//! can record *how* it behaved (events processed, pairs dropped, chunk
 //! balance, wall-clock per labelled region) without changing *what* it
 //! computes. Three design rules:
 //!

@@ -4,7 +4,7 @@
 //! grid. This crate gives the workspace one way to run those sweeps:
 //!
 //! - [`par_map`] / [`par_map_threads`] — a fixed-size scoped worker pool
-//!   with chunked work-stealing deques (no dependency beyond `std`),
+//!   over one shared chunk claim (no dependency beyond `std`),
 //!   replacing the old spawn-one-thread-per-point pattern.
 //! - [`par_sweep`] / [`par_sweep_threads`] — the same pool plus
 //!   *deterministic RNG stream splitting*: each point's generator is
@@ -36,7 +36,7 @@
 pub mod pool;
 pub mod seed;
 
-pub use pool::{par_map, par_map_mut, par_map_mut_threads, par_map_threads, thread_count};
+pub use pool::{par_map, par_map_mut_threads, par_map_threads, thread_count};
 pub use seed::{mix64, point_seed, stream_seed, SplitMix64};
 
 use rand::rngs::StdRng;

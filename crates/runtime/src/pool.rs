@@ -1,31 +1,30 @@
-//! The sweep executor: a fixed-size scoped worker pool over a chunked
-//! work-stealing queue.
+//! The sweep executor: a fixed-size scoped worker pool over one shared
+//! chunk claim.
 //!
 //! Replaces the bench harness's historical spawn-one-OS-thread-per-point
 //! pattern (60+ threads for a Figure-4 sweep). Work is split into
-//! contiguous index chunks distributed round-robin across per-worker
-//! deques; a worker drains its own deque from the front and steals from
-//! the back of its neighbors' when empty. Results carry their item index,
-//! so output order — and therefore every downstream table — is
+//! contiguous index chunks behind a single mutex-guarded iterator; each
+//! worker claims the next chunk, releases the lock, maps the chunk, and
+//! claims again until none are left, so a slow chunk delays only the
+//! worker running it. No thread ever holds the lock while it maps, or
+//! waits on one lock while holding another. Outputs carry their chunk
+//! index, so output order — and therefore every downstream table — is
 //! independent of scheduling.
 
-use std::collections::VecDeque;
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
 /// Items mapped (inline or pooled) — deterministic for a given workload.
 static ITEMS_EXECUTED: obs::LazyCounter = obs::LazyCounter::new("pool.items.executed");
-/// Chunks a worker drained from its own deque.
-static CHUNKS_OWN: obs::LazyCounter = obs::LazyCounter::new("pool.chunks.own");
-/// Chunks a worker stole from a neighbor's deque.
-static CHUNKS_STOLEN: obs::LazyCounter = obs::LazyCounter::new("pool.chunks.stolen");
+/// Chunks claimed by pooled workers.
+static CHUNKS: obs::LazyCounter = obs::LazyCounter::new("pool.chunks");
 /// Workers spawned across all pooled calls.
 static WORKERS_SPAWNED: obs::LazyCounter = obs::LazyCounter::new("pool.workers.spawned");
 /// Chunk sizes in items, sharded per worker.
 static CHUNK_ITEMS: obs::LazyHist = obs::LazyHist::new("pool.chunk.items");
 /// Per-worker wall-clock spent inside `f` (one sample per worker).
 static WORKER_BUSY_NS: obs::LazyHist = obs::LazyHist::new("time.pool.worker.busy.ns");
-/// Per-worker wall-clock spent queueing/stealing/waiting (lifetime − busy).
+/// Per-worker wall-clock spent claiming or waiting (lifetime − busy).
 static WORKER_IDLE_NS: obs::LazyHist = obs::LazyHist::new("time.pool.worker.idle.ns");
 
 /// Number of worker threads a parallel call will use: the `QNLG_THREADS`
@@ -52,8 +51,8 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Chunks per worker to create: more gives the stealer finer granularity
-/// when point costs are skewed; fewer keeps queue traffic low.
+/// Chunks per worker to create: more lets idle workers pick up the rest
+/// of a skewed sweep at finer granularity; fewer keeps claim traffic low.
 const CHUNKS_PER_WORKER: usize = 4;
 
 /// Parallel indexed map over a slice with an explicit worker count.
@@ -79,95 +78,19 @@ where
     }
     let workers = threads.min(len);
     let chunk = len.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-
-    // Per-worker deques of (start, end) index ranges, filled round-robin.
-    let queues: Vec<Mutex<VecDeque<(usize, usize)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (k, start) in (0..len).step_by(chunk).enumerate() {
-        let end = (start + chunk).min(len);
-        queues[k % workers]
-            .lock()
-            .expect("queue lock")
-            .push_back((start, end));
-    }
-
-    let collected: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(len));
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let collected = &collected;
-            let f = &f;
-            scope.spawn(move || {
-                WORKERS_SPAWNED.inc();
-                // Clocks are read only while obs collection is on; with it
-                // off the accounting is one relaxed bool load per chunk.
-                let timing = obs::enabled();
-                let spawned = timing.then(Instant::now);
-                let mut busy = Duration::ZERO;
-                let mut local: Vec<(usize, R)> = Vec::new();
-                loop {
-                    // Own queue first (front: preserves cache-friendly
-                    // contiguity), then steal from the back of others'.
-                    let mut stolen = false;
-                    let next = queues[w].lock().expect("queue lock").pop_front().or_else(|| {
-                        stolen = true;
-                        (1..workers).find_map(|d| {
-                            queues[(w + d) % workers]
-                                .lock()
-                                .expect("queue lock")
-                                .pop_back()
-                        })
-                    });
-                    let Some((start, end)) = next else { break };
-                    let track = trace::Track::Worker(w as u32);
-                    if stolen {
-                        CHUNKS_STOLEN.inc();
-                        trace::instant_wall(track, "pool.steal");
-                    } else {
-                        CHUNKS_OWN.inc();
-                    }
-                    CHUNK_ITEMS.record_shard(w, (end - start) as u64);
-                    let t0 = timing.then(Instant::now);
-                    trace::span_begin(track, "pool.chunk");
-                    for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                        local.push((i, f(i, item)));
-                    }
-                    trace::span_end(track, "pool.chunk");
-                    if let Some(t0) = t0 {
-                        busy += t0.elapsed();
-                    }
-                }
-                if let Some(spawned) = spawned {
-                    let total = spawned.elapsed();
-                    let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-                    WORKER_BUSY_NS.record_shard(w, ns(busy));
-                    WORKER_IDLE_NS.record_shard(w, ns(total.saturating_sub(busy)));
-                }
-                collected.lock().expect("result lock").extend(local);
-            });
-        }
-    });
-
-    let pairs = collected.into_inner().expect("result lock");
-    debug_assert_eq!(pairs.len(), len);
-    let mut out: Vec<Option<R>> = (0..len).map(|_| None).collect();
-    for (i, r) in pairs {
-        debug_assert!(out[i].is_none(), "index {i} produced twice");
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|r| r.expect("every index produced exactly once"))
-        .collect()
+    claim_loop(workers, items.chunks(chunk).enumerate(), |k, part| {
+        (k * chunk..).zip(part).map(|(i, t)| f(i, t)).collect()
+    })
 }
 
 /// Parallel indexed map over a *mutable* slice with an explicit worker
-/// count: each worker owns one contiguous sub-slice via `chunks_mut`, so
-/// there is no locking (and no stealing) on the work path.
+/// count: the slice is cut into one contiguous `chunks_mut` sub-slice
+/// per worker, so each worker holds `&mut` state with no lock while it
+/// maps.
 ///
 /// Built for advancing sharded simulator state, where the items are a
 /// handful of equal-cost shard structs rather than thousands of skewed
-/// sweep points — static partitioning is both sufficient and the only
-/// scheme that lets every worker hold `&mut` state without locks.
+/// sweep points, so finer chunks would only add claims.
 /// Results are returned in item order; `threads <= 1` runs inline and is
 /// the reference path for determinism tests.
 pub fn par_map_mut_threads<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
@@ -181,44 +104,11 @@ where
     if threads <= 1 || len <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let workers = threads.min(len);
-    let chunk = len.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for (k, part) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                WORKERS_SPAWNED.inc();
-                CHUNK_ITEMS.record_shard(k, part.len() as u64);
-                let track = trace::Track::Worker(k as u32);
-                trace::span_begin(track, "pool.chunk");
-                let base = k * chunk;
-                let out = part
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(j, t)| f(base + j, t))
-                    .collect::<Vec<R>>();
-                trace::span_end(track, "pool.chunk");
-                out
-            }));
-        }
-        // Joining in spawn order keeps results in item order.
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("par_map_mut worker panicked"))
-            .collect()
+    let chunk = len.div_ceil(threads.min(len));
+    let parts = items.chunks_mut(chunk).enumerate();
+    claim_loop(len.div_ceil(chunk), parts, |k, part| {
+        (k * chunk..).zip(part).map(|(i, t)| f(i, t)).collect()
     })
-}
-
-/// Parallel indexed map over a mutable slice using the configured worker
-/// count ([`thread_count`]).
-pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    par_map_mut_threads(thread_count(), items, f)
 }
 
 /// Parallel indexed map using the configured worker count
@@ -230,6 +120,67 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     par_map_threads(thread_count(), items, f)
+}
+
+/// Runs `map(k, chunk)` for every `(k, chunk)` that `chunks` yields on
+/// `workers` scoped threads, and returns the outputs in chunk order.
+/// `map` returns one output per item of its chunk.
+fn claim_loop<I, C, R, M>(workers: usize, chunks: I, map: M) -> Vec<R>
+where
+    I: Iterator<Item = (usize, C)> + Send,
+    C: Send,
+    R: Send,
+    M: Fn(usize, C) -> Vec<R> + Sync,
+{
+    let claim = Mutex::new(chunks);
+    let mut parts: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (claim, map) = (&claim, &map);
+                scope.spawn(move || {
+                    WORKERS_SPAWNED.inc();
+                    // Clocks are read only while obs collection is on; with
+                    // it off the accounting is one relaxed bool load per
+                    // chunk.
+                    let timing = obs::enabled();
+                    let spawned = timing.then(Instant::now);
+                    let mut busy = Duration::ZERO;
+                    let track = trace::Track::Worker(w as u32);
+                    let mut done = Vec::new();
+                    loop {
+                        // The claim is a statement of its own, so the guard
+                        // is dropped before `map` runs. Kept alive through
+                        // the body, it would run the workers one at a time.
+                        let next = claim.lock().expect("chunk claim lock").next();
+                        let Some((k, chunk)) = next else { break };
+                        CHUNKS.inc();
+                        let t0 = timing.then(Instant::now);
+                        trace::span_begin(track, "pool.chunk");
+                        let out = map(k, chunk);
+                        trace::span_end(track, "pool.chunk");
+                        if let Some(t0) = t0 {
+                            busy += t0.elapsed();
+                        }
+                        CHUNK_ITEMS.record_shard(w, out.len() as u64);
+                        done.push((k, out));
+                    }
+                    if let Some(spawned) = spawned {
+                        let total = spawned.elapsed();
+                        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+                        WORKER_BUSY_NS.record_shard(w, ns(busy));
+                        WORKER_IDLE_NS.record_shard(w, ns(total.saturating_sub(busy)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    parts.sort_unstable_by_key(|&(k, _)| k);
+    parts.into_iter().flat_map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
@@ -314,14 +265,13 @@ mod tests {
         obs::set_enabled(false);
         let snap = obs::snapshot();
         assert!(snap.counter("pool.items.executed").unwrap_or(0) >= 100);
-        let chunks = snap.counter("pool.chunks.own").unwrap_or(0)
-            + snap.counter("pool.chunks.stolen").unwrap_or(0);
+        let chunks = snap.counter("pool.chunks").unwrap_or(0);
         assert!(chunks >= 1, "no chunks accounted");
         assert!(snap.hist("pool.chunk.items").is_some_and(|h| h.count >= 1));
     }
 
     #[test]
-    fn skewed_work_is_stolen() {
+    fn skewed_work_is_shared() {
         // One pathologically slow item at index 0; the rest must still
         // complete promptly and in order. (Correctness check — timing is
         // exercised by benches/sweep.rs.)

@@ -17,9 +17,11 @@
 //!
 //! The server is a thin shell over [`Service`]: an accept loop plus one
 //! handler thread per connection, each pinned to the endpoint named in
-//! its requests. Shutdown drains gracefully — the accept loop closes
-//! first, then each open connection's *read* side is shut down, so a
-//! response in flight is still written before the handler exits.
+//! its requests. The accept loop owns its open connections and releases
+//! each one once its handler exits. Shutdown drains gracefully — the
+//! accept loop closes first, then each open connection's *read* side is
+//! shut down, so a response in flight is still written before the
+//! handler exits.
 
 #![cfg(unix)]
 
@@ -29,7 +31,7 @@ use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Request payload length.
@@ -83,12 +85,17 @@ fn handle_connection(service: &Service, stream: &mut UnixStream) -> io::Result<(
     Ok(())
 }
 
+/// An accepted connection: the accept loop's clone of its stream, kept
+/// to shut the read side down at stop, and the thread serving it.
+type Connection = (UnixStream, std::thread::JoinHandle<()>);
+
 /// A serving Unix socket bound to a [`Service`].
 pub struct SocketServer {
     path: PathBuf,
     stop: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<UnixStream>>>,
-    accept: Option<std::thread::JoinHandle<()>>,
+    /// The accept loop; it returns the connections still open when it
+    /// exits.
+    accept: Option<std::thread::JoinHandle<Vec<Connection>>>,
 }
 
 impl SocketServer {
@@ -100,46 +107,13 @@ impl SocketServer {
         let listener = UnixListener::bind(&path)?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<UnixStream>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_stop = Arc::clone(&stop);
-        let accept_conns = Arc::clone(&conns);
         let accept = std::thread::Builder::new()
             .name("qnlg-serve-accept".into())
-            .spawn(move || {
-                let mut handlers = Vec::new();
-                while !accept_stop.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nonblocking(false);
-                            if let Ok(tracked) = stream.try_clone() {
-                                accept_conns.lock().expect("conn registry").push(tracked);
-                            }
-                            let svc = Arc::clone(&service);
-                            handlers.push(std::thread::spawn(move || {
-                                let mut stream = stream;
-                                // A protocol error or client disconnect
-                                // ends this connection only. Shut the
-                                // socket down explicitly: the tracked
-                                // clone in the registry would otherwise
-                                // hold it open past the handler's exit.
-                                let _ = handle_connection(&svc, &mut stream);
-                                let _ = stream.shutdown(std::net::Shutdown::Both);
-                            }));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                for h in handlers {
-                    let _ = h.join();
-                }
-            })?;
+            .spawn(move || accept_loop(&listener, &accept_stop, &service))?;
         Ok(SocketServer {
             path,
             stop,
-            conns,
             accept: Some(accept),
         })
     }
@@ -154,14 +128,63 @@ impl SocketServer {
     /// join all handler threads, and remove the socket file. Idempotent.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        for conn in self.conns.lock().expect("conn registry").drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Read);
-        }
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
+        // Joined first, the accept loop can take no connection after the
+        // ones it hands back here.
+        if let Some(accept) = self.accept.take() {
+            let open = accept.join().unwrap_or_default();
+            for (stream, _) in &open {
+                let _ = stream.shutdown(std::net::Shutdown::Read);
+            }
+            for (_, handler) in open {
+                let _ = handler.join();
+            }
         }
         let _ = std::fs::remove_file(&self.path);
     }
+}
+
+/// Accepts connections until `stop` is set, serving each on a handler
+/// thread of its own, and returns the connections still open.
+fn accept_loop(
+    listener: &UnixListener,
+    stop: &AtomicBool,
+    service: &Arc<Service>,
+) -> Vec<Connection> {
+    let mut open: Vec<Connection> = Vec::new();
+    while !stop.load(Ordering::Acquire) {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // Release the connections whose handlers have exited, so
+                // a long run holds one fd per open connection, not per
+                // connection ever accepted.
+                for (_, handler) in open.extract_if(.., |(_, h)| h.is_finished()) {
+                    let _ = handler.join();
+                }
+                let _ = stream.set_nonblocking(false);
+                // A connection that stop could not shut down would hang
+                // it, so refuse it instead.
+                let Ok(tracked) = stream.try_clone() else {
+                    continue;
+                };
+                let service = Arc::clone(service);
+                let handler = std::thread::spawn(move || {
+                    let mut stream = stream;
+                    // A protocol error or client disconnect ends this
+                    // connection only. Shut the socket down explicitly:
+                    // the accept loop's clone would otherwise hold it
+                    // open until the loop next prunes.
+                    let _ = handle_connection(&service, &mut stream);
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                });
+                open.push((tracked, handler));
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(_) => break,
+        }
+    }
+    open
 }
 
 impl Drop for SocketServer {
