@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loadbalance::server::Discipline;
 use loadbalance::sim::{run_simulation, SimConfig};
-use loadbalance::strategy::{QuantumMode, Strategy};
+use loadbalance::strategy::Strategy;
 use loadbalance::task::BernoulliWorkload;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,24 +47,6 @@ fn bench_sim(c: &mut Criterion) {
             })
         });
     }
-
-    // The exact-simulation mode at small N only (it is the slow path).
-    group.bench_with_input(BenchmarkId::new("quantum_exact", 20), &20, |b, &n| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| {
-            let mut w = BernoulliWorkload::paper();
-            black_box(run_simulation(
-                config(n),
-                Strategy::PairedQuantum {
-                    mode: QuantumMode::ExactSimulation,
-                    availability: 1.0,
-                    visibility: 1.0,
-                },
-                &mut w,
-                &mut rng,
-            ))
-        })
-    });
 
     group.finish();
 }

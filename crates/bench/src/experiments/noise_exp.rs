@@ -13,7 +13,7 @@ use games::game::empirical_win_rate;
 use games::ChshVariant;
 use loadbalance::server::Discipline;
 use loadbalance::sim::{run_simulation, SimConfig};
-use loadbalance::strategy::{QuantumMode, Strategy};
+use loadbalance::strategy::Strategy;
 use loadbalance::task::BernoulliWorkload;
 use obs::json::Json;
 use qmath::stats::wilson;
@@ -95,7 +95,6 @@ pub fn run(quick: bool) -> Report {
         rows.push((
             format!("quantum, visibility {v:.3}"),
             Strategy::PairedQuantum {
-                mode: QuantumMode::FastSampling,
                 availability: 1.0,
                 visibility: *v,
             },
@@ -106,7 +105,6 @@ pub fn run(quick: bool) -> Report {
         rows.push((
             format!("quantum, availability {a:.1}"),
             Strategy::PairedQuantum {
-                mode: QuantumMode::FastSampling,
                 availability: *a,
                 visibility: 1.0,
             },

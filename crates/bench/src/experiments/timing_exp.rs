@@ -28,14 +28,10 @@ pub fn run(quick: bool) -> Report {
     let step = Duration::from_micros(20);
     let decisions = if quick { 2_000 } else { 20_000 };
     // Availability only needs consumption accounting: run the Werner
-    // kernel path unless the exact-oracle escape hatch is set.
+    // kernel path.
     for _ in 0..decisions {
         now += step;
-        if qsim::werner::exact_qsim() {
-            let _ = dist.take_pair(now);
-        } else {
-            let _ = dist.take_werner(now);
-        }
+        let _ = dist.take_werner(now);
     }
     let availability = dist.stats().availability();
 

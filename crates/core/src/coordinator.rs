@@ -21,7 +21,7 @@
 //! caller's own input.
 
 use crate::error::CoreError;
-use games::{AffinityGraph, XorGame};
+use games::{AffinityGraph, CorrelationBox, XorGame};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -60,7 +60,7 @@ struct Round {
 struct Inner {
     /// The game's correlation `C[x][y] = E[(−1)^{a⊕b} | x, y]`, with
     /// party A's input first.
-    corr: Box<dyn Fn(usize, usize) -> f64 + Send>,
+    corr: CorrelationBox,
     rng: StdRng,
     rounds: VecDeque<Round>,
     /// Round index of `rounds[0]`.
@@ -105,9 +105,9 @@ impl Inner {
             // Second: Born-rule conditional on the peer's bit.
             Some((peer_input, peer_bit)) => {
                 let c = if party == 0 {
-                    (self.corr)(input, peer_input)
+                    self.corr.correlation(input, peer_input)
                 } else {
-                    (self.corr)(peer_input, input)
+                    self.corr.correlation(peer_input, input)
                 };
                 let agree = self.rng.gen::<f64>() < (1.0 + c) / 2.0;
                 if agree {
@@ -150,7 +150,7 @@ impl Inner {
     }
 }
 
-fn shared(corr: Box<dyn Fn(usize, usize) -> f64 + Send>, seed: u64) -> Arc<Mutex<Inner>> {
+fn shared(corr: CorrelationBox, seed: u64) -> Arc<Mutex<Inner>> {
     Arc::new(Mutex::new(Inner {
         corr,
         rng: StdRng::seed_from_u64(seed),
@@ -204,18 +204,9 @@ impl CoordinatorBuilder {
 
     /// Builds the two-class (C/E) co-location coordinator of §4.1.
     pub fn build_colocation(self) -> ColocationCoordinator {
-        let v = self.visibility;
-        let f = std::f64::consts::FRAC_1_SQRT_2;
         // Flipped CHSH: agree (same server) only when both inputs are C.
-        let corr = move |x: usize, y: usize| -> f64 {
-            if x == 1 && y == 1 {
-                v * f
-            } else {
-                -v * f
-            }
-        };
         ColocationCoordinator {
-            inner: shared(Box::new(corr), self.seed),
+            inner: shared(CorrelationBox::flipped_chsh(self.visibility), self.seed),
         }
     }
 
@@ -232,12 +223,10 @@ impl CoordinatorBuilder {
         let game = graph.to_xor_game(true);
         let mut solver_rng = StdRng::seed_from_u64(self.seed ^ 0x9e37_79b9_7f4a_7c15);
         let solution = game.quantum_solution(8, &mut solver_rng);
-        let c = solution.correlation_matrix();
-        let v = self.visibility;
+        let corr = CorrelationBox::new(solution.correlation_matrix().scaled(self.visibility));
         let n = graph.n_vertices();
-        let corr = move |x: usize, y: usize| -> f64 { (v * c[(x, y)]).clamp(-1.0, 1.0) };
         AffinityCoordinator {
-            inner: shared(Box::new(corr), self.seed),
+            inner: shared(corr, self.seed),
             n_classes: n,
             quantum_value: solution.value,
             classical_value: game

@@ -17,31 +17,21 @@
 //! `|C| ≤ 1` and callers obtain `C` from [`crate::xor::QuantumSolution`].
 
 use qmath::RMatrix;
+use qsim::werner::CorrelatedBits;
 use rand::Rng;
 
 /// A two-party correlation box with uniform marginals.
 ///
-/// Construction precomputes, per input pair `(x, y)`, the joint
-/// probability table and its CDF over the four outcomes
-/// `(a, b) ∈ {00, 01, 10, 11}` — the sweep inner loops (Fig 4, E8) call
-/// [`CorrelationBox::sample`] millions of times, and the cached CDF turns
-/// each call into a single uniform draw plus three comparisons instead of
-/// two draws and a rebuilt distribution.
+/// Construction builds one [`CorrelatedBits`] sampler per input pair
+/// `(x, y)` — the sweep inner loops (Fig 4, E8) call
+/// [`CorrelationBox::sample`] millions of times, and each call is then a
+/// single uniform draw plus three comparisons.
 #[derive(Debug, Clone)]
 pub struct CorrelationBox {
     c: RMatrix,
-    /// Row-major per-(x,y) joint probabilities `[p00, p01, p10, p11]`.
-    joint: Vec<[f64; 4]>,
-    /// Row-major per-(x,y) CDF prefix `[p00, p00+p01, p00+p01+p10]` (the
-    /// final 1.0 is implicit), scaled by 2⁵³ and rounded up. A uniform
-    /// f64 in [0,1) is exactly `(next_u64() >> 11) · 2⁻⁵³`, so comparing
-    /// the raw 53-bit draw against `ceil(p · 2⁵³)` realizes the identical
-    /// distribution while keeping the hot path in integer registers.
-    cdf: Vec<[u64; 3]>,
+    /// Row-major per-`(x, y)` samplers.
+    bits: Vec<CorrelatedBits>,
 }
-
-/// 2⁵³ as f64 — the probability-to-threshold scale.
-const CDF_ONE: f64 = (1u64 << 53) as f64;
 
 impl CorrelationBox {
     /// Builds a box from a correlation matrix.
@@ -51,51 +41,17 @@ impl CorrelationBox {
     /// for solver round-off, which is clamped).
     pub fn new(mut c: RMatrix) -> Self {
         let (rows, cols) = (c.rows(), c.cols());
-        let mut joint = Vec::with_capacity(rows * cols);
-        let mut cdf = Vec::with_capacity(rows * cols);
+        let mut bits = Vec::with_capacity(rows * cols);
         for x in 0..rows {
             for y in 0..cols {
                 let v = c[(x, y)];
                 assert!(v.abs() <= 1.0 + 1e-9, "correlation {v} out of range");
                 let v = v.clamp(-1.0, 1.0);
                 c[(x, y)] = v;
-                let agree = (1.0 + v) / 4.0;
-                let differ = (1.0 - v) / 4.0;
-                // Outcome order (a, b): 00, 01, 10, 11.
-                joint.push([agree, differ, differ, agree]);
-                let scale = |p: f64| (p * CDF_ONE).ceil() as u64;
-                cdf.push([
-                    scale(agree),
-                    scale(agree + differ),
-                    scale(agree + 2.0 * differ),
-                ]);
+                bits.push(CorrelatedBits::new(v));
             }
         }
-        let boxx = CorrelationBox { c, joint, cdf };
-        boxx.debug_assert_tables_normalized();
-        boxx
-    }
-
-    /// Debug-only invariant: every cached joint distribution sums to 1
-    /// within 1e-12 and its scaled CDF is monotone in `[0, 2⁵³]` (the
-    /// integer image of `[0, 1]`, with 1e-12 of slack scaled alike).
-    #[inline]
-    fn debug_assert_tables_normalized(&self) {
-        if cfg!(debug_assertions) {
-            for (k, (p, t)) in self.joint.iter().zip(&self.cdf).enumerate() {
-                let total: f64 = p.iter().sum();
-                debug_assert!(
-                    (total - 1.0).abs() <= 1e-12,
-                    "joint table {k} sums to {total}"
-                );
-                debug_assert!(
-                    t[0] <= t[1]
-                        && t[1] <= t[2]
-                        && (t[2] as f64) <= (1.0 + 1e-12) * CDF_ONE,
-                    "CDF table {k} not monotone: {t:?}"
-                );
-            }
-        }
+        CorrelationBox { c, bits }
     }
 
     #[inline]
@@ -116,6 +72,20 @@ impl CorrelationBox {
         }))
     }
 
+    /// The flipped-CHSH box of the load-balancing protocol (§4.1) on
+    /// pairs of visibility `v`: `C[x][y] = +v/√2` when both tasks are
+    /// type-C (`x = y = 1`: agree, co-locate), `−v/√2` otherwise.
+    pub fn flipped_chsh(visibility: f64) -> Self {
+        let f = visibility * std::f64::consts::FRAC_1_SQRT_2;
+        CorrelationBox::new(RMatrix::from_fn(2, 2, |x, y| {
+            if x == 1 && y == 1 {
+                f
+            } else {
+                -f
+            }
+        }))
+    }
+
     /// The correlation value `C[x][y] = E[(−1)^{a⊕b} | x, y]`.
     pub fn correlation(&self, x: usize, y: usize) -> f64 {
         self.c[(x, y)]
@@ -132,25 +102,22 @@ impl CorrelationBox {
     }
 
     /// Samples one round: returns `(a, b)` from `p(a,b|x,y)` with uniform
-    /// marginals.
-    ///
-    /// Hot path: one uniform draw inverted through the precomputed CDF
-    /// (three branchless integer comparisons — no float conversion).
-    /// Uniform marginals hold exactly because `p00 = p11` and `p01 = p10`
-    /// by construction.
+    /// marginals — one draw from the `(x, y)` sampler.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, x: usize, y: usize, rng: &mut R) -> (bool, bool) {
-        let t = &self.cdf[self.table_index(x, y)];
-        // The top 53 bits are the same draw `gen::<f64>()` would make.
-        let h = rng.next_u64() >> 11;
-        let k = usize::from(h >= t[0]) + usize::from(h >= t[1]) + usize::from(h >= t[2]);
-        (k & 0b10 != 0, k & 0b01 != 0)
+        self.bits[self.table_index(x, y)].sample(rng)
     }
 
-    /// Probability of `(a, b)` given `(x, y)` (cached table lookup).
+    /// Probability of `(a, b)` given `(x, y)`: `(1 ± C[x][y])/4`, `+`
+    /// when the bits agree.
     #[inline]
     pub fn probability(&self, x: usize, y: usize, a: bool, b: bool) -> f64 {
-        self.joint[self.table_index(x, y)][(usize::from(a) << 1) | usize::from(b)]
+        let c = self.c[(x, y)];
+        if a == b {
+            (1.0 + c) / 4.0
+        } else {
+            (1.0 - c) / 4.0
+        }
     }
 
     /// The CHSH operator value
@@ -234,8 +201,7 @@ mod tests {
 
     #[test]
     fn cached_tables_match_closed_form() {
-        // The precomputed joint/CDF tables must agree exactly with the
-        // (1 ± c)/4 closed form they replaced.
+        // Cell probabilities must agree with the (1 ± c)/4 closed form.
         let boxx = CorrelationBox::new(RMatrix::from_fn(3, 2, |x, y| {
             (0.9 - 0.35 * x as f64) * if y == 0 { 1.0 } else { -1.0 }
         }));
@@ -255,9 +221,42 @@ mod tests {
     }
 
     #[test]
+    fn flipped_chsh_stream_equals_the_integer_threshold_walk() {
+        // The box's sampler before it moved onto `CorrelatedBits`: the
+        // CDF scaled by 2⁵³ and rounded up, compared against the raw
+        // 53-bit draw. 4 visibilities × 250k draws over all four inputs.
+        let scale = |p: f64| (p * (1u64 << 53) as f64).ceil() as u64;
+        for v in [1.0, 0.95, 0.8, 0.5] {
+            let boxx = CorrelationBox::flipped_chsh(v);
+            let thresholds: Vec<[u64; 3]> = (0..4)
+                .map(|k| {
+                    let f = v * std::f64::consts::FRAC_1_SQRT_2;
+                    let c = if k == 3 { f } else { -f };
+                    let (agree, differ) = ((1.0 + c) / 4.0, (1.0 - c) / 4.0);
+                    [
+                        scale(agree),
+                        scale(agree + differ),
+                        scale(agree + 2.0 * differ),
+                    ]
+                })
+                .collect();
+            let mut rng = runtime::SplitMix64::new(v.to_bits());
+            let mut oracle_rng = rng;
+            for draw in 0..250_000usize {
+                let (x, y) = ((draw >> 1) & 1, draw & 1);
+                let t = thresholds[(x << 1) | y];
+                let h = oracle_rng.next_u64() >> 11;
+                let k = u8::from(h >= t[0]) + u8::from(h >= t[1]) + u8::from(h >= t[2]);
+                let want = (k >= 2, k & 1 != 0);
+                assert_eq!(boxx.sample(x, y, &mut rng), want, "v {v} draw {draw}");
+            }
+        }
+    }
+
+    #[test]
     fn sample_joint_frequencies_match_tables() {
-        // The single-draw CDF inversion must realize the cached joint
-        // distribution, not merely the agreement rate.
+        // The single-draw sampler must realize the joint distribution,
+        // not merely the agreement rate.
         let mut rng = StdRng::seed_from_u64(6);
         let boxx = CorrelationBox::chsh_optimal();
         let trials = 80_000;

@@ -20,8 +20,8 @@
 //! [`play_mermin_kernel`] / [`play_mermin_batch`] uses the closed-form
 //! [`qsim::ghz::NoisyGhz`] kernel (O(n) per round, one f64 draw + one
 //! word of bulk bits) and additionally models visibility/dephasing noise.
-//! Setting `QNLG_EXACT_QSIM=1` reroutes the kernel paths through the
-//! statevector oracle for end-to-end cross-validation.
+//! The statevector oracle (`NoisyGhz::oracle_sample_xy`) stays a test
+//! oracle, pinned to the kernel by `qsim`'s `tests/ghz_stat.rs`.
 
 use crate::error::GameError;
 use obs::LazyCounter;
@@ -231,17 +231,10 @@ pub fn mermin_wins_mask(y_mask: u64, outcome: u64) -> bool {
 
 /// Plays one Mermin round on `kernel` with the optimal X/Y strategy:
 /// player `j` measures Y iff bit `j` of `y_mask` is set. Returns the
-/// outcome mask (bit `j` = player `j`'s answer). Routes through the full
-/// statevector oracle when `QNLG_EXACT_QSIM=1`.
+/// outcome mask (bit `j` = player `j`'s answer).
 pub fn play_mermin_kernel<R: Rng + ?Sized>(kernel: &NoisyGhz, y_mask: u64, rng: &mut R) -> u64 {
     ROUNDS.inc();
-    if qsim::werner::exact_qsim() {
-        kernel
-            .oracle_sample_xy(y_mask, rng)
-            .expect("y_mask within kernel arity")
-    } else {
-        kernel.sample_xy(y_mask, rng)
-    }
+    kernel.sample_xy(y_mask, rng)
 }
 
 /// Result of a [`play_mermin_batch`] run.
@@ -275,18 +268,10 @@ pub fn play_mermin_batch<R: Rng + ?Sized>(
         .collect();
     // Player phase: per-input correlations computed once, not per round.
     let correlations: Vec<f64> = masks.iter().map(|&m| kernel.correlation_xy(m)).collect();
-    let exact = qsim::werner::exact_qsim();
     let mut wins = 0u64;
     for &i in &schedule {
-        let y_mask = masks[i as usize];
-        let outcome = if exact {
-            kernel
-                .oracle_sample_xy(y_mask, rng)
-                .expect("mask within kernel arity")
-        } else {
-            kernel.sample_with_correlation(correlations[i as usize], rng)
-        };
-        wins += u64::from(mermin_wins_mask(y_mask, outcome));
+        let outcome = kernel.sample_with_correlation(correlations[i as usize], rng);
+        wins += u64::from(mermin_wins_mask(masks[i as usize], outcome));
     }
     ROUNDS.add(rounds);
     MerminBatch { wins, rounds }

@@ -21,8 +21,8 @@
 //!   alternates for the footnote-2 robustness claim.
 //! - [`strategy`]: assignment strategies — uniform random, round-robin,
 //!   power-of-two-choices, classical pairings, dedicated-server hybrid,
-//!   and the quantum CHSH pairing (with exact-simulation and fast
-//!   closed-form sampling modes, plus finite pair availability).
+//!   and the quantum CHSH pairing (the flipped-CHSH
+//!   `games::CorrelationBox`, plus finite pair availability).
 //! - [`sim`]: the timestep loop of Figure 4 (compatibility path: any
 //!   strategy, caller-supplied RNG, bit-stable historical trajectories).
 //! - [`shard`]: the sharded, structure-of-arrays, batch-advanced engine
@@ -58,5 +58,5 @@ pub use shard::{run_scaled, ScaleConfig, ScaleStrategy};
 pub use sim::{
     run_simulation, run_simulation_with, try_run_simulation, try_run_simulation_with, SimConfig,
 };
-pub use strategy::{AssignmentStrategy, PairDecision, QuantumMode, Strategy};
+pub use strategy::{AssignmentStrategy, PairDecision, Strategy};
 pub use task::{ArrivalModel, Task, TaskType, Workload};

@@ -16,7 +16,6 @@ use crate::strategy::AssignmentStrategy;
 use crate::task::TaskType;
 use games::chsh::{alice_angle, bob_angle};
 use qnet::{DistributorConfig, EntanglementDistributor, SimTime};
-use qsim::Party;
 use rand::Rng;
 use std::time::Duration;
 
@@ -143,14 +142,10 @@ impl PipelinePairedQuantum {
     /// `(x, y)`, returning the two (already flipped-game-adjusted)
     /// decision bits, or `None` on a miss.
     ///
-    /// By default this runs the closed-form Werner kernel
+    /// Runs the closed-form Werner kernel
     /// ([`qnet::EntanglementDistributor::take_werner`] +
     /// [`qsim::WernerPair::sample`]): one RNG draw per round, no density
-    /// matrices. `QNLG_EXACT_QSIM=1` routes through the gate-evolution
-    /// oracle instead; the two paths sample the same joint distribution
-    /// (proven by the `werner_stat` suite) but consume different RNG
-    /// stream positions, so artifacts are comparable statistically, not
-    /// byte-for-byte.
+    /// matrices.
     fn coordinate(
         &mut self,
         pair_idx: usize,
@@ -158,21 +153,10 @@ impl PipelinePairedQuantum {
         y: usize,
         rng: &mut dyn rand::RngCore,
     ) -> Option<(bool, bool)> {
-        if qsim::werner::exact_qsim() {
-            let mut pair = self.distributors[pair_idx].take_pair(self.now)?;
-            let a = pair
-                .measure_angle(Party::A, alice_angle(x), rng)
-                .expect("fresh pair");
-            let b = pair
-                .measure_angle(Party::B, bob_angle(y), rng)
-                .expect("fresh pair");
-            // Flipped game: negate Bob's bit (§4.1).
-            Some((a == 1, b == 0))
-        } else {
-            let kernel = self.distributors[pair_idx].take_werner(self.now)?;
-            let (a, b) = kernel.sample(alice_angle(x), bob_angle(y), rng);
-            Some((a == 1, b == 0))
-        }
+        let kernel = self.distributors[pair_idx].take_werner(self.now)?;
+        let (a, b) = kernel.sample(alice_angle(x), bob_angle(y), rng);
+        // Flipped game: negate Bob's bit (§4.1).
+        Some((a == 1, b == 0))
     }
 }
 

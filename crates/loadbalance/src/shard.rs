@@ -51,6 +51,7 @@ use crate::sim::{
     QUEUE_TOTAL, SIM_RUNS, SIM_STEPS, TASKS_ASSIGNED,
 };
 use crate::task::ArrivalModel;
+use games::CorrelationBox;
 use runtime::{par_map_mut_threads, stream_seed, SplitMix64};
 use std::collections::VecDeque;
 
@@ -145,9 +146,9 @@ pub enum ScaleStrategy {
     PairedAlwaysSplit,
     /// Paired, match types (`a = x, b = y`).
     PairedMatchTypes,
-    /// Paired, flipped-CHSH quantum box with the closed-form correlated
-    /// sampler: P(same server) = (1 ± v/√2)/2, + exactly when both tasks
-    /// are type-C.
+    /// Paired, flipped-CHSH quantum box
+    /// ([`CorrelationBox::flipped_chsh`]): P(same server) = (1 ± v/√2)/2,
+    /// + exactly when both tasks are type-C.
     PairedQuantum {
         /// Probability a fresh pair is available (misses split).
         availability: f64,
@@ -233,7 +234,7 @@ impl PairShard {
     /// Phase A for steps `[e0, e1)`: draw arrivals and assignments for
     /// every owned pair, appending handoffs in (step, pair) order — which
     /// is why server shards can drain inboxes sequentially per step with
-    /// no sort.
+    /// no sort. `chsh` is the run's flipped-CHSH box (paired-quantum only).
     #[allow(clippy::too_many_arguments)]
     fn run_epoch(
         &mut self,
@@ -241,6 +242,7 @@ impl PairShard {
         e1: u64,
         cfg: &ScaleConfig,
         strategy: ScaleStrategy,
+        chsh: Option<&CorrelationBox>,
         n_balancers: usize,
         n_servers: u32,
         server_shards: usize,
@@ -300,22 +302,10 @@ impl PairShard {
                             let (a, b) = match strategy {
                                 ScaleStrategy::PairedAlwaysSplit => (false, true),
                                 ScaleStrategy::PairedMatchTypes => (x_c, y_c),
-                                ScaleStrategy::PairedQuantum {
-                                    availability,
-                                    visibility,
-                                } => {
+                                ScaleStrategy::PairedQuantum { availability, .. } => {
                                     if rng.next_f64() < availability {
-                                        // Flipped CHSH, closed form: the
-                                        // pair co-locates with probability
-                                        // (1 + E)/2, E = ±v/√2 (+ for CC).
-                                        let e = if x_c && y_c {
-                                            visibility * std::f64::consts::FRAC_1_SQRT_2
-                                        } else {
-                                            -visibility * std::f64::consts::FRAC_1_SQRT_2
-                                        };
-                                        let same = rng.next_f64() < 0.5 * (1.0 + e);
-                                        let a = rng.next_u64() >> 63 != 0;
-                                        (a, a == same)
+                                        let chsh = chsh.expect("paired-quantum runs build the box");
+                                        chsh.sample(usize::from(x_c), usize::from(y_c), &mut rng)
                                     } else {
                                         (false, true)
                                     }
@@ -591,14 +581,17 @@ pub fn run_scaled(
             min: 2,
         });
     }
-    if let ScaleStrategy::PairedQuantum {
-        availability,
-        visibility,
-    } = strategy
-    {
-        assert!((0.0..=1.0).contains(&availability), "bad availability");
-        assert!((0.0..=1.0).contains(&visibility), "bad visibility");
-    }
+    let chsh = match strategy {
+        ScaleStrategy::PairedQuantum {
+            availability,
+            visibility,
+        } => {
+            assert!((0.0..=1.0).contains(&availability), "bad availability");
+            assert!((0.0..=1.0).contains(&visibility), "bad visibility");
+            Some(CorrelationBox::flipped_chsh(visibility))
+        }
+        _ => None,
+    };
 
     let n_balancers = cfg.sim.n_balancers;
     let n_servers = cfg.sim.n_servers;
@@ -655,12 +648,14 @@ pub fn run_scaled(
         }
         let queue_lens_ref: &[u32] = &queue_lens;
         let cfg_ref = cfg;
+        let chsh_ref = chsh.as_ref();
         par_map_mut_threads(threads, &mut pair_shards, |_, ps| {
             ps.run_epoch(
                 e0,
                 e1,
                 cfg_ref,
                 strategy,
+                chsh_ref,
                 n_balancers,
                 n_servers as u32,
                 shards,

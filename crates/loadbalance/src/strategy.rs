@@ -12,30 +12,14 @@
 //! models an *informed* baseline that already pays a communication cost
 //! the others don't. No strategy lets one balancer's input influence
 //! another balancer's output beyond what its pre-shared resource allows;
-//! the quantum pairing inherits this from [`games::CorrelationBox`] /
-//! [`qsim::SharedPair`], whose no-signaling property is tested upstream.
+//! the quantum pairing inherits this from [`games::CorrelationBox`],
+//! whose no-signaling property is tested upstream.
 
 use crate::task::TaskType;
-use games::chsh::{alice_angle, bob_angle};
 use games::CorrelationBox;
-use qmath::RMatrix;
-use qsim::{Party, SharedPair};
 use rand::Rng;
 
-/// How the quantum pairing samples its correlated bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantumMode {
-    /// Full statevector/density-matrix simulation of the Bell-pair
-    /// measurement (slow; the ground truth).
-    ExactSimulation,
-    /// Direct sampling from the closed-form CHSH joint distribution
-    /// (statistically identical for ideal pairs; ~50× faster — see the
-    /// `chsh` benchmark).
-    FastSampling,
-}
-
-/// The outcome of one pair-coordination round (exposed for tests and for
-/// the `qnlg-core` coordinator API).
+/// The outcome of one pair-coordination round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairDecision {
     /// First balancer's output bit (selects between the two candidate
@@ -78,17 +62,15 @@ pub enum Strategy {
     /// Classical pairing, match-types (`a = x, b = y`): co-locates CC and
     /// splits CE/EC, but collides both Es (fails EE).
     PairedMatchTypes,
-    /// Quantum pairing: flipped CHSH over pre-shared entanglement.
+    /// Quantum pairing: flipped CHSH over pre-shared entanglement,
+    /// sampled from [`CorrelationBox::flipped_chsh`].
     PairedQuantum {
-        /// Sampling mode.
-        mode: QuantumMode,
         /// Probability a fresh pair is available at decision time
         /// (1.0 = ideal pipeline); misses fall back to always-split.
         availability: f64,
-        /// Bell-pair visibility (1.0 = perfect, < 1 = Werner noise).
-        /// Only honoured in [`QuantumMode::ExactSimulation`]; fast
-        /// sampling scales the correlation magnitude by the visibility,
-        /// which is the exact Werner-state behaviour.
+        /// Bell-pair visibility (1.0 = perfect, < 1 = Werner noise): it
+        /// scales the correlation magnitude, which is the exact
+        /// Werner-state behaviour.
         visibility: f64,
     },
     /// Hybrid: a fixed fraction of servers is dedicated to type-C tasks;
@@ -100,11 +82,9 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// The ideal quantum strategy (fast sampling, full availability,
-    /// perfect pairs).
+    /// The ideal quantum strategy (full availability, perfect pairs).
     pub fn quantum_ideal() -> Self {
         Strategy::PairedQuantum {
-            mode: QuantumMode::FastSampling,
             availability: 1.0,
             visibility: 1.0,
         }
@@ -129,21 +109,14 @@ impl Strategy {
                 decider: Decider::MatchTypes,
             }),
             Strategy::PairedQuantum {
-                mode,
                 availability,
                 visibility,
             } => {
                 assert!((0.0..=1.0).contains(&availability), "bad availability");
                 assert!((0.0..=1.0).contains(&visibility), "bad visibility");
-                let decider = match mode {
-                    QuantumMode::FastSampling => Decider::QuantumBox {
-                        boxx: flipped_chsh_box(visibility),
-                        availability,
-                    },
-                    QuantumMode::ExactSimulation => Decider::QuantumExact {
-                        visibility,
-                        availability,
-                    },
+                let decider = Decider::QuantumBox {
+                    boxx: CorrelationBox::flipped_chsh(visibility),
+                    availability,
                 };
                 Box::new(Paired { n_servers, decider })
             }
@@ -161,19 +134,6 @@ impl Strategy {
             }
         }
     }
-}
-
-/// The flipped-CHSH correlation box scaled by pair visibility:
-/// `E[(−1)^{a⊕b} | x, y] = v/√2 · (+1 if x∧y else −1)`.
-fn flipped_chsh_box(visibility: f64) -> CorrelationBox {
-    let f = visibility * std::f64::consts::FRAC_1_SQRT_2;
-    CorrelationBox::new(RMatrix::from_fn(2, 2, |x, y| {
-        if x == 1 && y == 1 {
-            f
-        } else {
-            -f
-        }
-    }))
 }
 
 struct UniformRandom {
@@ -268,10 +228,6 @@ enum Decider {
         boxx: CorrelationBox,
         availability: f64,
     },
-    QuantumExact {
-        visibility: f64,
-        availability: f64,
-    },
 }
 
 impl Decider {
@@ -290,31 +246,6 @@ impl Decider {
                     PairDecision { a: false, b: true }
                 }
             }
-            Decider::QuantumExact {
-                visibility,
-                availability,
-            } => {
-                if rng.gen::<f64>() < *availability {
-                    let mut pair = if *visibility >= 1.0 {
-                        SharedPair::ideal()
-                    } else {
-                        SharedPair::werner(*visibility).expect("validated visibility")
-                    };
-                    let a = pair
-                        .measure_angle(Party::A, alice_angle(x), rng)
-                        .expect("fresh pair");
-                    let b = pair
-                        .measure_angle(Party::B, bob_angle(y), rng)
-                        .expect("fresh pair");
-                    // Flip Bob's bit: implements a⊕b = ¬(x∧y) (§4.1).
-                    PairDecision {
-                        a: a == 1,
-                        b: b == 0,
-                    }
-                } else {
-                    PairDecision { a: false, b: true }
-                }
-            }
         }
     }
 
@@ -323,7 +254,6 @@ impl Decider {
             Decider::AlwaysSplit => "paired-always-split",
             Decider::MatchTypes => "paired-match-types",
             Decider::QuantumBox { .. } => "paired-quantum",
-            Decider::QuantumExact { .. } => "paired-quantum-exact",
         }
     }
 }
@@ -507,23 +437,29 @@ mod tests {
 
     #[test]
     fn exact_simulation_matches_fast_sampling() {
+        // Oracle: measure a fresh |Φ⁺⟩ at the paper's angles and flip
+        // Bob's bit (a ⊕ b = ¬(x∧y), §4.1); the pair co-locates iff the
+        // two placement bits agree.
+        use games::chsh::{alice_angle, bob_angle};
+        use qsim::{Party, SharedPair};
         let mut rng = StdRng::seed_from_u64(7);
         let mut fast = Strategy::quantum_ideal().build(4);
-        let mut exact = Strategy::PairedQuantum {
-            mode: QuantumMode::ExactSimulation,
-            availability: 1.0,
-            visibility: 1.0,
-        }
-        .build(4);
         let trials = 8_000;
         for tasks in [[C, C], [C, E], [E, E]] {
+            let (x, y) = (tasks[0].chsh_input(), tasks[1].chsh_input());
             let mut same_fast = 0usize;
             let mut same_exact = 0usize;
             for _ in 0..trials {
                 let a = fast.assign_all(&tasks, &lens(4), &mut rng);
                 same_fast += usize::from(a[0] == a[1]);
-                let a = exact.assign_all(&tasks, &lens(4), &mut rng);
-                same_exact += usize::from(a[0] == a[1]);
+                let mut pair = SharedPair::ideal();
+                let a = pair
+                    .measure_angle(Party::A, alice_angle(x), &mut rng)
+                    .unwrap();
+                let b = pair
+                    .measure_angle(Party::B, bob_angle(y), &mut rng)
+                    .unwrap();
+                same_exact += usize::from((a == 1) == (b == 0));
             }
             let diff =
                 (same_fast as f64 - same_exact as f64).abs() / trials as f64;
@@ -535,7 +471,6 @@ mod tests {
     fn zero_availability_degenerates_to_split() {
         let mut rng = StdRng::seed_from_u64(8);
         let mut s = Strategy::PairedQuantum {
-            mode: QuantumMode::FastSampling,
             availability: 0.0,
             visibility: 1.0,
         }
@@ -550,7 +485,6 @@ mod tests {
     fn degraded_visibility_weakens_correlation() {
         let mut rng = StdRng::seed_from_u64(9);
         let mut s = Strategy::PairedQuantum {
-            mode: QuantumMode::FastSampling,
             availability: 1.0,
             visibility: 0.0, // fully depolarized: coin-flip correlation
         }

@@ -12,7 +12,7 @@
 
 use loadbalance::aos::run_simulation_aos;
 use loadbalance::task::{BernoulliWorkload, BurstyWorkload};
-use loadbalance::{run_simulation, Discipline, QuantumMode, SimConfig, Strategy, Workload};
+use loadbalance::{run_simulation, Discipline, SimConfig, Strategy, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -31,9 +31,8 @@ fn strategies() -> Vec<(&'static str, Strategy)> {
         ("match-types", Strategy::PairedMatchTypes),
         ("quantum-fast", Strategy::quantum_ideal()),
         (
-            "quantum-exact",
+            "quantum-noisy",
             Strategy::PairedQuantum {
-                mode: QuantumMode::ExactSimulation,
                 availability: 0.9,
                 visibility: 0.95,
             },

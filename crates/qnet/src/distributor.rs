@@ -539,7 +539,8 @@ impl EntanglementDistributor {
 
     /// Consumes a buffered pair at `now` as a full density-matrix
     /// [`SharedPair`], applying storage decay to both halves — the exact
-    /// gate-evolution oracle (`QNLG_EXACT_QSIM=1` routes consumers here).
+    /// gate-evolution oracle the [`Self::take_werner`] kernel is tested
+    /// against.
     /// Returns `None` (and counts a miss) if no pair is available.
     pub fn take_pair(&mut self, now: SimTime) -> Option<SharedPair> {
         self.advance_to(now);

@@ -34,11 +34,11 @@
 //! `u64` supplies `n−1` free bits, and the last bit closes the parity —
 //! O(n) per round, independent of the 2ⁿ state dimension.
 //!
-//! The full quantum-simulation path stays live as the pinned oracle:
+//! The full quantum-simulation path stays as the pinned test oracle:
 //! [`NoisyGhz::oracle_density`] builds the exact density matrix for the
 //! 1e-12 cell-equivalence tests, [`NoisyGhz::oracle_sample`] is the
-//! trajectory-sampling statevector route that `QNLG_EXACT_QSIM=1`
-//! (see [`crate::werner::exact_qsim`]) re-enables at runtime.
+//! trajectory-sampling statevector route `tests/ghz_stat.rs` checks
+//! against the same closed form.
 
 use crate::bell;
 use crate::error::SimError;
@@ -226,7 +226,7 @@ impl NoisyGhz {
         Ok(rho)
     }
 
-    /// The exact-simulation sampling route (`QNLG_EXACT_QSIM=1`):
+    /// The exact-simulation sampling route (a test oracle):
     /// trajectory-unravel the noise — the GHZ⁺/GHZ⁻ mixture is a Z on
     /// any one qubit with probability `(1−v)/2`, and each dephasing
     /// channel a Z with probability `(1−dⱼ)/2` — then projectively

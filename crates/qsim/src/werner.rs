@@ -31,16 +31,60 @@
 //! At `da = db = 1` this reduces to `E = v·cos 2(θa−θb)`, i.e.
 //! `P(agree) = (1−v)/2 + v·cos²(θa−θb)` — the textbook Werner form.
 //!
-//! The gate-evolution path ([`crate::SharedPair`]) is kept as the oracle:
-//! [`WernerPair::oracle_density`] builds the exact same state for the
-//! equivalence tests, and setting `QNLG_EXACT_QSIM=1` (see [`exact_qsim`])
-//! routes the distributor's consumers back through it at runtime.
+//! Drawing such a pair is the one correlated-pair kernel of the
+//! workspace, [`CorrelatedBits`]: every caller that samples a
+//! uniform-marginal bit pair of correlation `c` (this kernel, the
+//! `games::CorrelationBox` strategies, the served decision slots) goes
+//! through it.
+//!
+//! The gate-evolution path ([`crate::SharedPair`]) is kept as a test
+//! oracle: [`WernerPair::oracle_density`] builds the exact same state for
+//! the equivalence tests (`tests/werner_stat.rs`).
 
 use crate::error::SimError;
 use crate::noise::{self, KrausChannel};
 use crate::DensityMatrix;
-use rand::Rng;
-use std::sync::OnceLock;
+use rand::{Rng, RngCore};
+
+/// 2⁻⁵³: maps the top 53 bits of a draw onto `[0, 1)`.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// A uniform-marginal correlated bit pair: each bit is a fair coin and
+/// `E[(−1)^{a⊕b}] = c`, so `P(00) = P(11) = (1+c)/4` and
+/// `P(01) = P(10) = (1−c)/4`.
+///
+/// Holds the CDF over the cells `00, 01, 10` (`11` takes the rest):
+/// `(1+c)/4, 1/2, 1/2 + (1−c)/4`. The middle boundary is exactly 1/2
+/// because the marginals are uniform. `Copy`, and cheap enough to build
+/// per draw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CorrelatedBits {
+    cdf: [f64; 3],
+}
+
+impl CorrelatedBits {
+    /// The sampler for correlation `c`. `c` is clamped to `[−1, 1]`, so
+    /// the thresholds stay ordered even when a closed form overshoots
+    /// ±1 by an ulp.
+    #[inline]
+    pub fn new(c: f64) -> Self {
+        let c = c.clamp(-1.0, 1.0);
+        CorrelatedBits {
+            cdf: [0.25 * (1.0 + c), 0.5, 0.5 + 0.25 * (1.0 - c)],
+        }
+    }
+
+    /// Draws `(a, b)` with one RNG draw: `u = (next_u64() >> 11) · 2⁻⁵³`
+    /// (the draw `gen::<f64>()` makes) counted against the three
+    /// thresholds without branches.
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> (bool, bool) {
+        let u = (rng.next_u64() >> 11) as f64 * UNIT;
+        let [t0, t1, t2] = self.cdf;
+        let k = u8::from(u >= t0) + u8::from(u >= t1) + u8::from(u >= t2);
+        (k >= 2, k & 1 != 0)
+    }
+}
 
 /// A Werner pair reduced to the three numbers its measurement statistics
 /// depend on: source visibility and the per-half dephasing retentions.
@@ -116,28 +160,16 @@ impl WernerPair {
     }
 
     /// Samples the joint outcome of measuring both halves at `(θa, θb)`
-    /// with a single RNG draw, walking the exact 4-entry CDF
-    /// `(1+E)/4, 1/2, (3−E)/4, 1` (the middle boundary is exactly 1/2
-    /// because the marginals are uniform).
+    /// with a single RNG draw from [`CorrelatedBits`] at correlation
+    /// `E(θa, θb)`.
     pub fn sample<R: Rng + ?Sized>(&self, theta_a: f64, theta_b: f64, rng: &mut R) -> (u8, u8) {
-        let e = self.correlation(theta_a, theta_b);
-        let agree = 0.25 * (1.0 + e);
-        let u: f64 = rng.gen();
-        if u < agree {
-            (0, 0)
-        } else if u < 0.5 {
-            (0, 1)
-        } else if u < 0.5 + 0.25 * (1.0 - e) {
-            (1, 0)
-        } else {
-            (1, 1)
-        }
+        let (a, b) = CorrelatedBits::new(self.correlation(theta_a, theta_b)).sample(rng);
+        (u8::from(a), u8::from(b))
     }
 
     /// Builds the *oracle* state this kernel claims to sample: the
     /// Werner-`v` density matrix pushed through per-half dephasing
-    /// channels with `p = (1 − d)/2`. Used by the equivalence tests and
-    /// by the `QNLG_EXACT_QSIM=1` escape hatch.
+    /// channels with `p = (1 − d)/2`. Used by the equivalence tests.
     ///
     /// # Errors
     /// Propagates channel-construction errors (cannot occur for a
@@ -152,15 +184,6 @@ impl WernerPair {
         }
         Ok(rho)
     }
-}
-
-/// Whether `QNLG_EXACT_QSIM=1` is set: routes Werner-pair consumers back
-/// through the [`crate::SharedPair`] gate-evolution oracle instead of the
-/// closed-form kernel. Read once and cached (same idiom as the XOR value
-/// cache's `QNLG_XOR_CACHE` gate).
-pub fn exact_qsim() -> bool {
-    static EXACT: OnceLock<bool> = OnceLock::new();
-    *EXACT.get_or_init(|| matches!(std::env::var("QNLG_EXACT_QSIM").as_deref(), Ok("1")))
 }
 
 #[cfg(test)]

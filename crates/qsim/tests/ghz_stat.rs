@@ -29,9 +29,9 @@ fn check_kernel(ghz: &NoisyGhz, phases: &[f64], rng: &mut StdRng) {
     }
 }
 
-/// Sample `N` rounds from the statevector oracle (the `QNLG_EXACT_QSIM=1`
-/// route: trajectory noise + n projective basis measurements) and check
-/// the even-parity rate and one marginal against the same closed form.
+/// Sample `N` rounds from the statevector oracle (trajectory noise + n
+/// projective basis measurements) and check the even-parity rate and one
+/// marginal against the same closed form.
 fn check_oracle(ghz: &NoisyGhz, phases: &[f64], rng: &mut StdRng) {
     let bases: Vec<Basis1> = phases.iter().map(|&p| equatorial_basis(p)).collect();
     let e = ghz.correlation(phases);

@@ -103,6 +103,28 @@ impl SplitMix64 {
     }
 }
 
+/// Lets generic samplers (`rand::Rng` bounds) draw from the stream. Every
+/// method consumes whole [`SplitMix64::next_u64`] draws, so
+/// `Rng::gen::<f64>()` equals [`SplitMix64::next_f64`].
+impl rand::RngCore for SplitMix64 {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        (SplitMix64::next_u64(self) >> 32) as u32
+    }
+
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        SplitMix64::next_u64(self)
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        for chunk in dest.chunks_mut(8) {
+            let bytes = SplitMix64::next_u64(self).to_le_bytes();
+            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +182,30 @@ mod tests {
         let mut rng = SplitMix64::new(0);
         assert_eq!(rng.next_u64(), mix64(GOLDEN));
         assert_eq!(rng.next_u64(), mix64(GOLDEN.wrapping_mul(2)));
+    }
+
+    #[test]
+    fn rng_core_draws_match_the_inherent_ones() {
+        use rand::{Rng, RngCore};
+        let mut inherent = SplitMix64::new(99);
+        let mut generic = inherent;
+        for _ in 0..64 {
+            assert_eq!(RngCore::next_u64(&mut generic), inherent.next_u64());
+            assert_eq!(generic.gen::<f64>(), inherent.next_f64());
+            assert_eq!(
+                RngCore::next_u32(&mut generic),
+                (inherent.next_u64() >> 32) as u32
+            );
+        }
+        let mut bytes = [0u8; 12];
+        generic.fill_bytes(&mut bytes);
+        let (lo, hi) = (
+            inherent.next_u64().to_le_bytes(),
+            inherent.next_u64().to_le_bytes(),
+        );
+        assert_eq!(bytes[..8], lo);
+        assert_eq!(bytes[8..], hi[..4]);
+        assert_eq!(generic, inherent);
     }
 
     #[test]

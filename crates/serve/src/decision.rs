@@ -128,41 +128,18 @@ fn draw_candidates(n_servers: u32, rng: &mut SplitMix64) -> (u32, u32) {
     (s0, s1)
 }
 
-/// Samples the flipped-CHSH outcome bits for one input combination from
-/// the pair's exact joint CDF (`(1+E)/4, 1/2, (3−E)/4, 1` — the same
-/// walk as [`WernerPair::sample`], driven by a [`SplitMix64`] draw).
-#[inline]
-fn sample_outcome(pair: &WernerPair, theta_a: f64, theta_b: f64, rng: &mut SplitMix64) -> u8 {
-    let e = pair.correlation(theta_a, theta_b);
-    let u = rng.next_f64();
-    let (a, b) = if u < 0.25 * (1.0 + e) {
-        (0u8, 0u8)
-    } else if u < 0.5 {
-        (0, 1)
-    } else if u < 0.5 + 0.25 * (1.0 - e) {
-        (1, 0)
-    } else {
-        (1, 1)
-    };
-    // Flipped game (§4.1): Alice's placement bit is a == 1, Bob's is
-    // b == 0 — same mapping as loadbalance::pipeline::coordinate.
-    (a == 1) as u8 | (((b == 0) as u8) << 1)
-}
-
 /// Draws a quantum-tier slot from a consumed pair: one candidate draw
-/// plus one exact joint sample per input combination (6 RNG draws
-/// total, all from the slot's own sub-stream).
+/// plus one exact joint sample ([`WernerPair::sample`]) per input
+/// combination (6 RNG draws total, all from the slot's own sub-stream).
 pub fn draw_quantum(seq: u64, n_servers: u32, pair: &WernerPair, rng: &mut SplitMix64) -> DecisionSlot {
     let (s0, s1) = draw_candidates(n_servers, rng);
     let mut outcomes = [0u8; 4];
     for x in 0..2usize {
         for y in 0..2usize {
-            outcomes[(x << 1) | y] = sample_outcome(
-                pair,
-                games::chsh::alice_angle(x),
-                games::chsh::bob_angle(y),
-                rng,
-            );
+            let (a, b) = pair.sample(games::chsh::alice_angle(x), games::chsh::bob_angle(y), rng);
+            // Flipped game (§4.1): Alice's placement bit is a == 1, Bob's
+            // is b == 0 — same mapping as loadbalance::pipeline::coordinate.
+            outcomes[(x << 1) | y] = u8::from(a == 1) | (u8::from(b == 0) << 1);
         }
     }
     DecisionSlot {

@@ -21,7 +21,9 @@
 //! each one once its handler exits. Shutdown drains gracefully — the
 //! accept loop closes first, then each open connection's *read* side is
 //! shut down, so a response in flight is still written before the
-//! handler exits.
+//! handler exits. A response write that makes no progress for one
+//! second (a client that stopped reading) fails and closes that
+//! connection, so shutdown never waits on such a client longer than that.
 
 #![cfg(unix)]
 
@@ -38,6 +40,8 @@ use std::time::Duration;
 const REQ_LEN: u32 = 6;
 /// Response payload length.
 const RESP_LEN: u32 = 17;
+/// Longest a response write may block before its connection is closed.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 fn read_frame(stream: &mut UnixStream, expect_len: u32, buf: &mut [u8]) -> io::Result<bool> {
     let mut len_bytes = [0u8; 4];
@@ -125,7 +129,9 @@ impl SocketServer {
 
     /// Graceful stop: close the accept loop, shut down the read side of
     /// every open connection (in-flight responses still get written),
-    /// join all handler threads, and remove the socket file. Idempotent.
+    /// join all handler threads, and remove the socket file. A handler
+    /// stuck writing to a client that stopped reading exits within
+    /// `WRITE_TIMEOUT`. Idempotent.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::Release);
         // Joined first, the accept loop can take no connection after the
@@ -161,6 +167,7 @@ fn accept_loop(
                     let _ = handler.join();
                 }
                 let _ = stream.set_nonblocking(false);
+                let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
                 // A connection that stop could not shut down would hang
                 // it, so refuse it instead.
                 let Ok(tracked) = stream.try_clone() else {

@@ -12,6 +12,12 @@
 use proptest::prelude::*;
 use serve::ring::spsc;
 use std::collections::VecDeque;
+use std::time::{Duration, Instant};
+
+/// Longest the consumer waits for the next value. A healthy producer
+/// publishes within microseconds, even in a debug build on a loaded
+/// two-core host.
+const STALL: Duration = Duration::from_secs(20);
 
 /// One scripted operation on the ring (values are assigned by the
 /// driver so every staged value is unique and order is checkable).
@@ -124,7 +130,8 @@ proptest! {
 /// Cross-thread stress with randomized batch sizes: every value arrives
 /// exactly once, in order, across many wraparounds — the batched-publish
 /// visibility guarantee under a real memory model rather than the
-/// single-threaded model above.
+/// single-threaded model above. A progress watchdog turns a lost publish
+/// or a dead producer into a failure instead of an endless spin.
 #[test]
 fn concurrent_randomized_batches_preserve_order() {
     for (capacity, total) in [(1usize, 5_000u64), (8, 50_000), (64, 100_000)] {
@@ -149,11 +156,24 @@ fn concurrent_randomized_batches_preserve_order() {
             }
         });
         let mut expect = 0u64;
+        let mut last_progress = Instant::now();
         while expect < total {
             match rx.pop() {
                 Some(v) => {
                     assert_eq!(v, expect, "capacity {capacity}: out of order");
                     expect += 1;
+                    last_progress = Instant::now();
+                }
+                None if last_progress.elapsed() > STALL => {
+                    if producer.is_finished() {
+                        if let Err(panic) = producer.join() {
+                            std::panic::resume_unwind(panic);
+                        }
+                    }
+                    panic!(
+                        "capacity {capacity}: no value for {STALL:?} after {expect} of \
+                         {total}: publish lost"
+                    );
                 }
                 None => std::thread::yield_now(),
             }

@@ -101,6 +101,47 @@ fn socket_round_trip_matches_in_process_decisions() {
     drop(client);
 }
 
+#[cfg(unix)]
+#[test]
+fn stop_returns_while_a_client_has_stopped_reading() {
+    use serve::socket::SocketServer;
+    use std::io::Write;
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
+
+    let service = Arc::new(Service::start(&base_config(44)));
+    let path = std::env::temp_dir().join(format!("qnlg-serve-stall-{}.sock", std::process::id()));
+    let mut server = SocketServer::start(&path, service).expect("bind socket");
+
+    // Pipeline well-formed requests and never read a response, until a
+    // write makes no progress for 200 ms: the replies have filled the
+    // socket buffers, so the handler is blocked writing and has stopped
+    // reading.
+    let mut client = UnixStream::connect(&path).expect("connect");
+    client
+        .set_write_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    let mut request = [0u8; 10];
+    request[..4].copy_from_slice(&6u32.to_le_bytes());
+    while client.write_all(&request).is_ok() {}
+
+    let (stopped, done) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        server.stop();
+        let _ = stopped.send(());
+    });
+    let waited = done.recv_timeout(Duration::from_secs(20));
+    // Closing the client unblocks a hung handler, so a failure here
+    // does not leave the stopper running.
+    drop(client);
+    assert!(
+        waited.is_ok(),
+        "stop() hung on a client that stopped reading"
+    );
+    stopper.join().unwrap();
+    assert!(!path.exists(), "socket file must be removed on stop");
+}
+
 #[test]
 fn healthy_plane_serves_quantum_overwhelmingly() {
     let mut core = ServiceCore::new(&base_config(55));
