@@ -39,9 +39,10 @@ bench-xor:
 bench-plane:
 	$(CARGO) bench -p qnlg-bench --bench plane
 
-# Sharded-SoA load-balance engine ablation: frozen AoS loop vs SoA
-# single-shard vs sharded (data layout vs parallel machinery), plus the
-# obs on/off overhead arm — the DESIGN.md §5 fig4-scale rows.
+# Sharded-SoA load-balance engine ablation: frozen AoS loop vs the
+# compatibility loop (sim::run_simulation) vs SoA single-shard vs
+# sharded (data layout vs parallel machinery), plus the obs on/off
+# overhead arm — the DESIGN.md §5 fig4-scale rows.
 bench-scale:
 	$(CARGO) bench -p qnlg-bench --bench scale
 

@@ -1,9 +1,13 @@
 //! Bench: the sharded SoA engine ablation (DESIGN.md §5).
 //!
-//! Three arms at 10⁵ servers, load 1.2, quantum strategy:
+//! Four arms at 10⁴ and 10⁵ servers, load 1.2, quantum strategy:
 //!
 //! - `aos`: the frozen pre-shard array-of-structs loop
-//!   (`aos::run_simulation_aos`) — the seed implementation's shape.
+//!   (`aos::run_simulation_aos`) — the seed implementation's shape,
+//!   queue-scanning servers with a wait reservoir each.
+//! - `compat`: the compatibility path every Figure 4 family experiment
+//!   runs (`sim::run_simulation`): the same loop over servers with
+//!   per-class FIFO lanes and one run-wide wait reservoir.
 //! - `soa_single`: the sharded engine pinned to one shard, one worker —
 //!   isolates the data-layout win (SoA lanes, closed-form kernels,
 //!   per-pair streams) from parallelism.
@@ -11,9 +15,11 @@
 //!   one worker (this container is single-core; multi-core numbers are
 //!   reported in DESIGN.md §5) — adds the epoch/mailbox machinery.
 //!
-//! The PR acceptance line is `soa_single ≥ 3× aos` in tasks/second at
-//! 10⁵ servers on one core. A fourth pair of arms measures the obs
-//! overhead (satellite: hoisted per-run flushes must cost < 2%).
+//! The sharded engine's acceptance line is `soa_single ≥ 3× aos` in
+//! tasks/second at 10⁵ servers on one core; `compat` against `soa_single`
+//! is what porting the Figure 4 experiments onto the sharded engine would
+//! gain. A last pair of arms measures the obs overhead (hoisted per-run
+//! flushes must cost < 2%).
 //!
 //! Run with `make bench-scale`. The smaller 10⁴ AoS point keeps the
 //! default criterion budget tolerable; 10⁵ AoS is measured with a
@@ -23,7 +29,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loadbalance::aos::run_simulation_aos;
 use loadbalance::server::Discipline;
 use loadbalance::shard::{default_shards, run_scaled, ScaleConfig, ScaleStrategy};
-use loadbalance::sim::SimConfig;
+use loadbalance::sim::{run_simulation, SimConfig};
 use loadbalance::strategy::Strategy;
 use loadbalance::task::{ArrivalModel, BernoulliWorkload};
 use rand::rngs::StdRng;
@@ -63,6 +69,18 @@ fn bench_scale(c: &mut Criterion) {
                     run_simulation_aos(sim_config(n), Strategy::quantum_ideal(), &mut w, &mut rng)
                         .unwrap(),
                 )
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("compat", n), &n, |b, &n| {
+            let mut rng = StdRng::seed_from_u64(1);
+            b.iter(|| {
+                let mut w = BernoulliWorkload::paper();
+                black_box(run_simulation(
+                    sim_config(n),
+                    Strategy::quantum_ideal(),
+                    &mut w,
+                    &mut rng,
+                ))
             })
         });
         group.bench_with_input(BenchmarkId::new("soa_single", n), &n, |b, &n| {

@@ -18,18 +18,22 @@
 //!   ablations).
 //! - [`server`]: server queue disciplines — the paper's
 //!   ("two type-C simultaneously first, then type-E one at a time") and
-//!   alternates for the footnote-2 robustness claim.
+//!   alternates for the footnote-2 robustness claim — over per-class
+//!   FIFO lanes (one type-E lane, one lane per type-C subtype), so a
+//!   step compares lane heads instead of scanning the queue.
 //! - [`strategy`]: assignment strategies — uniform random, round-robin,
 //!   power-of-two-choices, classical pairings, dedicated-server hybrid,
 //!   and the quantum CHSH pairing (the flipped-CHSH
 //!   `games::CorrelationBox`, plus finite pair availability).
 //! - [`sim`]: the timestep loop of Figure 4 (compatibility path: any
-//!   strategy, caller-supplied RNG, bit-stable historical trajectories).
+//!   strategy, caller-supplied RNG, bit-stable historical trajectories,
+//!   one run-wide wait reservoir shared by every server).
 //! - [`shard`]: the sharded, structure-of-arrays, batch-advanced engine
 //!   for production-scale runs (1e6 servers), byte-identical at any
 //!   worker/shard count.
-//! - [`aos`]: the frozen pre-shard array-of-structs loop, kept as the
-//!   determinism oracle and the ablation baseline for `benches/scale.rs`.
+//! - [`aos`]: the frozen pre-shard array-of-structs loop over the seed's
+//!   queue-scanning server, kept as the determinism oracle for [`sim`]
+//!   and [`server`] and the ablation baseline for `benches/scale.rs`.
 //! - [`metrics`]: queue-length and waiting-time statistics, including the
 //!   bounded deterministic wait reservoir.
 //! - [`error`]: typed configuration/engine errors.

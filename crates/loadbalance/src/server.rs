@@ -6,7 +6,7 @@
 //! other server execution strategies"; the alternates here back that
 //! ablation (experiment E2c).
 
-use crate::metrics::{WaitReservoir, WAIT_RESERVOIR_SEED};
+use crate::metrics::WaitReservoir;
 use crate::task::{Task, TaskType};
 use std::collections::VecDeque;
 
@@ -16,8 +16,9 @@ pub enum Discipline {
     /// The paper's rule: if any type-C is queued, serve up to two type-C
     /// (same subtype) this step; otherwise serve one type-E.
     PaperPairedC,
-    /// Strict FIFO, but if the head task is type-C, a second queued
-    /// type-C of the same subtype rides along (no reordering past type-E).
+    /// Strict FIFO, but if the head task is type-C, the next queued
+    /// type-C of the same subtype rides along, wherever it sits behind
+    /// the head — past type-E tasks and other subtypes too.
     FifoPairedC,
     /// Type-E first (E tasks are latency-critical): serve one type-E if
     /// queued, else up to two same-subtype type-C.
@@ -45,10 +46,29 @@ impl Discipline {
     }
 }
 
-/// A backend server with a task queue.
+/// A queued task: its arrival order on this server, which orders the
+/// heads of different lanes, and the timestep it arrived.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    order: u64,
+    enqueued_at: u64,
+}
+
+/// A backend server with a task queue, kept as per-class FIFO lanes: one
+/// for type-E tasks and one per type-C subtype. Every discipline is a
+/// comparison of lane heads, so a step costs O(subtypes), not O(queue
+/// length). The seed's single scanning queue is the oracle in
+/// [`crate::aos`].
 #[derive(Debug, Clone)]
 pub struct Server {
-    queue: VecDeque<Task>,
+    /// Type-E tasks, oldest first.
+    exclusive: VecDeque<Entry>,
+    /// Type-C tasks, one lane per subtype (indexed by subtype; a lane is
+    /// created on its subtype's first arrival), oldest first.
+    colocate: Vec<VecDeque<Entry>>,
+    /// Tasks ever enqueued: the next arrival's `order`. Every arrival is
+    /// either queued or served, so the queue holds `arrivals - served`.
+    arrivals: u64,
     discipline: Discipline,
     /// Identity used to key reservoir sample priorities; distinct per
     /// server within a run so sample identities never collide.
@@ -57,13 +77,6 @@ pub struct Server {
     pub served: u64,
     /// Sum of queueing delays (in timesteps) of served tasks.
     pub total_wait: u64,
-    /// Bounded reservoir of per-task queueing delays (for percentile
-    /// statistics). Replaces the historical unbounded `wait_samples`
-    /// vector, whose O(timesteps × servers) growth ruled out
-    /// million-server runs. Callers may [`WaitReservoir::clear`] it at a
-    /// measurement-window boundary; the exact `total_wait`/`served`
-    /// counters are unaffected.
-    pub waits: WaitReservoir,
 }
 
 impl Server {
@@ -74,130 +87,106 @@ impl Server {
     }
 
     /// An empty server with the given discipline and reservoir identity.
+    /// Allocates nothing: lanes grow on their first arrival.
     pub fn with_id(discipline: Discipline, id: u64) -> Self {
         Server {
-            queue: VecDeque::new(),
+            exclusive: VecDeque::new(),
+            colocate: Vec::new(),
+            arrivals: 0,
             discipline,
             id,
             served: 0,
             total_wait: 0,
-            waits: WaitReservoir::new(WAIT_RESERVOIR_SEED),
         }
     }
 
     /// Current queue length.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        (self.arrivals - self.served) as usize
     }
 
     /// Enqueues an arriving task.
     pub fn enqueue(&mut self, task: Task) {
-        self.queue.push_back(task);
-    }
-
-    /// Runs one service timestep at time `now`, removing the tasks served
-    /// per the discipline. Returns how many tasks were served.
-    pub fn step(&mut self, now: u64) -> usize {
-        let indices = self.select_indices();
-        // Remove back-to-front so indices stay valid.
-        let mut served = 0;
-        for &i in indices.iter().rev() {
-            let task = self.queue.remove(i).expect("selected index in range");
-            let wait = now.saturating_sub(task.enqueued_at);
-            self.total_wait += wait;
-            // `served` doubles as the per-server completion sequence: it
-            // never resets, so sample identities stay unique even across
-            // a measurement-window `waits.clear()`.
-            self.waits.offer(self.id, self.served, wait);
-            self.served += 1;
-            served += 1;
-        }
-        served
-    }
-
-    /// Picks the queue indices to serve this step (ascending order).
-    fn select_indices(&self) -> Vec<usize> {
-        match self.discipline {
-            Discipline::PaperPairedC => {
-                if let Some(first_c) = self.first_colocate(0) {
-                    self.pair_of_colocate(first_c)
-                } else if self.queue.is_empty() {
-                    vec![]
-                } else {
-                    // No type-C queued: serve the oldest (type-E) task.
-                    vec![0]
-                }
-            }
-            Discipline::FifoPairedC => match self.queue.front() {
-                None => vec![],
-                Some(t) if t.ty.is_colocate() => self.pair_of_colocate(0),
-                Some(_) => vec![0],
-            },
-            Discipline::ExclusiveFirst => {
-                if let Some(first_e) = self
-                    .queue
-                    .iter()
-                    .position(|t| !t.ty.is_colocate())
-                {
-                    vec![first_e]
-                } else if let Some(first_c) = self.first_colocate(0) {
-                    self.pair_of_colocate(first_c)
-                } else {
-                    vec![]
-                }
-            }
-            Discipline::CPrioritySingle => {
-                if let Some(first_c) = self.first_colocate(0) {
-                    vec![first_c]
-                } else if self.queue.is_empty() {
-                    vec![]
-                } else {
-                    vec![0]
-                }
-            }
-            Discipline::SingleSlot => {
-                if self.queue.is_empty() {
-                    vec![]
-                } else {
-                    vec![0]
-                }
-            }
-        }
-    }
-
-    /// Index of the first type-C task at or after `from`.
-    fn first_colocate(&self, from: usize) -> Option<usize> {
-        self.queue
-            .iter()
-            .skip(from)
-            .position(|t| t.ty.is_colocate())
-            .map(|p| p + from)
-    }
-
-    /// The first type-C at `first`, plus the next type-C of the *same
-    /// subtype*, if any.
-    fn pair_of_colocate(&self, first: usize) -> Vec<usize> {
-        let subtype = match self.queue[first].ty {
-            TaskType::Colocate(s) => s,
-            TaskType::Exclusive => unreachable!("caller guarantees type-C"),
+        let entry = Entry {
+            order: self.arrivals,
+            enqueued_at: task.enqueued_at,
         };
-        let partner = self
-            .queue
+        self.arrivals += 1;
+        match task.ty {
+            TaskType::Exclusive => self.exclusive.push_back(entry),
+            TaskType::Colocate(subtype) => {
+                let lane = usize::from(subtype);
+                if lane >= self.colocate.len() {
+                    self.colocate.resize_with(lane + 1, VecDeque::new);
+                }
+                self.colocate[lane].push_back(entry);
+            }
+        }
+    }
+
+    /// Runs one service timestep at time `now`, serving tasks per the
+    /// discipline and offering each one's queueing delay to `waits`.
+    /// Returns how many tasks were served.
+    pub fn step(&mut self, now: u64, waits: &mut WaitReservoir) -> usize {
+        let oldest_c = self.oldest_colocate();
+        let serve_e = match (self.exclusive.front(), oldest_c) {
+            (None, _) => false,
+            (Some(_), None) => true,
+            (Some(e), Some((_, c_order))) => match self.discipline {
+                Discipline::PaperPairedC | Discipline::CPrioritySingle => false,
+                Discipline::ExclusiveFirst => true,
+                Discipline::FifoPairedC | Discipline::SingleSlot => e.order < c_order,
+            },
+        };
+        if serve_e {
+            let e = self.exclusive.pop_front().expect("type-E head checked");
+            self.complete(e, now, waits);
+            return 1;
+        }
+        let Some((lane, _)) = oldest_c else {
+            return 0;
+        };
+        let pairs = matches!(
+            self.discipline,
+            Discipline::PaperPairedC | Discipline::FifoPairedC | Discipline::ExclusiveFirst
+        );
+        let lane = &mut self.colocate[lane];
+        let first = lane.pop_front().expect("type-C head checked");
+        let partner = if pairs { lane.pop_front() } else { None };
+        if let Some(partner) = partner {
+            // The partner completes first: the seed removed a pair back
+            // to front, and the completion count is the sample's
+            // reservoir identity.
+            self.complete(partner, now, waits);
+        }
+        self.complete(first, now, waits);
+        1 + usize::from(partner.is_some())
+    }
+
+    /// The lane and arrival order of the oldest queued type-C task.
+    fn oldest_colocate(&self) -> Option<(usize, u64)> {
+        self.colocate
             .iter()
             .enumerate()
-            .skip(first + 1)
-            .find(|(_, t)| t.ty == TaskType::Colocate(subtype))
-            .map(|(i, _)| i);
-        match partner {
-            Some(p) => vec![first, p],
-            None => vec![first],
-        }
+            .filter_map(|(lane, q)| q.front().map(|t| (lane, t.order)))
+            .min_by_key(|&(_, order)| order)
+    }
+
+    fn complete(&mut self, task: Entry, now: u64, waits: &mut WaitReservoir) {
+        let wait = now.saturating_sub(task.enqueued_at);
+        self.total_wait += wait;
+        // `served` doubles as the per-server completion sequence: it
+        // never resets, so sample identities stay unique even across a
+        // measurement-window `waits.clear()`.
+        waits.offer(self.id, self.served, wait);
+        self.served += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::WAIT_RESERVOIR_SEED;
 
     fn c(sub: u8, at: u64) -> Task {
         Task {
@@ -212,15 +201,25 @@ mod tests {
         }
     }
 
+    /// Steps `s` at `now` and returns the waits it served, ascending.
+    /// Tests enqueue each task at a distinct time, so a wait names the
+    /// task that was served.
+    fn served_waits(s: &mut Server, now: u64) -> Vec<u64> {
+        let mut waits = WaitReservoir::new(WAIT_RESERVOIR_SEED);
+        let n = s.step(now, &mut waits);
+        assert_eq!(n, waits.len(), "step's count matches the waits offered");
+        waits.sorted_waits()
+    }
+
     #[test]
     fn paper_discipline_pairs_two_c() {
         let mut s = Server::new(Discipline::PaperPairedC);
         s.enqueue(c(0, 0));
         s.enqueue(c(0, 0));
         s.enqueue(e(0));
-        assert_eq!(s.step(1), 2, "both Cs served together");
+        assert_eq!(served_waits(&mut s, 1).len(), 2, "both Cs served together");
         assert_eq!(s.queue_len(), 1);
-        assert_eq!(s.step(2), 1, "then the E");
+        assert_eq!(served_waits(&mut s, 2).len(), 1, "then the E");
         assert_eq!(s.served, 3);
     }
 
@@ -228,29 +227,37 @@ mod tests {
     fn paper_discipline_c_priority_over_e() {
         let mut s = Server::new(Discipline::PaperPairedC);
         s.enqueue(e(0));
-        s.enqueue(c(0, 0));
-        assert_eq!(s.step(1), 1, "the C is served first despite FIFO order");
+        s.enqueue(c(0, 1));
+        assert_eq!(
+            served_waits(&mut s, 2),
+            [1],
+            "the C is served first despite FIFO order"
+        );
         assert_eq!(s.queue_len(), 1);
-        assert!(!s.queue.front().unwrap().ty.is_colocate());
+        assert_eq!(served_waits(&mut s, 3), [3], "the E is what remains");
     }
 
     #[test]
     fn paper_discipline_lone_c_costs_full_step() {
         let mut s = Server::new(Discipline::PaperPairedC);
         s.enqueue(c(0, 0));
-        assert_eq!(s.step(1), 1, "a lone C still consumes the step");
+        assert_eq!(
+            served_waits(&mut s, 1).len(),
+            1,
+            "a lone C still consumes the step"
+        );
     }
 
     #[test]
     fn subtypes_do_not_mix() {
         let mut s = Server::new(Discipline::PaperPairedC);
         s.enqueue(c(0, 0));
-        s.enqueue(c(1, 0));
-        s.enqueue(c(0, 0));
+        s.enqueue(c(1, 1));
+        s.enqueue(c(0, 2));
         // First step pairs the two subtype-0 Cs, skipping the subtype-1.
-        assert_eq!(s.step(1), 2);
+        assert_eq!(served_waits(&mut s, 3), [1, 3]);
         assert_eq!(s.queue_len(), 1);
-        assert_eq!(s.queue.front().unwrap().ty, TaskType::Colocate(1));
+        assert_eq!(served_waits(&mut s, 4), [3], "the subtype-1 C remains");
     }
 
     #[test]
@@ -259,17 +266,37 @@ mod tests {
         s.enqueue(e(0));
         s.enqueue(c(0, 0));
         s.enqueue(c(0, 0));
-        assert_eq!(s.step(1), 1, "head E served first under FIFO");
-        assert_eq!(s.step(2), 2, "then the C pair");
+        assert_eq!(
+            served_waits(&mut s, 1).len(),
+            1,
+            "head E served first under FIFO"
+        );
+        assert_eq!(served_waits(&mut s, 2).len(), 2, "then the C pair");
+    }
+
+    #[test]
+    fn fifo_pairs_past_e_and_other_subtypes() {
+        let mut s = Server::new(Discipline::FifoPairedC);
+        s.enqueue(c(0, 0));
+        s.enqueue(e(1));
+        s.enqueue(c(1, 2));
+        s.enqueue(c(0, 3));
+        assert_eq!(
+            served_waits(&mut s, 4),
+            [1, 4],
+            "head C pairs with the C behind the E"
+        );
+        assert_eq!(served_waits(&mut s, 5), [4], "then the E, oldest again");
+        assert_eq!(served_waits(&mut s, 6), [4], "then the subtype-1 C");
     }
 
     #[test]
     fn exclusive_first_prioritizes_e() {
         let mut s = Server::new(Discipline::ExclusiveFirst);
         s.enqueue(c(0, 0));
-        s.enqueue(e(0));
-        assert_eq!(s.step(1), 1);
-        assert!(s.queue.front().unwrap().ty.is_colocate());
+        s.enqueue(e(1));
+        assert_eq!(served_waits(&mut s, 2), [1]);
+        assert_eq!(served_waits(&mut s, 3), [3], "the C is what remains");
     }
 
     #[test]
@@ -277,7 +304,11 @@ mod tests {
         let mut s = Server::new(Discipline::SingleSlot);
         s.enqueue(c(0, 0));
         s.enqueue(c(0, 0));
-        assert_eq!(s.step(1), 1, "no pairing under single-slot");
+        assert_eq!(
+            served_waits(&mut s, 1).len(),
+            1,
+            "no pairing under single-slot"
+        );
     }
 
     #[test]
@@ -285,8 +316,8 @@ mod tests {
         let mut s = Server::new(Discipline::PaperPairedC);
         s.enqueue(e(0));
         s.enqueue(e(0));
-        s.step(3); // first E waited 3
-        s.step(5); // second E waited 5
+        assert_eq!(served_waits(&mut s, 3), [3], "first E waited 3");
+        assert_eq!(served_waits(&mut s, 5), [5], "second E waited 5");
         assert_eq!(s.total_wait, 8);
         assert_eq!(s.served, 2);
     }
@@ -301,7 +332,7 @@ mod tests {
             Discipline::SingleSlot,
         ] {
             let mut s = Server::new(d);
-            assert_eq!(s.step(1), 0, "{}", d.label());
+            assert!(served_waits(&mut s, 1).is_empty(), "{}", d.label());
         }
     }
 }
@@ -313,12 +344,18 @@ mod c_priority_single_tests {
     #[test]
     fn serves_one_c_at_a_time_with_priority() {
         let mut s = Server::new(Discipline::CPrioritySingle);
-        s.enqueue(Task { ty: TaskType::Exclusive, enqueued_at: 0 });
-        s.enqueue(Task { ty: TaskType::Colocate(0), enqueued_at: 0 });
-        s.enqueue(Task { ty: TaskType::Colocate(0), enqueued_at: 0 });
-        assert_eq!(s.step(1), 1, "one C served, with priority over the E");
-        assert_eq!(s.step(2), 1, "second C");
-        assert_eq!(s.step(3), 1, "then the E");
+        let mut waits = WaitReservoir::new(0);
+        let (c, e) = (TaskType::Colocate(0), TaskType::Exclusive);
+        for ty in [e, c, c] {
+            s.enqueue(Task { ty, enqueued_at: 0 });
+        }
+        assert_eq!(
+            s.step(1, &mut waits),
+            1,
+            "one C served, with priority over the E"
+        );
+        assert_eq!(s.step(2, &mut waits), 1, "second C");
+        assert_eq!(s.step(3, &mut waits), 1, "then the E");
         assert_eq!(s.served, 3);
     }
 }

@@ -141,8 +141,9 @@ impl SimConfig {
 /// ```
 ///
 /// # Panics
-/// Panics on degenerate configurations (no balancers/servers/steps);
-/// [`try_run_simulation`] is the non-panicking variant.
+/// Panics on degenerate configurations (no balancers, fewer than two
+/// servers, no steps); [`try_run_simulation`] is the non-panicking
+/// variant.
 pub fn run_simulation<W, R>(
     config: SimConfig,
     strategy: Strategy,
@@ -160,7 +161,9 @@ where
 }
 
 /// Like [`run_simulation`], but rejects degenerate configurations with a
-/// typed [`SimError`] instead of panicking mid-run.
+/// typed [`SimError`] instead of panicking mid-run — including a single
+/// server, which [`SimConfig::validate`] accepts but [`Strategy::build`]
+/// cannot route for.
 pub fn try_run_simulation<W, R>(
     config: SimConfig,
     strategy: Strategy,
@@ -171,9 +174,22 @@ where
     W: Workload + ?Sized,
     R: Rng,
 {
-    config.validate()?;
+    validate_for_build(&config)?;
     let mut strat = strategy.build(config.n_servers);
     try_run_simulation_with(config, strat.as_mut(), workload, rng)
+}
+
+/// [`SimConfig::validate`], plus the two servers [`Strategy::build`]
+/// needs: a config it accepts never panics inside `build`.
+pub(crate) fn validate_for_build(config: &SimConfig) -> Result<(), SimError> {
+    config.validate()?;
+    if config.n_servers < 2 {
+        return Err(SimError::TooFewServers {
+            n_servers: config.n_servers,
+            min: 2,
+        });
+    }
+    Ok(())
 }
 
 /// Like [`run_simulation`], but takes an already-built (possibly
@@ -223,6 +239,10 @@ where
     let mut servers: Vec<Server> = (0..config.n_servers)
         .map(|i| Server::with_id(config.discipline, i as u64))
         .collect();
+    // One reservoir for every server's waits. Its survivors depend on
+    // neither insertion order nor partition, so it holds exactly what the
+    // oracle's merge of per-server reservoirs (`aos`) holds.
+    let mut waits = WaitReservoir::new(WAIT_RESERVOIR_SEED);
     let paired = strat.name().starts_with("paired");
 
     let total_steps = config.warmup + config.timesteps;
@@ -250,9 +270,7 @@ where
         if t == config.warmup {
             served_before_window = servers.iter().map(|s| s.served).sum();
             wait_before_window = servers.iter().map(|s| s.total_wait).sum();
-            for s in servers.iter_mut() {
-                s.waits.clear();
-            }
+            waits.clear();
         }
         workload.on_step(t);
         tasks.clear();
@@ -272,7 +290,7 @@ where
             });
         }
         for s in servers.iter_mut() {
-            s.step(t);
+            s.step(t, &mut waits);
         }
 
         if t >= config.warmup {
@@ -305,12 +323,6 @@ where
         }
     }
 
-    // Global bottom-R over the union of the per-server reservoirs — the
-    // same surviving set one flat reservoir over every sample would keep.
-    let mut waits = WaitReservoir::new(WAIT_RESERVOIR_SEED);
-    for s in &servers {
-        waits.merge(&s.waits);
-    }
     let wait_samples = waits.sorted_waits();
     let served: u64 = servers.iter().map(|s| s.served).sum::<u64>() - served_before_window;
     let total_wait: u64 =
@@ -641,6 +653,27 @@ mod tests {
                 min: 1
             }
         );
+    }
+
+    #[test]
+    fn try_run_rejects_one_server_with_a_typed_error() {
+        use crate::error::SimError;
+        let mut c = SimConfig::paper(1.0);
+        c.n_servers = 1;
+        assert!(c.validate().is_ok(), "validate stays permissive for shard");
+        let expect = SimError::TooFewServers {
+            n_servers: 1,
+            min: 2,
+        };
+        for strategy in [Strategy::UniformRandom, Strategy::quantum_ideal()] {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut workload = BernoulliWorkload::paper();
+            let err = try_run_simulation(c, strategy, &mut workload, &mut rng).unwrap_err();
+            assert_eq!(err, expect);
+            let err =
+                crate::aos::run_simulation_aos(c, strategy, &mut workload, &mut rng).unwrap_err();
+            assert_eq!(err, expect, "the oracle keeps the same contract");
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 //! windowed series.
 
 use loadbalance::aos::run_simulation_aos;
+use loadbalance::metrics::WAIT_RESERVOIR_CAP;
 use loadbalance::task::{BernoulliWorkload, BurstyWorkload};
 use loadbalance::{run_simulation, Discipline, SimConfig, Strategy, Workload};
 use rand::rngs::StdRng;
@@ -105,6 +106,71 @@ fn every_discipline_matches_under_a_bursty_workload() {
         let b = run_simulation_aos(config, Strategy::quantum_ideal(), &mut wl_b, &mut rng_b)
             .unwrap();
         assert_same(&a, &b, discipline.label());
+    }
+}
+
+#[test]
+fn every_discipline_matches_under_multi_subtype_workloads() {
+    // One type-C lane per subtype on the production path: which lane's
+    // head is oldest, and which entry pairs with it, must reproduce the
+    // oracle's scan of one mixed queue.
+    for (p_colocate, subtypes) in [(0.5, 4), (0.9, 8)] {
+        for discipline in [
+            Discipline::PaperPairedC,
+            Discipline::FifoPairedC,
+            Discipline::ExclusiveFirst,
+            Discipline::CPrioritySingle,
+            Discipline::SingleSlot,
+        ] {
+            let config = SimConfig {
+                n_balancers: 16,
+                n_servers: 14,
+                timesteps: 250,
+                warmup: 50,
+                discipline,
+            };
+            let label = format!("{} with {subtypes} subtypes", discipline.label());
+            let mut rng_a = StdRng::seed_from_u64(11);
+            let mut rng_b = StdRng::seed_from_u64(11);
+            let mut wl_a = BernoulliWorkload::new(p_colocate, subtypes);
+            let mut wl_b = BernoulliWorkload::new(p_colocate, subtypes);
+            let a = run_simulation(config, Strategy::quantum_ideal(), &mut wl_a, &mut rng_a);
+            let b = run_simulation_aos(config, Strategy::quantum_ideal(), &mut wl_b, &mut rng_b)
+                .unwrap();
+            assert_same(&a, &b, &label);
+        }
+    }
+}
+
+#[test]
+fn one_run_wide_reservoir_matches_per_server_eviction() {
+    // Two servers share 4 balancers' traffic for 8 000 measured steps, so
+    // at least one completes more than the reservoir capacity inside the
+    // window: the oracle's per-server reservoirs evict before their
+    // merge, the production path's single reservoir evicts as it goes.
+    let config = SimConfig {
+        n_balancers: 4,
+        n_servers: 2,
+        timesteps: 8_000,
+        warmup: 500,
+        discipline: Discipline::PaperPairedC,
+    };
+    for (label, strategy) in [
+        ("uniform", Strategy::UniformRandom),
+        ("quantum", Strategy::quantum_ideal()),
+    ] {
+        let mut rng_a = StdRng::seed_from_u64(8192);
+        let mut rng_b = StdRng::seed_from_u64(8192);
+        let mut wl_a = BernoulliWorkload::paper();
+        let mut wl_b = BernoulliWorkload::paper();
+        let a = run_simulation(config, strategy, &mut wl_a, &mut rng_a);
+        let b = run_simulation_aos(config, strategy, &mut wl_b, &mut rng_b).unwrap();
+        assert!(
+            a.served > 2 * WAIT_RESERVOIR_CAP as u64,
+            "{label}: {} served, so neither server need exceed the capacity",
+            a.served
+        );
+        assert_same(&a, &b, label);
     }
 }
 
