@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test clippy bench-compile bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+.PHONY: ci build test test-release clippy bench-compile bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
 
-ci: build test clippy bench-compile repro-quick
+ci: build test test-release clippy bench-compile repro-quick
 
 build:
 	$(CARGO) build --release
@@ -14,6 +14,12 @@ build:
 # 20 minutes instead of wedging the run.
 test:
 	timeout 1200 $(CARGO) test -q
+
+# The plane and serve crates again in release: optimised builds change
+# thread timing (a shared-obs race between serve tests showed up only
+# there).
+test-release:
+	timeout 1200 $(CARGO) test --release -q -p qnet -p qnlg-serve
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
@@ -33,9 +39,9 @@ bench-sweep:
 bench-xor:
 	$(CARGO) bench -p qnlg-bench --bench xor_value
 
-# Entanglement data-plane ablation: Werner kernel vs exact oracle,
-# batched (survivor-process) vs per-emission sampling, calendar wheel vs
-# binary heap — the DESIGN.md §5 batched-plane rows.
+# Entanglement data-plane ablation: Werner kernel vs exact oracle and
+# batched (survivor-process) vs per-emission sampling — the DESIGN.md §5
+# batched-plane rows.
 bench-plane:
 	$(CARGO) bench -p qnlg-bench --bench plane
 

@@ -1,6 +1,6 @@
 //! Ablation bench for the batched entanglement data plane (DESIGN.md §5).
 //!
-//! Three independent knobs, each measured against its predecessor:
+//! Two independent knobs, each measured against its predecessor:
 //!
 //! - **kernel vs oracle** — closed-form `WernerPair::sample` (one RNG
 //!   draw against a 4-entry CDF) vs the density-matrix path
@@ -8,20 +8,18 @@
 //! - **batched vs per-emission** — survivor-process sampling (one
 //!   exponential gap at `p·λ` + one geometric loss count per survivor)
 //!   vs one gap plus loss draws per emitted pair.
-//! - **wheel vs heap** — the bucketed calendar queue against the
-//!   `BinaryHeap` reference, on the distributor's own arrival pattern.
 //!
 //! Run with `make bench-plane`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use games::chsh::{alice_angle, bob_angle};
 use qnet::{
-    ConsumePolicy, DistributorConfig, EmissionMode, EntanglementDistributor, EprSource,
-    EventQueue, FaultPlan, FiberLink, HeapQueue, SimTime,
+    ConsumePolicy, DistributorConfig, EmissionMode, EntanglementDistributor, EprSource, FaultPlan,
+    FiberLink, SimTime,
 };
 use qsim::Party;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -118,52 +116,5 @@ fn bench_emission_path(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_event_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("plane_event_queue");
-    // The distributor's arrival pattern: ~0.63 events per µs, each
-    // scheduled ~50 µs ahead (one propagation delay), popped in order —
-    // so ~32 events are in flight at any instant.
-    const IN_FLIGHT: usize = 32;
-
-    group.bench_function("calendar_wheel", |b| {
-        let mut q = EventQueue::with_profile(1e6, Duration::from_micros(60));
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut t = 0u64;
-        for i in 0..IN_FLIGHT {
-            t += rng.gen_range(800u64..2400);
-            q.schedule(SimTime::from_nanos(t + 50_000), i as u64);
-        }
-        b.iter(|| {
-            let popped = q.pop().expect("queue primed");
-            t += rng.gen_range(800u64..2400);
-            q.schedule(SimTime::from_nanos(t + 50_000), popped.1);
-            black_box(popped)
-        })
-    });
-
-    group.bench_function("binary_heap", |b| {
-        let mut q = HeapQueue::new();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut t = 0u64;
-        for i in 0..IN_FLIGHT {
-            t += rng.gen_range(800u64..2400);
-            q.schedule(SimTime::from_nanos(t + 50_000), i as u64);
-        }
-        b.iter(|| {
-            let popped = q.pop().expect("queue primed");
-            t += rng.gen_range(800u64..2400);
-            q.schedule(SimTime::from_nanos(t + 50_000), popped.1);
-            black_box(popped)
-        })
-    });
-
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_measurement_path,
-    bench_emission_path,
-    bench_event_queue
-);
+criterion_group!(benches, bench_measurement_path, bench_emission_path);
 criterion_main!(benches);

@@ -20,13 +20,10 @@
 //! Under nominal conditions (no outage, no brownout) the stream of
 //! *surviving* pairs is itself Poisson at rate `p·λ` (Bernoulli thinning),
 //! so the plane samples one exponential gap per **survivor** and one
-//! geometric loss count ([`crate::epr::geometric_skip`]) instead of one
-//! gap plus per-photon loss Bernoullis per **emission** — at 10% fiber
-//! survival that is ~15× fewer RNG draws. Event times accumulate in
-//! integer nanoseconds, survivors ride a calendar-wheel
-//! [`EventQueue`](crate::des::EventQueue) keyed on their *arrival* time
-//! (a pair becomes consumable once both halves have traversed their
-//! fibers), and randomness comes from two dedicated [`runtime::seed`]
+//! geometric loss count ([`SurvivorProcess`]) instead of one gap plus
+//! per-photon loss Bernoullis per **emission** — at 10% fiber survival
+//! that is ~15× fewer RNG draws. Event times accumulate in integer
+//! nanoseconds, and randomness comes from two dedicated [`runtime::seed`]
 //! sub-streams (emission gaps vs loss/thinning) so the replay is
 //! independent of how consumers interleave their polling. While any
 //! emission-affecting fault is active the plane drops to the exact
@@ -36,17 +33,28 @@
 //! lying beyond the fault edge is itself a fresh exponential from the
 //! edge). [`EmissionMode::PerEmission`] pins the legacy path for the
 //! bench ablation.
+//!
+//! ## One time-ordered pass
+//!
+//! A pair becomes consumable once both halves have traversed their
+//! fibers: at its emission time plus `max(delay_a, delay_b)`, a constant.
+//! Both emission paths commit events in time order (a regime flip
+//! restarts from the fault edge, which lies after every committed event),
+//! so pairs in flight enter a plain FIFO already sorted by arrival, and
+//! each QNIC receives its halves in arrival order. Fault edges replay from
+//! a list sorted once ([`FaultClock`]). Advancing the plane is one merge
+//! of these sorted streams; it needs no event scheduler.
 
-use crate::des::EventQueue;
-use crate::epr::{geometric_skip, EprSource};
+use crate::epr::{EprSource, SurvivorProcess};
 use crate::faults::{FaultClock, FaultPlan};
 use crate::link::FiberLink;
 use crate::qnic::{Qnic, StoredQubit};
-use crate::time::SimTime;
+use crate::time::{SimTime, SIM_EVENTS};
 use qsim::werner::WernerPair;
 use qsim::{DensityMatrix, SharedPair};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Pairs emitted by any distribution source in the process.
@@ -169,8 +177,8 @@ impl DistributorStats {
     }
 }
 
-/// A surviving pair in flight: scheduled on the arrival wheel at the
-/// instant both halves have reached their endpoints.
+/// A surviving pair in flight, consumable once both halves have reached
+/// their endpoints.
 #[derive(Debug, Clone, Copy)]
 struct PairRecord {
     id: u64,
@@ -199,11 +207,12 @@ pub struct EntanglementDistributor {
     /// True while the survivor-process fast path is valid (batched mode,
     /// no emission-affecting fault active).
     batched: bool,
-    /// Surviving pairs in flight, keyed by the instant both halves have
-    /// arrived. FIFO per tick keeps replay deterministic.
-    arrivals: EventQueue<PairRecord>,
+    /// Surviving pairs in flight, each keyed by the instant both halves
+    /// have arrived; keys are pushed in nondecreasing order.
+    in_flight: VecDeque<(SimTime, PairRecord)>,
     /// Cached products of the static link parameters.
     p_pair: f64,
+    survivors: SurvivorProcess,
     delay_a: Duration,
     delay_b: Duration,
     /// Process-unique trace lane: pair ids are sequential per
@@ -223,27 +232,29 @@ impl EntanglementDistributor {
         let nic = |c: &DistributorConfig| Qnic::new(c.qnic_capacity, c.memory_lifetime, c.max_age);
         let delay_a = config.link_a.propagation_delay();
         let delay_b = config.link_b.propagation_delay();
-        // Pre-size the arrival wheel: survivors arrive at most one
-        // propagation delay after emission, at no more than the source
-        // rate.
-        let horizon = delay_a.max(delay_b) + Duration::from_micros(10);
+        let p_pair = config.link_a.survival_probability() * config.link_b.survival_probability();
+        // Pre-size the in-flight FIFO: survivors stay in it for one fiber
+        // delay, about `p·λ·delay` at a time; twice that plus slack keeps
+        // steady-state pushes allocation-free.
+        let in_flight_mean = config.source.rate_hz() * p_pair * delay_a.max(delay_b).as_secs_f64();
+        let in_flight =
+            VecDeque::with_capacity(((2.0 * in_flight_mean) as usize).min(1 << 16) + 16);
         let batched = config.emission == EmissionMode::Batched;
         let lane = trace::next_lane();
         let mut nic_a = nic(&config);
         let mut nic_b = nic(&config);
         nic_a.set_trace_track(trace::Track::Qnic { lane, side: trace::Side::A });
         nic_b.set_trace_track(trace::Track::Qnic { lane, side: trace::Side::B });
-        let mut arrivals = EventQueue::with_profile(config.source.rate_hz(), horizon);
-        arrivals.set_trace_track(trace::Track::Source(lane));
         EntanglementDistributor {
             nic_a,
             nic_b,
             faults: FaultClock::new(&config.faults),
-            p_pair: config.link_a.survival_probability() * config.link_b.survival_probability(),
+            p_pair,
+            survivors: SurvivorProcess::new(&config.source, p_pair),
             delay_a,
             delay_b,
             lane,
-            arrivals,
+            in_flight,
             config,
             next_pair_id: 0,
             clock: SimTime::ZERO,
@@ -327,16 +338,22 @@ impl EntanglementDistributor {
         }
     }
 
-    /// Schedules a surviving pair on the arrival wheel.
+    /// Puts a surviving pair in flight. Emissions commit in time order
+    /// and the fiber delays are fixed, so the FIFO stays sorted.
     fn schedule_survivor(&mut self, id: u64, emitted_at: SimTime) {
         let arrive_a = emitted_at + self.delay_a;
         let arrive_b = emitted_at + self.delay_b;
+        let ready = arrive_a.max(arrive_b);
+        assert!(
+            self.in_flight.back().is_none_or(|&(last, _)| last <= ready),
+            "pair {id} in flight out of time order"
+        );
         let record = PairRecord {
             id,
             arrive_a,
             arrive_b,
         };
-        self.arrivals.schedule(arrive_a.max(arrive_b), record);
+        self.in_flight.push_back((ready, record));
     }
 
     /// Commits every source event up to `bound` under the current regime.
@@ -356,10 +373,7 @@ impl EntanglementDistributor {
             let t = match self.pending {
                 Some(t) => t,
                 None => {
-                    let gap = self
-                        .config
-                        .source
-                        .survivor_gap_ns(self.p_pair, &mut self.emission_rng);
+                    let gap = self.survivors.gap_ns(&mut self.emission_rng);
                     let t = self.last_event + Duration::from_nanos(gap);
                     self.pending = Some(t);
                     t
@@ -370,7 +384,7 @@ impl EntanglementDistributor {
             }
             self.pending = None;
             self.last_event = t;
-            let lost = geometric_skip(self.p_pair, &mut self.loss_rng);
+            let lost = self.survivors.lost_before(&mut self.loss_rng);
             self.stats.emitted += lost + 1;
             EPR_EMITTED.add(lost + 1);
             if lost > 0 {
@@ -380,8 +394,8 @@ impl EntanglementDistributor {
             let id = self.next_pair_id + lost;
             self.next_pair_id += lost + 1;
             // Only the survivor has an individual emission time — the
-            // batch-counted fiber losses never reach the wheel and carry
-            // no lifecycle events.
+            // batch-counted fiber losses never go in flight and carry no
+            // lifecycle events.
             trace::pair(trace::Track::Source(self.lane), trace::PairStage::Emitted, id, t.as_nanos());
             self.schedule_survivor(id, t);
         }
@@ -440,11 +454,12 @@ impl EntanglementDistributor {
 
     /// Stores every pair whose second half has arrived by `bound`.
     fn drain_arrivals(&mut self, bound: SimTime, strict: bool) {
-        while let Some(t) = self.arrivals.peek_time() {
+        while let Some(&(t, rec)) = self.in_flight.front() {
             if Self::beyond(t, bound, strict) {
                 return;
             }
-            let (_, rec) = self.arrivals.pop().expect("peeked an event");
+            self.in_flight.pop_front();
+            SIM_EVENTS.inc();
             if trace::enabled() {
                 let a = trace::Track::Qnic { lane: self.lane, side: trace::Side::A };
                 let b = trace::Track::Qnic { lane: self.lane, side: trace::Side::B };

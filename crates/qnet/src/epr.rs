@@ -71,22 +71,6 @@ impl EprSource {
         Duration::from_nanos(self.sample_interval_ns(rng))
     }
 
-    /// Samples the gap to the next *surviving* emission when each photon
-    /// pair independently survives with probability `keep`: thinning a
-    /// Poisson(`rate`) process Bernoulli(`keep`)-wise yields exactly a
-    /// Poisson(`keep · rate`) process, so the gap is one exponential draw
-    /// at the reduced rate. Combined with [`geometric_skip`] for the loss
-    /// tally, a whole inter-survivor block of emissions costs two draws
-    /// instead of one-plus-two per photon.
-    ///
-    /// # Panics
-    /// Debug-asserts `keep ∈ (0, 1]`.
-    pub fn survivor_gap_ns<R: Rng + ?Sized>(&self, keep: f64, rng: &mut R) -> u64 {
-        debug_assert!(keep > 0.0 && keep <= 1.0, "bad keep probability {keep}");
-        let u: f64 = rng.gen::<f64>().max(1e-300);
-        secs_to_ns(-u.ln() / (self.rate_hz * keep))
-    }
-
     /// The next emission instant after `now`.
     pub fn next_emission<R: Rng + ?Sized>(&self, now: SimTime, rng: &mut R) -> SimTime {
         now + self.sample_interval(rng)
@@ -125,18 +109,56 @@ fn secs_to_ns(secs: f64) -> u64 {
     ((secs * 1e9).round() as u64).max(1)
 }
 
-/// Number of *lost* photon pairs preceding the next survivor when each
-/// pair survives independently with probability `survival`: the count is
-/// geometric, sampled in one draw by inverting its CDF
-/// (`failures = ⌊ln u / ln(1 − survival)⌋`). Draws nothing at
-/// `survival ≥ 1` — lossless links consume no loss randomness.
-pub fn geometric_skip<R: Rng + ?Sized>(survival: f64, rng: &mut R) -> u64 {
-    debug_assert!(survival > 0.0, "survivor cannot exist at zero survival");
-    if survival >= 1.0 {
-        return 0;
+/// The surviving pairs of a source whose pairs each survive the fibers
+/// independently with probability `p`. Thinning a Poisson(`λ`) process
+/// Bernoulli(`p`)-wise yields exactly a Poisson(`p·λ`) process, so a
+/// whole inter-survivor block of emissions costs two draws — one gap
+/// ([`Self::gap_ns`]) and one loss count ([`Self::lost_before`]) —
+/// instead of one-plus-two per photon. Both per-draw constants, `p·λ`
+/// and `ln(1 − p)`, are computed once here.
+#[derive(Debug, Clone, Copy)]
+pub struct SurvivorProcess {
+    /// The thinned rate `p·λ`, in survivors/s.
+    rate_hz: f64,
+    /// `ln(1 − p)`; `None` on lossless links, which draw no losses.
+    ln_loss: Option<f64>,
+}
+
+impl SurvivorProcess {
+    /// The survivors of `source` at pair survival probability `p`.
+    ///
+    /// # Panics
+    /// Debug-asserts `p ∈ [0, 1]`.
+    pub fn new(source: &EprSource, p: f64) -> Self {
+        debug_assert!((0.0..=1.0).contains(&p), "bad survival probability {p}");
+        SurvivorProcess {
+            rate_hz: source.rate_hz * p,
+            ln_loss: (p < 1.0).then(|| (1.0 - p).ln()),
+        }
     }
-    let u: f64 = rng.gen::<f64>().max(1e-300);
-    (u.ln() / (1.0 - survival).ln()) as u64
+
+    /// Samples the (exponential) gap to the next survivor, in integer
+    /// nanoseconds (rounding as [`EprSource::sample_interval_ns`]).
+    ///
+    /// # Panics
+    /// Debug-asserts `p > 0`: no pair survives otherwise.
+    pub fn gap_ns<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        debug_assert!(self.rate_hz > 0.0, "no survivors at zero survival");
+        let u: f64 = rng.gen::<f64>().max(1e-300);
+        secs_to_ns(-u.ln() / self.rate_hz)
+    }
+
+    /// Number of *lost* pairs preceding the next survivor: geometric,
+    /// sampled in one draw by inverting its CDF
+    /// (`failures = ⌊ln u / ln(1 − p)⌋`). Draws nothing at `p = 1` —
+    /// lossless links consume no loss randomness.
+    pub fn lost_before<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        let Some(ln_loss) = self.ln_loss else {
+            return 0;
+        };
+        let u: f64 = rng.gen::<f64>().max(1e-300);
+        (u.ln() / ln_loss) as u64
+    }
 }
 
 #[cfg(test)]
@@ -240,10 +262,10 @@ mod tests {
     fn survivor_gaps_match_thinned_rate() {
         // Thinned process: survivors of p = 0.1 at 10⁶ pairs/s must arrive
         // at 10⁵/s on average.
-        let s = EprSource::new(1e6, 1.0);
+        let s = SurvivorProcess::new(&EprSource::new(1e6, 1.0), 0.1);
         let mut rng = StdRng::seed_from_u64(7);
         let n = 20_000;
-        let total_ns: u64 = (0..n).map(|_| s.survivor_gap_ns(0.1, &mut rng)).sum();
+        let total_ns: u64 = (0..n).map(|_| s.gap_ns(&mut rng)).sum();
         let mean = total_ns as f64 / n as f64;
         assert!((mean - 1e4).abs() < 500.0, "mean survivor gap {mean} ns");
     }
@@ -251,12 +273,20 @@ mod tests {
     #[test]
     fn geometric_skip_counts_losses_exactly() {
         // E[failures] = (1-p)/p; at p = 0.25 that is 3 lost per survivor.
+        let source = EprSource::new(1e6, 1.0);
+        let s = SurvivorProcess::new(&source, 0.25);
         let mut rng = StdRng::seed_from_u64(8);
         let n = 50_000u64;
-        let total: u64 = (0..n).map(|_| geometric_skip(0.25, &mut rng)).sum();
+        let total: u64 = (0..n).map(|_| s.lost_before(&mut rng)).sum();
         let mean = total as f64 / n as f64;
         assert!((mean - 3.0).abs() < 0.1, "mean losses {mean}");
         // Lossless links draw nothing and skip nothing.
-        assert_eq!(geometric_skip(1.0, &mut rng), 0);
+        let mut probe = rng.clone();
+        assert_eq!(SurvivorProcess::new(&source, 1.0).lost_before(&mut rng), 0);
+        assert_eq!(
+            rng.gen::<u64>(),
+            probe.gen::<u64>(),
+            "lossless skip drew randomness"
+        );
     }
 }

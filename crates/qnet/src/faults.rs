@@ -5,9 +5,9 @@
 //! deployments also see transient failures: a fiber cut, a pump laser
 //! browning out, a NIC shedding memory under thermal load, a burst of
 //! decoherence. A [`FaultPlan`] schedules such episodes as explicit
-//! windows on the simulation clock; a [`FaultClock`] replays them as
-//! discrete events (through [`crate::des::EventQueue`], so they count as
-//! DES events like everything else) and exposes the instantaneous
+//! windows on the simulation clock; a [`FaultClock`] replays their on/off
+//! edges from a list sorted once at construction (each edge counts in
+//! `qnet.des.events`, like a pair arrival) and exposes the instantaneous
 //! [`FaultState`] the rest of the plane consumes:
 //!
 //! - [`FaultKind::LinkOutage`] — photons on the affected link(s) are lost
@@ -27,8 +27,7 @@
 //! the same RNG stream as a build without this module at all — fault
 //! hooks only draw randomness while a fault is active.
 
-use crate::des::EventQueue;
-use crate::time::SimTime;
+use crate::time::{SimTime, SIM_EVENTS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Duration;
@@ -266,33 +265,39 @@ struct FaultEdge {
     kind: FaultKind,
 }
 
-/// Replays a [`FaultPlan`] as discrete events, maintaining the current
+/// Replays a [`FaultPlan`] edge by edge, maintaining the current
 /// [`FaultState`]. Overlapping windows compose: outages OR together,
 /// brownouts and spikes multiply, clamps take the minimum.
 pub struct FaultClock {
-    queue: EventQueue<FaultEdge>,
-    /// Cached [`EventQueue::peek_time`] of `queue` — peeking the calendar
-    /// wheel needs `&mut`, and the distributor polls the next edge on its
-    /// hot path, so the clock keeps it as a plain field.
-    next_edge: Option<SimTime>,
+    /// Both edges of every window, stable-sorted by time: edges at the
+    /// same instant replay in plan order, so the active list (and the
+    /// float products [`Self::recompute`] folds from it) is fixed by the
+    /// plan alone.
+    edges: Vec<(SimTime, FaultEdge)>,
+    /// Index of the next unprocessed edge.
+    cursor: usize,
     active: Vec<FaultKind>,
     state: FaultState,
     transitions: u64,
 }
 
 impl FaultClock {
-    /// Compiles a plan into an event schedule (both edges of every
-    /// window are enqueued up front).
+    /// Compiles a plan into its sorted edge list.
     pub fn new(plan: &FaultPlan) -> Self {
-        let mut queue = EventQueue::new();
-        for w in plan.windows() {
-            queue.schedule(w.start, FaultEdge { on: true, kind: w.kind });
-            queue.schedule(w.end, FaultEdge { on: false, kind: w.kind });
-        }
-        let next_edge = queue.peek_time();
+        let mut edges: Vec<_> = plan
+            .windows()
+            .iter()
+            .flat_map(|w| {
+                [
+                    (w.start, FaultEdge { on: true, kind: w.kind }),
+                    (w.end, FaultEdge { on: false, kind: w.kind }),
+                ]
+            })
+            .collect();
+        edges.sort_by_key(|&(t, _)| t);
         FaultClock {
-            queue,
-            next_edge,
+            edges,
+            cursor: 0,
             active: Vec::new(),
             state: FaultState::NOMINAL,
             transitions: 0,
@@ -301,16 +306,19 @@ impl FaultClock {
 
     /// The time of the next pending on/off edge.
     pub fn next_transition(&self) -> Option<SimTime> {
-        self.next_edge
+        self.edges.get(self.cursor).map(|&(t, _)| t)
     }
 
     /// Processes every edge scheduled at or before `now`. Returns true
     /// if the state may have changed.
     pub fn advance_through(&mut self, now: SimTime) -> bool {
         let mut changed = false;
-        while self.next_edge.is_some_and(|t| t <= now) {
-            let (_, edge) = self.queue.pop().expect("peeked an event");
-            self.next_edge = self.queue.peek_time();
+        while let Some(&(t, edge)) = self.edges.get(self.cursor) {
+            if t > now {
+                break;
+            }
+            self.cursor += 1;
+            SIM_EVENTS.inc();
             if edge.on {
                 self.active.push(edge.kind);
             } else if let Some(pos) = self.active.iter().position(|k| *k == edge.kind) {
@@ -452,6 +460,43 @@ mod tests {
         assert_eq!(clock.state().capacity_clamp, Some(8), "inner clamp cleared");
         clock.advance_through(us(200));
         assert_eq!(clock.state(), FaultState::NOMINAL);
+    }
+
+    #[test]
+    fn edges_replay_in_time_order_and_ties_in_plan_order() {
+        let mut plan = FaultPlan::none();
+        for (start, end) in [(30, 40), (10, 50), (20, 25)] {
+            plan.push(FaultWindow {
+                start: us(start),
+                end: us(end),
+                kind: FaultKind::LinkOutage(LinkSide::A),
+            });
+        }
+        let mut clock = FaultClock::new(&plan);
+        let mut seen = Vec::new();
+        while let Some(t) = clock.next_transition() {
+            seen.push(t);
+            clock.advance_through(t);
+        }
+        assert_eq!(seen, [10, 20, 25, 30, 40, 50].map(us));
+        assert_eq!(clock.transitions(), 6);
+
+        // Simultaneous edges apply in plan order, so the brownout product
+        // folds left to right: (0.3 · 0.7) · 0.1 differs in its last bit
+        // from the reversed order's product.
+        let mut plan = FaultPlan::none();
+        for rate_factor in [0.3, 0.7, 0.1] {
+            plan.push(FaultWindow {
+                start: us(5),
+                end: us(9),
+                kind: FaultKind::SourceBrownout { rate_factor },
+            });
+        }
+        let mut clock = FaultClock::new(&plan);
+        clock.advance_through(us(5));
+        let plan_order = 0.3f64 * 0.7 * 0.1;
+        assert_ne!(plan_order.to_bits(), (0.1f64 * 0.7 * 0.3).to_bits());
+        assert_eq!(clock.state().rate_factor.to_bits(), plan_order.to_bits());
     }
 
     #[test]

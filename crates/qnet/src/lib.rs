@@ -24,9 +24,12 @@
 //!
 //! The simulator is event-driven and synchronous, in the style of smoltcp:
 //! no async runtime (this is CPU-bound work), explicit time, deterministic
-//! given an RNG seed.
+//! given an RNG seed. It needs no general event scheduler: every event
+//! stream is already in time order. Surviving pairs reach the QNICs at
+//! their emission time plus a fixed fiber delay (a FIFO), fault edges come
+//! from a plan known before the run (a sorted list), and each QNIC holds
+//! its qubits in arrival order.
 
-pub mod des;
 pub mod distributor;
 pub mod epr;
 pub mod faults;
@@ -38,7 +41,6 @@ pub mod time;
 pub mod timing;
 pub mod topology;
 
-pub use des::{EventQueue, HeapQueue};
 pub use distributor::{
     ConsumePolicy, DistributorConfig, DistributorStats, EmissionMode, EntanglementDistributor,
 };

@@ -10,6 +10,12 @@
 //! ([`qsim::noise::KrausChannel::storage_decay`]). The NIC also evicts
 //! qubits held past a configurable maximum age — after a few `τ` they are
 //! classical noise and only waste memory slots.
+//!
+//! Memory is kept in arrival order: [`Qnic::store`] rejects a qubit that
+//! arrives before the newest one stored, and every removal (take, clamp,
+//! eviction) preserves the order. The expired qubits are then always a
+//! prefix, so [`Qnic::evict_expired`] pops from the front and stops at the
+//! first qubit still young enough.
 
 use crate::time::SimTime;
 use qsim::noise::KrausChannel;
@@ -157,7 +163,18 @@ impl Qnic {
     /// photon is always worth more than the most-decohered one, and this
     /// matches how a cyclic memory register behaves. Returns the evicted
     /// qubit, if any.
+    ///
+    /// # Panics
+    /// Panics if `arrival` is earlier than the newest stored qubit's:
+    /// memory is kept in arrival order.
     pub fn store(&mut self, pair_id: u64, arrival: SimTime) -> Option<StoredQubit> {
+        if let Some(newest) = self.slots.back() {
+            assert!(
+                arrival >= newest.arrival,
+                "QNIC arrival out of time order: {arrival} < {}",
+                newest.arrival
+            );
+        }
         let evicted = if self.slots.len() >= self.effective_capacity() {
             self.dropped_full += 1;
             QNIC_OVERWRITE_DROPS.inc();
@@ -177,26 +194,20 @@ impl Qnic {
     }
 
     /// Evicts qubits older than `max_age` as of `now`. Returns how many
-    /// were evicted.
+    /// were evicted. Memory is in arrival order, so they are a prefix.
     pub fn evict_expired(&mut self, now: SimTime) -> usize {
-        let before = self.slots.len();
-        let max_age = self.max_age;
-        if let (Some(track), true) = (self.track, trace::enabled()) {
-            // Tracing wants the evicted ids, so walk explicitly; the
-            // untraced path below keeps the allocation-free `retain`.
-            let mut kept = VecDeque::with_capacity(self.slots.len());
-            for q in self.slots.drain(..) {
-                if now.duration_since(q.arrival) <= max_age {
-                    kept.push_back(q);
-                } else {
-                    trace::pair(track, trace::PairStage::Expired, q.pair_id, now.as_nanos());
-                }
+        let track = self.track.filter(|_| trace::enabled());
+        let mut evicted = 0;
+        while let Some(q) = self.slots.front() {
+            if now.duration_since(q.arrival) <= self.max_age {
+                break;
             }
-            self.slots = kept;
-        } else {
-            self.slots.retain(|q| now.duration_since(q.arrival) <= max_age);
+            if let Some(track) = track {
+                trace::pair(track, trace::PairStage::Expired, q.pair_id, now.as_nanos());
+            }
+            self.slots.pop_front();
+            evicted += 1;
         }
-        let evicted = before - self.slots.len();
         self.expired += evicted as u64;
         QNIC_EXPIRED.add(evicted as u64);
         evicted
@@ -216,8 +227,10 @@ impl Qnic {
     }
 
     /// Removes and returns the stored qubit with `pair_id`, if present.
+    /// Searches from the newest end, where a freshest-first consumer's
+    /// partner half sits.
     pub fn take_pair_id(&mut self, pair_id: u64) -> Option<StoredQubit> {
-        let pos = self.slots.iter().position(|q| q.pair_id == pair_id)?;
+        let pos = self.slots.iter().rposition(|q| q.pair_id == pair_id)?;
         self.slots.remove(pos)
     }
 

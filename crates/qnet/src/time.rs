@@ -8,6 +8,10 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
+/// Plane events processed across the process: pair arrivals stored in
+/// the QNICs and fault edges replayed.
+pub(crate) static SIM_EVENTS: obs::LazyCounter = obs::LazyCounter::new("qnet.des.events");
+
 /// An instant on the simulation clock (nanoseconds since sim start).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);

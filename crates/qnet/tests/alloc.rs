@@ -1,13 +1,13 @@
 //! Steady-state allocation audit for the batched entanglement data
 //! plane.
 //!
-//! The claim: once the distributor is warm (calendar-wheel buckets grown
-//! to their working set, QNIC deques at capacity, obs counters
-//! registered), driving it — emission sampling, geometric loss skipping,
-//! arrival-wheel scheduling, QNIC store/evict, and kernel-path
-//! consumption — performs **zero** heap allocation. Pair records are
-//! `Copy` and live in the wheel's reusable bucket slabs; `WernerPair` is
-//! a three-float value.
+//! The claim: once the distributor is warm (in-flight FIFO and QNIC
+//! deques at their working size, obs counters registered), driving it —
+//! emission sampling, geometric loss skipping, the in-flight FIFO, QNIC
+//! store/evict, and kernel-path consumption — performs **zero** heap
+//! allocation. Pair records are `Copy` and live in the FIFO's ring
+//! buffer, pre-sized at construction; `WernerPair` is a three-float
+//! value.
 //!
 //! A counting `#[global_allocator]` makes the claim checkable: this
 //! integration test owns its process, and the harness runs the single
@@ -50,7 +50,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_distributor_loop_allocates_nothing() {
     // Lossy enough to exercise the geometric skip on most survivors,
-    // fast enough that the wheel and NICs see steady traffic.
+    // fast enough that the FIFO and NICs see steady traffic.
     let config = DistributorConfig {
         source: EprSource::new(1e6, 0.95),
         link_a: FiberLink::new(10.0), // ~63% survival
@@ -65,7 +65,7 @@ fn steady_state_distributor_loop_allocates_nothing() {
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let mut d = EntanglementDistributor::new(config, &mut rng);
 
-    // Warmup: grow every slab to its working set — wheel buckets, QNIC
+    // Warmup: grow every slab to its working set — in-flight FIFO, QNIC
     // deques, and the lazily-registered obs counters.
     let step = Duration::from_micros(10);
     let mut now = SimTime::ZERO;

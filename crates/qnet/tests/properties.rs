@@ -2,8 +2,7 @@
 
 use proptest::prelude::*;
 use qnet::{
-    ConsumePolicy, DistributorConfig, EntanglementDistributor, EprSource, EventQueue, FiberLink,
-    HeapQueue, SimTime,
+    ConsumePolicy, DistributorConfig, EntanglementDistributor, EprSource, FiberLink, SimTime,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,65 +10,6 @@ use std::time::Duration;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The event queue drains any schedule in nondecreasing time order.
-    #[test]
-    fn event_queue_is_time_ordered(times in proptest::collection::vec(0u64..1_000_000, 1..64)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, times.len());
-    }
-
-    /// The calendar wheel agrees with the reference binary heap on any
-    /// interleaving of schedules and pops: events come out in identical
-    /// (time, seq) order, including ties (FIFO within a tick), events
-    /// landing in the far-future overflow rung, and schedules issued at
-    /// exactly the current frontier.
-    #[test]
-    fn calendar_wheel_matches_heap_reference(
-        ops in proptest::collection::vec(
-            // (gap from the running maximum already popped, pop_after)
-            (0u64..3_000_000, any::<bool>()), 1..96)
-    ) {
-        let mut wheel = EventQueue::new();
-        let mut heap = HeapQueue::new();
-        let mut popped_w = Vec::new();
-        let mut popped_h = Vec::new();
-        let mut frontier = 0u64;
-        for (i, &(gap, pop_after)) in ops.iter().enumerate() {
-            // Never schedule into the past of either queue: offsets are
-            // relative to the latest popped timestamp.
-            let t = SimTime::from_nanos(frontier + gap);
-            wheel.schedule(t, i);
-            heap.schedule(t, i);
-            if pop_after {
-                let w = wheel.pop();
-                let h = heap.pop();
-                prop_assert_eq!(w, h);
-                if let Some((t, id)) = w {
-                    frontier = frontier.max(t.as_nanos());
-                    popped_w.push((t, id));
-                    popped_h.push(h.unwrap());
-                }
-            }
-        }
-        while let Some(w) = wheel.pop() {
-            popped_w.push(w);
-            popped_h.push(heap.pop().expect("heap has the same events"));
-        }
-        prop_assert!(heap.pop().is_none());
-        prop_assert_eq!(popped_w.len(), ops.len());
-        prop_assert_eq!(popped_w, popped_h);
-    }
 
     /// Fiber survival probability is monotone decreasing in length and
     /// always within (0, 1].

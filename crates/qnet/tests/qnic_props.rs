@@ -1,10 +1,30 @@
 //! Property-based invariants of the QNIC memory under arbitrary
 //! interleavings of stores, evictions, consumes, and fault clamps.
+//!
+//! The NIC keeps its memory in arrival order: stores must come in time
+//! order (every generated script stores at a nondecreasing `now`), and
+//! age eviction pops the expired prefix instead of scanning.
 
 use proptest::prelude::*;
 use qnet::Qnic;
-use qnet::SimTime;
+use qnet::{SimTime, StoredQubit};
 use std::time::Duration;
+
+const MAX_AGE: Duration = Duration::from_micros(160);
+
+/// The NIC's stored qubits, oldest first (read from a clone).
+fn contents(nic: &Qnic) -> Vec<StoredQubit> {
+    let mut probe = nic.clone();
+    std::iter::from_fn(|| probe.take_oldest()).collect()
+}
+
+#[test]
+#[should_panic(expected = "out of time order")]
+fn store_earlier_than_newest_arrival_panics() {
+    let mut nic = Qnic::new(4, Duration::from_micros(100), MAX_AGE);
+    nic.store(0, SimTime::from_micros(10));
+    nic.store(1, SimTime::from_micros(9));
+}
 
 /// One scripted operation against the NIC, decoded from a (code, arg)
 /// pair so the generator stays a plain integer strategy.
@@ -97,6 +117,8 @@ proptest! {
         t1 in 0u64..600,
         dt in 0u64..600)
     {
+        let mut arrivals = arrivals;
+        arrivals.sort_unstable();
         let mut staged = Qnic::new(32, Duration::from_micros(100), Duration::from_micros(160));
         for (id, &a) in arrivals.iter().enumerate() {
             staged.store(id as u64, SimTime::from_micros(a));
@@ -115,5 +137,35 @@ proptest! {
             prop_assert_eq!(a, b, "survivor sets diverge");
         }
         prop_assert!(staged.is_empty() && direct.is_empty());
+    }
+
+    /// Prefix eviction on the arrival-ordered memory removes exactly what
+    /// a full `retain(age ≤ max_age)` scan would, with the same `expired`
+    /// count, at every eviction of any time-ordered script of stores,
+    /// takes, clamps and evictions.
+    #[test]
+    fn prefix_eviction_matches_retain_reference(
+        capacity in 1usize..12,
+        ops in collection::vec((0u8..6, 0u64..200), 1..128))
+    {
+        let mut nic = Qnic::new(capacity, Duration::from_micros(100), MAX_AGE);
+        let mut now = SimTime::ZERO;
+        let mut next_id = 0u64;
+        let mut overwrites = 0u64;
+        for &(code, arg) in &ops {
+            if code != 1 {
+                apply_op(&mut nic, code, arg, &mut now, &mut next_id, &mut overwrites);
+                continue;
+            }
+            now += Duration::from_micros(arg);
+            let mut reference = contents(&nic);
+            let before = reference.len();
+            reference.retain(|q| now.duration_since(q.arrival) <= MAX_AGE);
+            let expired_before = nic.expired;
+            let evicted = nic.evict_expired(now);
+            prop_assert_eq!(evicted, before - reference.len());
+            prop_assert_eq!(nic.expired - expired_before, evicted as u64);
+            prop_assert_eq!(contents(&nic), reference);
+        }
     }
 }

@@ -156,12 +156,13 @@ impl EndpointFeed {
 
     /// Draws the next slot in sequence. The slot's simulated consumption
     /// time is `(seq + 1) · period`, so the draw is independent of when
-    /// (in wall time) the refill happens.
+    /// (in wall time) the refill happens. Every governor mode takes a
+    /// pair at `now`, and `take_werner` advances the plane to `now`
+    /// first, so the slot costs one pass over the plane.
     fn draw_next(&mut self) -> DecisionSlot {
         let seq = self.next_seq;
         self.next_seq += 1;
         let now = SimTime::from_nanos((seq + 1).saturating_mul(self.period_ns));
-        self.distributor.advance_to(now);
         let mut rng = decision::slot_rng(self.endpoint_seed, seq);
         let mode_before = self.governor.mode();
         let slot = match mode_before {

@@ -159,38 +159,6 @@ fn healthy_plane_serves_quantum_overwhelmingly() {
 }
 
 #[test]
-fn shutdown_flushes_obs_exactly_once() {
-    obs::set_enabled(true);
-    let before = obs::snapshot()
-        .counter("qnlg.serve.decisions")
-        .unwrap_or(0);
-    let mut svc = Service::start(&base_config(77));
-    for i in 0..500 {
-        svc.decide(i % 2, i % 3 == 0, i % 7 == 0);
-    }
-    let s1 = svc.shutdown();
-    let s2 = svc.shutdown(); // idempotent: must not double-flush
-    assert_eq!(s1, s2);
-    drop(svc); // Drop after shutdown: also must not double-flush
-    let after = obs::snapshot()
-        .counter("qnlg.serve.decisions")
-        .unwrap_or(0);
-    assert_eq!(
-        after - before,
-        500,
-        "decision counter must reflect exactly one flush of 500 decisions"
-    );
-    // Sim-time decision cadence is wall-clock-free, so a second service
-    // with the same seed reproduces the same slot stream.
-    let mut svc2 = Service::start(&base_config(77));
-    let p = svc2.decide(0, true, true);
-    let mut core = ServiceCore::new(&base_config(77));
-    core.fill_all();
-    assert_eq!(p, core.decide(0, true, true));
-    svc2.shutdown();
-}
-
-#[test]
 fn soak_interrupted_midway_still_yields_complete_summary() {
     // The SIGINT path in `repro serve --soak` reduces to this: stop
     // consuming at an arbitrary point, shut down, and the summary must

@@ -58,7 +58,7 @@ impl Side {
 pub enum PairStage {
     /// The source emitted the pair (survivor-process paths emit only the
     /// surviving pairs individually; batch-counted fiber losses never
-    /// reach the wheel and carry no events).
+    /// go in flight and carry no events).
     Emitted,
     /// A half-pair finished traversing its fiber.
     FiberArrival,
