@@ -39,9 +39,8 @@ bench-sweep:
 bench-xor:
 	$(CARGO) bench -p qnlg-bench --bench xor_value
 
-# Entanglement data-plane ablation: Werner kernel vs exact oracle and
-# batched (survivor-process) vs per-emission sampling — the DESIGN.md §5
-# batched-plane rows.
+# Entanglement data-plane ablation: Werner kernel vs exact oracle — the
+# DESIGN.md §5 Werner-measurement row.
 bench-plane:
 	$(CARGO) bench -p qnlg-bench --bench plane
 

@@ -1,21 +1,15 @@
-//! Ablation bench for the batched entanglement data plane (DESIGN.md §5).
-//!
-//! Two independent knobs, each measured against its predecessor:
-//!
-//! - **kernel vs oracle** — closed-form `WernerPair::sample` (one RNG
-//!   draw against a 4-entry CDF) vs the density-matrix path
-//!   (`take_pair` → Kraus decay → rotate-measure-rotate per half).
-//! - **batched vs per-emission** — survivor-process sampling (one
-//!   exponential gap at `p·λ` + one geometric loss count per survivor)
-//!   vs one gap plus loss draws per emitted pair.
+//! Ablation bench for the entanglement data plane's measurement path
+//! (DESIGN.md §5): the closed-form `WernerPair::sample` kernel (one RNG
+//! draw against a 4-entry CDF) vs the density-matrix oracle
+//! (`take_pair` → Kraus decay → rotate-measure-rotate per half).
 //!
 //! Run with `make bench-plane`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use games::chsh::{alice_angle, bob_angle};
 use qnet::{
-    ConsumePolicy, DistributorConfig, EmissionMode, EntanglementDistributor, EprSource, FaultPlan,
-    FiberLink, SimTime,
+    ConsumePolicy, DistributorConfig, EntanglementDistributor, EprSource, FaultPlan, FiberLink,
+    SimTime,
 };
 use qsim::Party;
 use rand::rngs::StdRng;
@@ -23,22 +17,21 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
 
-fn plane_config(emission: EmissionMode, link_a_km: f64) -> DistributorConfig {
+fn plane_config() -> DistributorConfig {
     DistributorConfig {
         source: EprSource::new(1e6, 0.95),
-        link_a: FiberLink::new(link_a_km),
+        link_a: FiberLink::new(10.0),
         link_b: FiberLink::new(1.0),
         qnic_capacity: 32,
         memory_lifetime: Duration::from_micros(100),
         max_age: Duration::from_micros(160),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults: FaultPlan::none(),
-        emission,
     }
 }
 
 /// One consumption round: advance 10 µs of plane time and take a pair.
-/// `kernel` selects the closed-form path; otherwise the exact oracle.
+/// `step_kernel` takes the closed-form path, `step_oracle` the exact one.
 struct PlaneDriver {
     dist: EntanglementDistributor,
     now: SimTime,
@@ -46,9 +39,9 @@ struct PlaneDriver {
 }
 
 impl PlaneDriver {
-    fn new(emission: EmissionMode, link_a_km: f64, seed: u64) -> Self {
+    fn new(seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let dist = EntanglementDistributor::new(plane_config(emission, link_a_km), &mut rng);
+        let dist = EntanglementDistributor::new(plane_config(), &mut rng);
         PlaneDriver {
             dist,
             now: SimTime::ZERO,
@@ -85,36 +78,17 @@ fn bench_measurement_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("plane_measurement");
 
     group.bench_function("werner_kernel", |b| {
-        let mut d = PlaneDriver::new(EmissionMode::Batched, 10.0, 1);
+        let mut d = PlaneDriver::new(1);
         b.iter(|| black_box(d.step_kernel()))
     });
 
     group.bench_function("exact_oracle", |b| {
-        let mut d = PlaneDriver::new(EmissionMode::Batched, 10.0, 2);
+        let mut d = PlaneDriver::new(2);
         b.iter(|| black_box(d.step_oracle()))
     });
 
     group.finish();
 }
 
-fn bench_emission_path(c: &mut Criterion) {
-    let mut group = c.benchmark_group("plane_emission");
-    // 50 km far link ⇒ ~10% pair survival: the survivor process runs
-    // ~10× fewer draws than per-emission sampling.
-    const LOSSY_KM: f64 = 50.0;
-
-    group.bench_function("batched", |b| {
-        let mut d = PlaneDriver::new(EmissionMode::Batched, LOSSY_KM, 3);
-        b.iter(|| black_box(d.step_kernel()))
-    });
-
-    group.bench_function("per_emission", |b| {
-        let mut d = PlaneDriver::new(EmissionMode::PerEmission, LOSSY_KM, 4);
-        b.iter(|| black_box(d.step_kernel()))
-    });
-
-    group.finish();
-}
-
-criterion_group!(benches, bench_measurement_path, bench_emission_path);
+criterion_group!(benches, bench_measurement_path);
 criterion_main!(benches);

@@ -16,8 +16,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qnet::{
-    ConsumePolicy, DistributorConfig, EmissionMode, EntanglementDistributor, EprSource, FaultPlan,
-    FiberLink, SimTime,
+    ConsumePolicy, DistributorConfig, EntanglementDistributor, EprSource, FaultPlan, FiberLink,
+    SimTime,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,7 +34,6 @@ fn plane_driver(seed: u64) -> (EntanglementDistributor, SimTime) {
         max_age: Duration::from_micros(160),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults: FaultPlan::none(),
-        emission: EmissionMode::Batched,
     };
     let mut rng = StdRng::seed_from_u64(seed);
     (EntanglementDistributor::new(cfg, &mut rng), SimTime::ZERO)

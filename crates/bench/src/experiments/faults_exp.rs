@@ -112,7 +112,6 @@ fn sim_point(
         max_age: Duration::from_micros(80),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults: fault_plan(outage, horizon),
-        emission: qnet::EmissionMode::Batched,
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut strat = Degrading::new(

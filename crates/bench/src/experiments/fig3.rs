@@ -7,13 +7,13 @@
 //! (`games::xor::quantum_solution_with`), routed through the
 //! canonicalizing value cache (`games::cache`): graphs for every sweep
 //! point are drawn first from per-point deterministic streams, then the
-//! flattened game list is solved by one `solve_batch` fan-out. Many
-//! labelings coincide up to vertex relabeling/global sign, so the cache
-//! collapses them to one solve each (`games.xor.cache.hits` in the obs
-//! snapshot counts the wins). Values are a pure function of each game's
-//! canonical form, so reports are byte-identical at any thread count and
-//! with the cache disabled (`QNLG_XOR_CACHE=0`). E1b (the caption's claim
-//! that the advantage probability grows with vertex count) is
+//! flattened game list is solved by one `solve_batch_threads` fan-out.
+//! Many labelings coincide up to vertex relabeling/global sign, so the
+//! cache collapses them to one solve each (`games.xor.cache.hits` in the
+//! obs snapshot counts the wins). Values are a pure function of each
+//! game's canonical form, so reports are byte-identical at any thread
+//! count and whether the cache starts cold or warm. E1b (the caption's
+//! claim that the advantage probability grows with vertex count) is
 //! `run_vertices`, extended beyond the paper's 5 vertices to n = 8 —
 //! the larger families the cache + solver wins pay for.
 

@@ -75,7 +75,6 @@ pub fn run(quick: bool) -> Report {
             max_age: Duration::from_micros(80),
             consume_policy: ConsumePolicy::FreshestFirst,
             faults: qnet::FaultPlan::none(),
-            emission: qnet::EmissionMode::Batched,
         };
         let mut strat = PipelinePairedQuantum::new(
             config.n_balancers,

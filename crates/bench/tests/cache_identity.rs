@@ -1,8 +1,15 @@
-//! Cache-transparency guarantee: a cached fig3 quick run must produce
-//! JSON identical to an uncached run (`QNLG_XOR_CACHE=0` escape hatch).
+//! Cache-transparency guarantee: a memo hit returns the bits a cold
+//! solve computes, so fig3 reports are identical whether the value cache
+//! starts cold or warm.
 //!
 //! This lives in its own integration-test binary (its own process) so
-//! toggling the process-global cache state cannot race other tests.
+//! clearing the process-global cache cannot race other tests.
+
+use games::cache::ValueCache;
+use games::graph::sample_games;
+use games::{SolverOpts, XorGame};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Renders a report with the run-environment fields pinned, mirroring
 /// `determinism.rs`: any byte difference left is a real divergence.
@@ -18,40 +25,63 @@ fn canonical_json(report: &qnlg_bench::Report) -> String {
     report.to_json(&ctx).render()
 }
 
+/// fig3's quick game list: 11 exclusivity points × 40 five-vertex games,
+/// each point drawn from the stream `fig3::advantage_counts` seeds.
+fn fig3_quick_games() -> Vec<XorGame> {
+    (0..=10u64)
+        .flat_map(|i| {
+            let mut rng = StdRng::seed_from_u64(qnlg_bench::point_seed(10, i, 0));
+            sample_games(5, i as f64 / 10.0, 40, &mut rng)
+        })
+        .collect()
+}
+
 #[test]
-fn fig3_quick_json_is_identical_with_cache_disabled() {
-    // Cached pass first (populates the global cache), then the same run
-    // with the cache forced off — equivalent to QNLG_XOR_CACHE=0.
-    games::cache::set_enabled(true);
-    let cached = qnlg_bench::experiments::fig3::run_with_threads(2, true);
+fn memo_hits_return_the_bits_a_cold_solve_computes() {
+    let games = fig3_quick_games();
+    let opts = SolverOpts::default();
+    let shared = ValueCache::new();
+    for (i, game) in games.iter().enumerate() {
+        let memo = shared.solve(game, &opts).unwrap();
+        // A fresh cache can never hit: this is the cold computation.
+        let cold = ValueCache::new().solve(game, &opts).unwrap();
+        assert_eq!(
+            memo.classical_bias.to_bits(),
+            cold.classical_bias.to_bits(),
+            "game {i}: classical bias"
+        );
+        assert_eq!(
+            memo.quantum_bias.to_bits(),
+            cold.quantum_bias.to_bits(),
+            "game {i}: quantum bias"
+        );
+    }
     assert!(
-        !games::cache::global().is_empty(),
-        "cached run must populate the global cache"
-    );
-
-    games::cache::set_enabled(false);
-    let uncached = qnlg_bench::experiments::fig3::run_with_threads(2, true);
-    games::cache::set_enabled(true);
-
-    assert_eq!(
-        format!("{cached}"),
-        format!("{uncached}"),
-        "cache changed the text report"
-    );
-    assert_eq!(
-        canonical_json(&cached),
-        canonical_json(&uncached),
-        "cache changed the JSON artifact"
+        shared.len() < games.len(),
+        "{} orbits for {} games: the shared cache never hit",
+        shared.len(),
+        games.len()
     );
 }
 
 #[test]
-fn env_escape_hatch_is_honored_lazily() {
-    // set_enabled overrides whatever the env said; this just checks the
-    // toggle round-trips, since the env itself was read (or preempted)
-    // by the test above in this shared process.
-    games::cache::set_enabled(false);
-    assert!(!games::cache::enabled());
-    games::cache::set_enabled(true);
-    assert!(games::cache::enabled());
+fn fig3_quick_is_identical_on_a_cold_and_a_warm_cache() {
+    games::cache::global().clear();
+    let cold = qnlg_bench::experiments::fig3::run_with_threads(2, true);
+    assert!(
+        !games::cache::global().is_empty(),
+        "the run must populate the global cache"
+    );
+    let warm = qnlg_bench::experiments::fig3::run_with_threads(2, true);
+
+    assert_eq!(
+        format!("{cold}"),
+        format!("{warm}"),
+        "a warm cache changed the text report"
+    );
+    assert_eq!(
+        canonical_json(&cold),
+        canonical_json(&warm),
+        "a warm cache changed the JSON artifact"
+    );
 }

@@ -167,7 +167,7 @@ fn trace_on_off_and_ring_capacity_leave_artifacts_identical() {
 
 /// The batched entanglement data plane end-to-end: the E8
 /// hardware-in-the-loop experiment (per-pair distributors running the
-/// survivor-process fast path, arrival wheel, and Werner kernel) must be
+/// survivor-process fast path, in-flight FIFO, and Werner kernel) must be
 /// byte-identical across thread counts and obs on/off. This is the
 /// determinism guarantee for the dedicated emission/loss sub-streams:
 /// replay depends only on the construction seed, never on polling or

@@ -21,7 +21,7 @@
 //! caller's own input.
 
 use crate::error::CoreError;
-use games::{AffinityGraph, CorrelationBox, XorGame};
+use games::{AffinityGraph, CorrelationBox};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -369,12 +369,6 @@ impl AffinityEndpoint {
     }
 }
 
-/// Convenience: build the underlying XOR game for a graph (exposed so
-/// callers can inspect values without building a coordinator).
-pub fn graph_game(graph: &AffinityGraph) -> XorGame {
-    graph.to_xor_game(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -501,7 +495,7 @@ mod tests {
 
         // Empirical win rate over uniform vertex pairs must approach the
         // solved quantum value and beat the classical value.
-        let game = graph_game(&graph);
+        let game = graph.to_xor_game(true);
         let trials = 60_000;
         let mut rng = StdRng::seed_from_u64(99);
         let mut wins = 0usize;

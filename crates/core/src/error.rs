@@ -11,13 +11,6 @@ pub enum CoreError {
         /// How far ahead the endpoint ran.
         ahead: usize,
     },
-    /// Configuration parameter out of range.
-    BadConfig {
-        /// Which parameter.
-        what: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// An input vertex was outside the affinity graph.
     UnknownTaskClass {
         /// The offending vertex index.
@@ -32,9 +25,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::RoundOverrun { ahead } => {
                 write!(f, "endpoint ran {ahead} rounds ahead of its peer")
-            }
-            CoreError::BadConfig { what, value } => {
-                write!(f, "bad configuration: {what} = {value}")
             }
             CoreError::UnknownTaskClass { vertex, n_classes } => {
                 write!(f, "task class {vertex} outside the {n_classes}-class graph")

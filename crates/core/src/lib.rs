@@ -7,7 +7,7 @@
 //!
 //! ## The model
 //!
-//! Two (or more) spatially-separated endpoints each hold a handle. When an
+//! Two spatially-separated endpoints each hold a handle. When an
 //! input arrives at an endpoint, it calls [`Endpoint::decide`] with *its
 //! own input only* and gets a decision bit back **immediately** — no
 //! network round trip (Fig. 2). The bits of the endpoints in the same
@@ -21,10 +21,10 @@
 //!   classes on an [`games::AffinityGraph`]: the optimal quantum strategy
 //!   is solved once at build time (§4.1 "a polynomial-time algorithm
 //!   exists"), then sampled per round.
-//! - [`ParityCoordinator`] — the n-party Mermin-game primitive: on
-//!   even-weight input rounds, the parties' output parity tracks a
-//!   function of their joint inputs *with certainty*, versus a classical
-//!   ceiling of `1/2 + 2^{−⌈n/2⌉}` — the advantage grows with n (§4.1).
+//!
+//! The n-party Mermin game (§4.1) is not wrapped here: its strategies and
+//! win predicate live in [`games::multiparty`], sampled by
+//! [`qsim::NoisyGhz`].
 //!
 //! In production the correlation would come from entangled photon pairs
 //! streamed by the Fig. 1 source; in this library it comes from
@@ -50,13 +50,11 @@
 
 pub mod coordinator;
 pub mod error;
-pub mod parity;
 
 pub use coordinator::{
     AffinityCoordinator, ColocationCoordinator, CoordinatorBuilder, Endpoint, TaskClass,
 };
 pub use error::CoreError;
-pub use parity::{ParityCoordinator, ParityEndpoint};
 
 // Re-export the layers beneath for users who need to reach in.
 pub use ecmp;

@@ -11,13 +11,14 @@
 //! ## Determinism contract (load-bearing)
 //!
 //! Cached values must not depend on which orbit representative reached
-//! the cache first, on thread count, or on whether the cache is enabled
-//! at all — the `qnlg.bench.v1` artifacts are byte-identical across
-//! `QNLG_THREADS` and across `QNLG_XOR_CACHE=0/1`. This works because
-//! [`ValueCache::solve`] never solves the game it was handed: it solves
-//! the **canonical matrix**, with the solver's restart RNG seeded from a
-//! hash of the canonical key. Values are therefore a pure function of the
-//! canonical form, and the cache is a transparent memo of that function.
+//! the cache first, on thread count, or on whether an entry was a hit or
+//! a miss — the `qnlg.bench.v1` artifacts are byte-identical across
+//! `QNLG_THREADS`, and a cold cache returns the same bits as a warm one.
+//! This works because [`ValueCache::solve`] never solves the game it was
+//! handed: it solves the **canonical matrix**, with the solver's restart
+//! RNG seeded from a hash of the canonical key. Values are therefore a
+//! pure function of the canonical form, and the cache is a transparent
+//! memo of that function.
 //!
 //! Soundness of the canonicalization itself is easy: any procedure that
 //! only *applies* row/column permutations and a global sign flip maps a
@@ -32,7 +33,7 @@
 //!
 //! Counters `games.xor.cache.hits` / `games.xor.cache.misses` land in the
 //! obs snapshot of every artifact; the repro CI job asserts hits > 0 on
-//! the fig3 quick run. `QNLG_XOR_CACHE=0` is the escape hatch.
+//! the fig3 quick run.
 
 use crate::error::GameError;
 use crate::xor::{classical_bias_flat, solve_quantum_flat, SolverOpts, XorGame};
@@ -41,7 +42,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering as AtomicOrdering};
 use std::sync::{Mutex, OnceLock};
 
 static HITS: LazyCounter = LazyCounter::new("games.xor.cache.hits");
@@ -79,42 +79,6 @@ impl GameValues {
     pub fn has_advantage(&self, tol: f64) -> bool {
         self.quantum_value() > self.classical_value() + tol
     }
-}
-
-// --- enable/disable state ------------------------------------------------
-
-const STATE_UNSET: u8 = 0;
-const STATE_ON: u8 = 1;
-const STATE_OFF: u8 = 2;
-
-static ENABLED: AtomicU8 = AtomicU8::new(STATE_UNSET);
-
-/// Whether caching is enabled. First call reads `QNLG_XOR_CACHE` (any
-/// value other than `0` — including unset — enables); later calls reuse
-/// the decision. [`set_enabled`] overrides either way.
-pub fn enabled() -> bool {
-    match ENABLED.load(AtomicOrdering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => {
-            let on = std::env::var("QNLG_XOR_CACHE").map_or(true, |v| v != "0");
-            ENABLED.store(
-                if on { STATE_ON } else { STATE_OFF },
-                AtomicOrdering::Relaxed,
-            );
-            on
-        }
-    }
-}
-
-/// Force the cache on or off (tests and ablation benches). Results are
-/// identical either way by the determinism contract; only speed and the
-/// hit/miss counters change.
-pub fn set_enabled(on: bool) {
-    ENABLED.store(
-        if on { STATE_ON } else { STATE_OFF },
-        AtomicOrdering::Relaxed,
-    );
 }
 
 // --- canonical form ------------------------------------------------------
@@ -355,35 +319,28 @@ impl ValueCache {
     /// miss compute both values **on the canonical matrix** with the
     /// solver RNG seeded from the canonical key (see the module docs for
     /// why results are then independent of caching, ordering, and thread
-    /// count). When the cache is disabled ([`enabled`] is false) the same
-    /// canonical computation runs every time — identical results, no
-    /// memo.
+    /// count).
     ///
     /// # Errors
     /// [`GameError::TooLarge`] if the exact classical enumeration is
     /// infeasible; nothing is cached in that case.
     pub fn solve(&self, game: &XorGame, opts: &SolverOpts) -> Result<GameValues, GameError> {
         let canon = canonical_form(game);
-        let use_cache = enabled();
-        if use_cache {
-            if let Some(v) = self
-                .shard(&canon.key)
-                .lock()
-                .expect("cache shard poisoned")
-                .get(&canon.key)
-            {
-                HITS.inc();
-                return Ok(*v);
-            }
+        if let Some(v) = self
+            .shard(&canon.key)
+            .lock()
+            .expect("cache shard poisoned")
+            .get(&canon.key)
+        {
+            HITS.inc();
+            return Ok(*v);
         }
         let values = solve_canonical(&canon, opts)?;
-        if use_cache {
-            MISSES.inc();
-            self.shard(&canon.key)
-                .lock()
-                .expect("cache shard poisoned")
-                .insert(canon.key, values);
-        }
+        MISSES.inc();
+        self.shard(&canon.key)
+            .lock()
+            .expect("cache shard poisoned")
+            .insert(canon.key, values);
         Ok(values)
     }
 }
@@ -426,18 +383,13 @@ pub fn solve_values(game: &XorGame, opts: &SolverOpts) -> Result<GameValues, Gam
 }
 
 /// Solves a batch of games through the [`global`] cache, fanned out over
-/// the [`runtime`] pool.
+/// `threads` workers of the [`runtime`] pool.
 ///
 /// There is no RNG parameter: per-item determinism here is *stronger*
 /// than the usual `par_sweep` stream-splitting — each value is a pure
 /// function of its game's canonical form (the solver RNG is derived from
 /// the canonical key), so results are independent of index, thread
 /// count, and batch composition.
-pub fn solve_batch(games: &[XorGame], opts: &SolverOpts) -> Vec<Result<GameValues, GameError>> {
-    runtime::par_map(games, |_, game| solve_values(game, opts))
-}
-
-/// [`solve_batch`] with an explicit worker count (determinism tests).
 pub fn solve_batch_threads(
     threads: usize,
     games: &[XorGame],

@@ -30,7 +30,7 @@
 //!   to XOR games (the Figure 3 experiment).
 //! - [`cache`]: canonicalizing sharded value cache — sweeps over random
 //!   graph games skip solves that are identical up to vertex relabeling
-//!   and global sign ([`cache::solve_batch`]).
+//!   and global sign ([`cache::solve_batch_threads`]).
 //! - [`error`]: typed errors ([`GameError`]) for structurally infeasible
 //!   requests (e.g. classical enumeration beyond 2^24 patterns).
 

@@ -225,7 +225,6 @@ mod tests {
             max_age: Duration::from_micros(80),
             consume_policy: ConsumePolicy::FreshestFirst,
             faults: qnet::FaultPlan::none(),
-            emission: qnet::EmissionMode::Batched,
         }
     }
 

@@ -427,9 +427,8 @@ impl ServerShard {
     /// handoffs for this step (in pair-shard order — global balancer
     /// order, matching the one-shard run exactly), then serve the active
     /// servers and accumulate window statistics.
-    fn run_epoch(&mut self, e0: u64, e1: u64, me: usize, inboxes: &[&Vec<u64>], cfg: &ScaleConfig) {
+    fn run_epoch(&mut self, e0: u64, e1: u64, inboxes: &[&Vec<u64>], cfg: &ScaleConfig) {
         debug_assert_eq!(inboxes.len(), self.cursor.len());
-        let _ = me;
         for c in self.cursor.iter_mut() {
             *c = 0;
         }
@@ -665,7 +664,7 @@ pub fn run_scaled(
         let pair_ref: &[PairShard] = &pair_shards;
         par_map_mut_threads(threads, &mut server_shards, |b, ss| {
             let inboxes: Vec<&Vec<u64>> = pair_ref.iter().map(|ps| &ps.outbox[b]).collect();
-            ss.run_epoch(e0, e1, b, &inboxes, cfg_ref);
+            ss.run_epoch(e0, e1, &inboxes, cfg_ref);
         });
         e0 = e1;
     }

@@ -128,7 +128,6 @@ fn degrading_strategy_trips_and_recovers_on_a_real_outage() {
         max_age: Duration::from_micros(80),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults,
-        emission: qnet::EmissionMode::Batched,
     };
     let mut rng = StdRng::seed_from_u64(7);
     let mut strat = Degrading::new(8, 4, pipeline, timestep, config(), &mut rng);

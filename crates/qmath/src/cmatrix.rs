@@ -63,11 +63,6 @@ impl CMatrix {
         m
     }
 
-    /// Builds a complex matrix from a real one (zero imaginary parts).
-    pub fn from_real(r: &crate::rmatrix::RMatrix) -> Self {
-        CMatrix::from_fn(r.rows(), r.cols(), |i, j| C64::real(r[(i, j)]))
-    }
-
     /// The outer product `|v⟩⟨w|` of two complex vectors.
     pub fn outer(v: &[C64], w: &[C64]) -> Self {
         CMatrix::from_fn(v.len(), w.len(), |i, j| v[i] * w[j].conj())

@@ -49,10 +49,6 @@ pub use stattest::{hoeffding_epsilon, hoeffding_samples, wilson_at, z_value, Bou
 /// (normalization, Hermiticity, trace preservation, ...).
 pub const EPS: f64 = 1e-9;
 
-/// Looser tolerance for quantities produced by iterative optimization
-/// (e.g. the XOR-game quantum value), where convergence is only approximate.
-pub const OPT_EPS: f64 = 1e-6;
-
 /// Returns true if `a` and `b` are within `tol` of each other.
 #[inline]
 pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {

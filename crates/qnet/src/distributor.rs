@@ -3,7 +3,8 @@
 //! Fig. 1 + Fig. 2 of the paper: a central source streams entangled pairs
 //! down two fibers to a pair of endpoints *ahead of demand*; each endpoint
 //! buffers its half in QNIC memory. When an input arrives, the endpoint
-//! consumes the oldest buffered pair immediately — no network round trip.
+//! consumes a buffered pair immediately — no network round trip. Which
+//! pair is the [`ConsumePolicy`]'s choice: the freshest by default.
 //!
 //! The distributor accounts for the three loss mechanisms of §3:
 //!
@@ -31,8 +32,7 @@
 //! distribution-exact because both the emission and the survivor
 //! processes are memoryless (a pending exponential draw conditioned on
 //! lying beyond the fault edge is itself a fresh exponential from the
-//! edge). [`EmissionMode::PerEmission`] pins the legacy path for the
-//! bench ablation.
+//! edge).
 //!
 //! ## One time-ordered pass
 //!
@@ -88,19 +88,6 @@ pub enum ConsumePolicy {
     FreshestFirst,
 }
 
-/// How the source side of the plane generates events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmissionMode {
-    /// Survivor-process sampling: one exponential gap per surviving pair
-    /// plus a geometric loss count, whenever no emission-affecting fault
-    /// is active. The default.
-    #[default]
-    Batched,
-    /// One exponential gap and explicit loss draws per emitted pair —
-    /// the pre-batching behaviour, kept as the bench ablation arm.
-    PerEmission,
-}
-
 /// Configuration of a two-endpoint distribution pipeline.
 #[derive(Debug, Clone)]
 pub struct DistributorConfig {
@@ -120,8 +107,6 @@ pub struct DistributorConfig {
     pub consume_policy: ConsumePolicy,
     /// Scheduled transient faults ([`FaultPlan::none`] for nominal runs).
     pub faults: FaultPlan,
-    /// Batched vs per-emission source sampling (ablation knob).
-    pub emission: EmissionMode,
 }
 
 impl DistributorConfig {
@@ -137,7 +122,6 @@ impl DistributorConfig {
             max_age: Duration::from_micros(160),
             consume_policy: ConsumePolicy::FreshestFirst,
             faults: FaultPlan::none(),
-            emission: EmissionMode::Batched,
         }
     }
 }
@@ -204,8 +188,8 @@ pub struct EntanglementDistributor {
     last_event: SimTime,
     /// The next source event, drawn ahead under the current regime.
     pending: Option<SimTime>,
-    /// True while the survivor-process fast path is valid (batched mode,
-    /// no emission-affecting fault active).
+    /// True while the survivor-process fast path is valid (no
+    /// emission-affecting fault active).
     batched: bool,
     /// Surviving pairs in flight, each keyed by the instant both halves
     /// have arrived; keys are pushed in nondecreasing order.
@@ -239,7 +223,6 @@ impl EntanglementDistributor {
         let in_flight_mean = config.source.rate_hz() * p_pair * delay_a.max(delay_b).as_secs_f64();
         let in_flight =
             VecDeque::with_capacity(((2.0 * in_flight_mean) as usize).min(1 << 16) + 16);
-        let batched = config.emission == EmissionMode::Batched;
         let lane = trace::next_lane();
         let mut nic_a = nic(&config);
         let mut nic_b = nic(&config);
@@ -263,7 +246,7 @@ impl EntanglementDistributor {
             loss_rng: StdRng::seed_from_u64(runtime::seed::stream_seed(master, 1)),
             last_event: SimTime::ZERO,
             pending: None,
-            batched,
+            batched: true,
         }
     }
 
@@ -317,10 +300,7 @@ impl EntanglementDistributor {
     /// fresh exponential from `edge` in either regime.
     fn refresh_regime(&mut self, edge: SimTime) {
         let state = self.faults.state();
-        let batched = self.config.emission == EmissionMode::Batched
-            && state.rate_factor >= 1.0
-            && state.link_a_up
-            && state.link_b_up;
+        let batched = state.rate_factor >= 1.0 && state.link_a_up && state.link_b_up;
         if batched != self.batched {
             self.batched = batched;
             self.pending = None;
@@ -402,8 +382,8 @@ impl EntanglementDistributor {
     }
 
     /// Exact per-emission path, used while a fault shapes the emission
-    /// stream (and for the `PerEmission` ablation arm): one gap per
-    /// emitted pair, then thinning/outage/survival decisions on each.
+    /// stream: one gap per emitted pair, then thinning/outage/survival
+    /// decisions on each.
     fn generate_per_emission(&mut self, bound: SimTime, strict: bool) {
         loop {
             let t = match self.pending {
@@ -610,7 +590,6 @@ mod tests {
             max_age: Duration::from_micros(160),
             consume_policy: ConsumePolicy::OldestFirst,
             faults: FaultPlan::none(),
-            emission: EmissionMode::Batched,
         }
     }
 
@@ -687,21 +666,22 @@ mod tests {
         // The survivor-process fast path and the per-emission path must
         // agree on delivery statistics (they share no RNG draws, so this
         // is a distribution check, not a byte check): ~10% survival at
-        // 10⁶ pairs/s over 2 ms ⇒ ~200 survivors each.
-        let run = |mode: EmissionMode, seed: u64| -> (u64, u64) {
+        // 10⁶ pairs/s over 2 ms ⇒ ~200 survivors each. With no faults the
+        // regime never flips, so forcing it at construction holds.
+        let run = |batched: bool, seed: u64| -> (u64, u64) {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut cfg = fast_config();
             cfg.link_a = FiberLink::new(50.0);
             cfg.qnic_capacity = 4096;
             cfg.max_age = Duration::from_secs(1);
-            cfg.emission = mode;
             let mut d = EntanglementDistributor::new(cfg, &mut rng);
+            d.batched = batched;
             d.advance_to(SimTime::from_micros(2000));
             let s = d.stats();
             (s.emitted, s.emitted - s.lost_in_fiber)
         };
-        let (b_emitted, b_delivered) = run(EmissionMode::Batched, 40);
-        let (p_emitted, p_delivered) = run(EmissionMode::PerEmission, 41);
+        let (b_emitted, b_delivered) = run(true, 40);
+        let (p_emitted, p_delivered) = run(false, 41);
         // Both emit ~2000 and deliver ~200; compare survival fractions
         // with a generous statistical margin.
         let bf = b_delivered as f64 / b_emitted as f64;

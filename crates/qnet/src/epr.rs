@@ -5,10 +5,7 @@
 //! Poisson process (each pump photon splits with tiny probability), so
 //! inter-emission gaps are exponential with mean `1/rate`.
 
-use crate::time::SimTime;
-use qsim::{SharedPair, SimError};
 use rand::Rng;
-use std::time::Duration;
 
 /// An entangled-photon-pair source.
 #[derive(Debug, Clone, Copy)]
@@ -48,11 +45,6 @@ impl EprSource {
         self.visibility
     }
 
-    /// Mean gap between emissions.
-    pub fn mean_interval(&self) -> Duration {
-        Duration::from_secs_f64(1.0 / self.rate_hz)
-    }
-
     /// Samples the (exponential) gap to the next emission, in integer
     /// nanoseconds. This is the primitive the batched emission plane
     /// accumulates: summing integer-ns gaps cannot drift the way the old
@@ -66,16 +58,6 @@ impl EprSource {
         secs_to_ns(-u.ln() / self.rate_hz)
     }
 
-    /// Samples the (exponential) gap to the next emission.
-    pub fn sample_interval<R: Rng + ?Sized>(&self, rng: &mut R) -> Duration {
-        Duration::from_nanos(self.sample_interval_ns(rng))
-    }
-
-    /// The next emission instant after `now`.
-    pub fn next_emission<R: Rng + ?Sized>(&self, now: SimTime, rng: &mut R) -> SimTime {
-        now + self.sample_interval(rng)
-    }
-
     /// Whether an emission scheduled at the nominal rate survives a
     /// brownout at `rate_factor` × nominal. Thinning a Poisson process
     /// keeps each event independently with probability `rate_factor`,
@@ -86,20 +68,6 @@ impl EprSource {
     pub fn brownout_keeps<R: Rng + ?Sized>(&self, rate_factor: f64, rng: &mut R) -> bool {
         debug_assert!(rate_factor >= 0.0, "negative rate factor");
         rate_factor >= 1.0 || rng.gen::<f64>() < rate_factor
-    }
-
-    /// Generates one entangled pair: a perfect Bell pair at visibility 1,
-    /// otherwise a Werner state.
-    ///
-    /// # Errors
-    /// Never fails for a validly-constructed source; the `Result` conveys
-    /// the underlying simulator contract.
-    pub fn generate_pair(&self) -> Result<SharedPair, SimError> {
-        if self.visibility >= 1.0 {
-            Ok(SharedPair::ideal())
-        } else {
-            SharedPair::werner(self.visibility)
-        }
     }
 }
 
@@ -164,15 +132,8 @@ impl SurvivorProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qsim::Party;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn mean_interval_matches_rate() {
-        let s = EprSource::new(1e6, 1.0);
-        assert_eq!(s.mean_interval(), Duration::from_micros(1));
-    }
 
     #[test]
     fn sampled_intervals_have_right_mean() {
@@ -180,52 +141,10 @@ mod tests {
         let s = EprSource::new(1e5, 1.0);
         let n = 20_000;
         let total: f64 = (0..n)
-            .map(|_| s.sample_interval(&mut rng).as_secs_f64())
+            .map(|_| s.sample_interval_ns(&mut rng) as f64 * 1e-9)
             .sum();
         let mean = total / n as f64;
         assert!((mean - 1e-5).abs() < 5e-7, "mean {mean}");
-    }
-
-    #[test]
-    fn emissions_advance_time() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let s = EprSource::typical_room_temperature();
-        let mut t = SimTime::ZERO;
-        for _ in 0..100 {
-            let next = s.next_emission(t, &mut rng);
-            assert!(next > t);
-            t = next;
-        }
-    }
-
-    #[test]
-    fn perfect_source_yields_ideal_pairs() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let s = EprSource::new(1e5, 1.0);
-        // Perfect pairs are perfectly correlated in a common basis.
-        for _ in 0..50 {
-            let mut pair = s.generate_pair().unwrap();
-            let a = pair.measure_angle(Party::A, 0.3, &mut rng).unwrap();
-            let b = pair.measure_angle(Party::B, 0.3, &mut rng).unwrap();
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn noisy_source_yields_werner_statistics() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let v = 0.7;
-        let s = EprSource::new(1e5, v);
-        let trials = 10_000;
-        let mut agree = 0usize;
-        for _ in 0..trials {
-            let mut pair = s.generate_pair().unwrap();
-            let a = pair.measure_angle(Party::A, 0.0, &mut rng).unwrap();
-            let b = pair.measure_angle(Party::B, 0.0, &mut rng).unwrap();
-            agree += usize::from(a == b);
-        }
-        let f = agree as f64 / trials as f64;
-        assert!((f - (1.0 + v) / 2.0).abs() < 0.02, "agreement {f}");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! `qnet.des.events`, like a pair arrival) and exposes the instantaneous
 //! [`FaultState`] the rest of the plane consumes:
 //!
-//! - [`FaultKind::LinkOutage`] — photons on the affected link(s) are lost
-//!   for the duration ([`crate::link::FiberLink::transmit_through`]).
+//! - [`FaultKind::LinkOutage`] — a downed link absorbs every pair emitted
+//!   while it is down, with no draw (the distributor's per-emission path).
 //! - [`FaultKind::SourceBrownout`] — the source's effective rate drops to
 //!   `rate_factor` of nominal via Poisson thinning
 //!   ([`crate::epr::EprSource::brownout_keeps`]).

@@ -42,7 +42,7 @@ pub mod timing;
 pub mod topology;
 
 pub use distributor::{
-    ConsumePolicy, DistributorConfig, DistributorStats, EmissionMode, EntanglementDistributor,
+    ConsumePolicy, DistributorConfig, DistributorStats, EntanglementDistributor,
 };
 pub use epr::EprSource;
 pub use faults::{FaultClock, FaultKind, FaultPlan, FaultState, FaultWindow, LinkSide};

@@ -5,7 +5,6 @@
 //! at ~2/3 the vacuum speed of light. These are the figures behind the
 //! paper's "single fiber-optic cable" distribution channel (§3).
 
-use rand::Rng;
 use std::time::Duration;
 
 /// Speed of light in fiber, m/s (refractive index ≈ 1.468).
@@ -57,28 +56,11 @@ impl FiberLink {
     pub fn propagation_delay(&self) -> Duration {
         Duration::from_secs_f64(self.length_km * 1000.0 / FIBER_LIGHT_SPEED_M_PER_S)
     }
-
-    /// Samples whether a photon survives transit.
-    pub fn transmit<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        self.transmit_through(true, rng)
-    }
-
-    /// [`Self::transmit`] through a link that may be down (`up == false`
-    /// during a [`crate::faults::FaultKind::LinkOutage`]): a downed link
-    /// passes nothing. The attenuation draw happens unconditionally so a
-    /// run's RNG stream does not depend on the fault schedule — only the
-    /// outcomes do.
-    pub fn transmit_through<R: Rng + ?Sized>(&self, up: bool, rng: &mut R) -> bool {
-        let survives = rng.gen::<f64>() < self.survival_probability();
-        up && survives
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn zero_length_is_lossless_and_instant() {
@@ -100,16 +82,6 @@ mod tests {
         let l = FiberLink::new(1.0);
         let d = l.propagation_delay();
         assert!(d > Duration::from_micros(4) && d < Duration::from_micros(6), "{d:?}");
-    }
-
-    #[test]
-    fn transmit_statistics() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let l = FiberLink::new(15.0); // 3 dB → ~50.1%
-        let trials = 20_000;
-        let survived = (0..trials).filter(|_| l.transmit(&mut rng)).count();
-        let f = survived as f64 / trials as f64;
-        assert!((f - l.survival_probability()).abs() < 0.02, "rate {f}");
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! exactly the plane's own allocation activity.
 
 use qnet::{
-    ConsumePolicy, DistributorConfig, EmissionMode, EntanglementDistributor, EprSource, FaultPlan,
-    FiberLink, SimTime,
+    ConsumePolicy, DistributorConfig, EntanglementDistributor, EprSource, FaultPlan, FiberLink,
+    SimTime,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -60,7 +60,6 @@ fn steady_state_distributor_loop_allocates_nothing() {
         max_age: Duration::from_micros(160),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults: FaultPlan::none(),
-        emission: EmissionMode::Batched,
     };
     let mut rng = StdRng::seed_from_u64(0xA110C);
     let mut d = EntanglementDistributor::new(config, &mut rng);

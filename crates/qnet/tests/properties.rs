@@ -41,7 +41,6 @@ proptest! {
             max_age: Duration::from_micros(120),
             consume_policy: ConsumePolicy::FreshestFirst,
             faults: qnet::FaultPlan::none(),
-            emission: qnet::EmissionMode::Batched,
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut d = EntanglementDistributor::new(config, &mut rng);

@@ -98,30 +98,6 @@ pub fn cnot() -> Gate2 {
     ]
 }
 
-/// Controlled-Z (symmetric in its operands).
-pub fn cz() -> Gate2 {
-    let o = C64::ONE;
-    let n = C64::ZERO;
-    [
-        [o, n, n, n],
-        [n, o, n, n],
-        [n, n, o, n],
-        [n, n, n, R(-1.0)],
-    ]
-}
-
-/// SWAP gate.
-pub fn swap() -> Gate2 {
-    let o = C64::ONE;
-    let n = C64::ZERO;
-    [
-        [o, n, n, n],
-        [n, n, o, n],
-        [n, o, n, n],
-        [n, n, n, o],
-    ]
-}
-
 /// 2×2 matrix product of gates (for building composite gates in tests).
 pub fn compose(a: &Gate1, b: &Gate1) -> Gate1 {
     let mut out = [[C64::ZERO; 2]; 2];

@@ -31,7 +31,6 @@
 //! public APIs use this convention consistently.
 
 pub mod bell;
-pub mod circuit;
 pub mod density;
 pub mod error;
 pub mod gates;
@@ -43,7 +42,6 @@ pub mod state;
 pub mod tomography;
 pub mod werner;
 
-pub use circuit::Circuit;
 pub use density::DensityMatrix;
 pub use error::SimError;
 pub use gates::{Gate1, Gate2};

@@ -54,11 +54,6 @@ impl KrausChannel {
         Ok(KrausChannel { ops })
     }
 
-    /// Borrow the Kraus operators.
-    pub fn operators(&self) -> &[CMatrix] {
-        &self.ops
-    }
-
     /// The identity (noiseless) channel.
     pub fn identity() -> Self {
         KrausChannel {

@@ -25,27 +25,17 @@
 //! cannot change a single drawn bit, which is what lets a soak run's
 //! canonical artifact stay byte-identical across `QNLG_THREADS`.
 
-use loadbalance::degrade::CoordinationMode;
 use qsim::werner::WernerPair;
 use runtime::{stream_seed, SplitMix64};
 
 /// Decision tier a slot was drawn under, stored as one byte in the slot.
-/// Mirrors [`CoordinationMode`] (same ordering as its gauge values).
+/// Mirrors [`loadbalance::CoordinationMode`] (same ordering as its gauge values).
 pub const TIER_QUANTUM: u8 = 0;
 /// Slot drawn under classical-shared fallback (governor tripped, or a
 /// quantum-mode round that missed — no buffered pair).
 pub const TIER_CLASSICAL: u8 = 1;
 /// Slot drawn under the deep-fault independent tier.
 pub const TIER_INDEPENDENT: u8 = 2;
-
-/// Converts a stored tier byte back to the governor's mode enum.
-pub fn tier_mode(tier: u8) -> CoordinationMode {
-    match tier {
-        TIER_QUANTUM => CoordinationMode::Quantum,
-        TIER_CLASSICAL => CoordinationMode::ClassicalShared,
-        _ => CoordinationMode::IndependentRandom,
-    }
-}
 
 /// One pre-drawn placement decision, ready for any `(x, y)` input pair.
 ///

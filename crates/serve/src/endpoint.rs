@@ -312,11 +312,6 @@ impl DecisionEndpoint {
         }
     }
 
-    /// Published-but-unconsumed slots visible right now.
-    pub fn queued(&mut self) -> usize {
-        self.consumer.len()
-    }
-
     /// Consumption counters so far.
     pub fn stats(&self) -> EndpointStats {
         EndpointStats {

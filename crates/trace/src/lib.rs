@@ -137,21 +137,6 @@ fn record(ev: Event) {
     });
 }
 
-/// Records a wall-clock instant event. No-op (and no clock read) while
-/// disabled.
-#[inline]
-pub fn instant_wall(track: Track, name: &'static str) {
-    if !enabled() {
-        return;
-    }
-    record(Event {
-        t_ns: wall_now_ns(),
-        wall: true,
-        track,
-        kind: EventKind::Instant(name),
-    });
-}
-
 /// Records a sim-clock instant event at `t_ns` simulation nanoseconds.
 #[inline]
 pub fn instant_sim(track: Track, name: &'static str, t_ns: u64) {

@@ -56,7 +56,6 @@ fn good_hardware_beats_classical_ceiling() {
         max_age: Duration::from_micros(50),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults: qnet::FaultPlan::none(),
-        emission: qnlg::qnet::EmissionMode::Batched,
     };
     let (rate, availability) = pipeline_chsh(config, 8_000, 1);
     assert!(availability > 0.9, "availability {availability}");
@@ -79,7 +78,6 @@ fn poor_visibility_hardware_loses_the_advantage() {
         max_age: Duration::from_micros(50),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults: qnet::FaultPlan::none(),
-        emission: qnlg::qnet::EmissionMode::Batched,
     };
     let (rate, _) = pipeline_chsh(config, 8_000, 2);
     assert!(rate < 0.75, "win rate {rate} must fall below classical");
@@ -98,7 +96,6 @@ fn long_storage_degrades_win_rate() {
         max_age: Duration::from_micros(30),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults: qnet::FaultPlan::none(),
-        emission: qnlg::qnet::EmissionMode::Batched,
     };
     let stale = DistributorConfig {
         qnic_capacity: 512, // deep buffer: FIFO consumption of old pairs
@@ -128,7 +125,6 @@ fn lossy_fiber_reduces_availability_not_correctness() {
         max_age: Duration::from_micros(60),
         consume_policy: ConsumePolicy::FreshestFirst,
         faults: qnet::FaultPlan::none(),
-        emission: qnlg::qnet::EmissionMode::Batched,
     };
     let (rate, availability) = pipeline_chsh(config, 20_000, 5);
     assert!(availability < 1.0);
