@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-release clippy bench-compile bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+.PHONY: ci build test test-release clippy bench-compile bench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
 
 ci: build test test-release clippy bench-compile repro-quick
 
@@ -28,14 +28,19 @@ clippy:
 bench-compile:
 	$(CARGO) bench --no-run
 
+# A quick pass of every bench target (CI's smoke step). `--bench '*'`
+# keeps the lib's test harness, which rejects `--quick`, out of the run.
+bench-smoke:
+	$(CARGO) bench -p qnlg-bench --bench '*' -- --quick
+
 # Spawn-per-point vs pooled executor + CorrelationBox sampling kernels
 # + obs on/off overhead.
 bench-sweep:
 	$(CARGO) bench -p qnlg-bench --bench sweep
 
-# XOR solver-pipeline ablation: naive/Gray classical, cold/warm solver,
-# and the end-to-end fig3-quick seed-stack vs cached fast-stack numbers
-# recorded in DESIGN.md §5.
+# XOR solver-pipeline ablation: naive/Gray classical, eight starts vs
+# the warm start alone, and the end-to-end fig3-quick fast stack with and
+# without the value cache (DESIGN.md §5).
 bench-xor:
 	$(CARGO) bench -p qnlg-bench --bench xor_value
 
@@ -99,9 +104,10 @@ trace-quick:
 	$(CARGO) run --release -p qnlg-bench --bin repro -- fig4-faults --quick --trace --out artifacts/
 
 # Perf-regression gate: freshly regenerated quick artifacts vs the
-# checked-in full-budget ones. Budgets differ, so only the per-unit-work
-# throughput rates are compared; 5x absorbs machine-to-machine noise
-# while still catching order-of-magnitude collapses.
+# checked-in full-budget ones. Budgets differ, so elapsed time is skipped
+# and every per-unit-of-work metric is compared; 5x absorbs
+# machine-to-machine noise while still catching order-of-magnitude
+# collapses.
 perf-diff: repro-quick
 	$(CARGO) run --release -p qnlg-bench --bin repro -- perf-diff . artifacts/ --tolerance 5.0
 

@@ -2,11 +2,10 @@
 //!
 //! DESIGN.md design-choice #1 (alternating half-steps vs projected
 //! gradient) plus the §5 solver-pipeline ablation: naive vs Gray-code
-//! classical enumeration, cold vs warm-started vs convergence-gated
-//! quantum solves, and the end-to-end fig3-quick workload through the
-//! seed solver stack vs the cached fast stack — the measurement behind
-//! the "≥ 3× end-to-end" acceptance criterion. Accuracy agreement is
-//! tested in `games::xor`; this file measures only speed.
+//! classical enumeration, the warm-started solver with eight starts vs
+//! one, and the end-to-end fig3-quick workload through the fast stack
+//! with and without the value cache. Accuracy agreement is tested in
+//! `games::xor`; this file measures only speed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use games::cache::ValueCache;
@@ -91,27 +90,11 @@ fn bench_classical(c: &mut Criterion) {
     group.finish();
 }
 
-/// Solver-option ablation on a single 5-vertex game: the seed-era fixed
-/// 500-iteration cold-start configuration vs the convergence exit vs the
-/// spectral warm start.
+/// Solver-option ablation on a single 5-vertex game: the default eight
+/// starts vs the spectral warm start alone.
 fn bench_solver_opts(c: &mut Criterion) {
     let mut group = c.benchmark_group("xor_solver_opts");
     let game = random_5v_game(7);
-
-    group.bench_function("seed_fixed500_cold", |b| {
-        let opts = SolverOpts::seed_solver();
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| black_box(game.quantum_solution_with(&opts, &mut rng).value))
-    });
-
-    group.bench_function("converge_cold", |b| {
-        let opts = SolverOpts {
-            warm_start: false,
-            ..SolverOpts::default()
-        };
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| black_box(game.quantum_solution_with(&opts, &mut rng).value))
-    });
 
     group.bench_function("converge_warm", |b| {
         let opts = SolverOpts::default();
@@ -131,32 +114,16 @@ fn bench_solver_opts(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end fig3 quick workload (440 games, 1 worker): the seed stack
-/// (naive classical + fixed-500 cold solver, no cache) vs the fast stack
-/// (Gray + warm start + convergence exit, fresh cache per pass) — the
-/// DESIGN.md §5 "≥ 3×" number.
+/// End-to-end fig3 quick workload (440 games, 1 worker): the fast stack
+/// (Gray + warm start + convergence exit) through a fresh cache per pass
+/// vs uncached.
 fn bench_fig3_stack(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_quick_stack");
     group.sample_size(10);
     let games = fig3_quick_games();
     const TOL: f64 = 1e-4;
 
-    group.bench_function("seed_stack_uncached", |b| {
-        let opts = SolverOpts::seed_solver();
-        let mut rng = StdRng::seed_from_u64(4);
-        b.iter(|| {
-            let mut advantaged = 0usize;
-            for game in &games {
-                let cl = game.classical_bias_naive().unwrap();
-                let q = game.quantum_solution_with(&opts, &mut rng).bias;
-                advantaged += usize::from((1.0 + q) / 2.0 > (1.0 + cl) / 2.0 + TOL);
-            }
-            black_box(advantaged)
-        })
-    });
-
     group.bench_function("fast_stack_cached", |b| {
-        let opts = SolverOpts::default();
         b.iter(|| {
             // A fresh private cache per pass: the measured win includes
             // canonicalization cost and first-solve misses, exactly like
@@ -164,7 +131,7 @@ fn bench_fig3_stack(c: &mut Criterion) {
             let cache = ValueCache::new();
             let mut advantaged = 0usize;
             for game in &games {
-                let v = cache.solve(game, &opts).unwrap();
+                let v = cache.solve(game).unwrap();
                 advantaged += usize::from(v.has_advantage(TOL));
             }
             black_box(advantaged)

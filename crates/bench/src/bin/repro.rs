@@ -28,10 +28,15 @@
 //! `--trace` (requires `--out`) additionally records the event timeline
 //! and writes `TRACE_<experiment>.json` (Chrome `trace_event` format —
 //! load in Perfetto or `chrome://tracing`) plus `TRACE_<experiment>.jsonl`
-//! (compact JSON-lines) per experiment. `perf-diff` compares the `perf`
-//! sections of two artifact directories and exits non-zero when any
-//! metric regressed beyond the tolerance (default 1.5×), so CI can gate
-//! on it.
+//! (compact JSON-lines) per experiment.
+//!
+//! Each artifact's `perf` section is the run's `elapsed_ns` plus a list
+//! of per-unit-of-work metrics in `BENCHMARK.json`'s shape (`name`,
+//! `unit`, `better`, `value`; see `report::PerfStats`); stderr's `perf:`
+//! line and the `repro all` summary print every metric with its unit.
+//! `perf-diff` compares the `perf` sections of two artifact directories
+//! metric by metric and exits non-zero when any regressed beyond the
+//! tolerance (default 1.5×), so CI can gate on it.
 //!
 //! The process exits non-zero when any experiment's acceptance checks
 //! fail, so CI can gate on `repro all --quick`.
@@ -92,7 +97,6 @@ struct Options {
     trace: bool,
     soak: bool,
     socket: Option<PathBuf>,
-    tolerance: Option<f64>,
 }
 
 /// Everything one instrumented experiment run produces.
@@ -174,7 +178,7 @@ fn run_instrumented(
 /// failure.
 fn emit(out: &RunOutput, opts: &Options) -> bool {
     let mut ctx = RunContext::current(opts.quick, Some(out.snap.clone()));
-    ctx.perf = Some(out.perf);
+    ctx.perf = Some(out.perf.clone());
     ctx.series = Some(out.series.clone());
     let line = out.report.to_json(&ctx).render();
     if opts.json {
@@ -183,12 +187,16 @@ fn emit(out: &RunOutput, opts: &Options) -> bool {
         println!("{}", out.report);
         // Timing is machine-dependent, so it goes to stderr: stdout
         // stays byte-identical across runs and thread counts.
+        let perf = &out.perf;
+        let metrics: Vec<String> = perf
+            .metrics
+            .iter()
+            .map(|m| format!("{} {:.2e} {}", m.name, m.value, m.unit))
+            .collect();
         eprintln!(
-            "perf: {:.1} ms ({:.2e} pairs/s, {:.2e} tasks/s, {:.2e} rounds/s)",
-            out.perf.elapsed_ns as f64 / 1e6,
-            out.perf.pairs_per_sec,
-            out.perf.tasks_per_sec,
-            out.perf.rounds_per_sec
+            "perf: {:.1} ms [{}]",
+            perf.elapsed_ns as f64 / 1e6,
+            metrics.join(", ")
         );
     }
     let Some(dir) = &opts.out else {
@@ -220,24 +228,32 @@ fn emit(out: &RunOutput, opts: &Options) -> bool {
     true
 }
 
-/// Renders the `repro all` per-experiment summary (stderr: the timing
-/// columns are machine-dependent).
+/// Renders the `repro all` per-experiment summary, one row per metric
+/// (stderr: the timing columns are machine-dependent).
 fn summary_table(rows: &[(&'static str, PerfStats, bool)]) -> String {
     let mut t = Table::new(vec![
         "experiment",
         "elapsed (ms)",
-        "pairs/s",
-        "tasks/s",
         "checks",
+        "metric",
+        "value",
+        "unit",
     ]);
     for (name, perf, passed) in rows {
-        t.row(vec![
+        let mut lead = vec![
             name.to_string(),
             format!("{:.1}", perf.elapsed_ns as f64 / 1e6),
-            format!("{:.2e}", perf.pairs_per_sec),
-            format!("{:.2e}", perf.tasks_per_sec),
             if *passed { "PASS".into() } else { "FAIL".into() },
-        ]);
+        ];
+        if perf.metrics.is_empty() {
+            t.row(lead);
+            continue;
+        }
+        for m in &perf.metrics {
+            let mut row = std::mem::replace(&mut lead, vec![String::new(); 3]);
+            row.extend([m.name.clone(), format!("{:.2e}", m.value), m.unit.clone()]);
+            t.row(row);
+        }
     }
     t.render()
 }
@@ -267,9 +283,9 @@ fn perf_diff(old_dir: &Path, new_dir: &Path, tolerance: f64) -> ExitCode {
         };
         t.row(vec![
             l.experiment.clone(),
-            l.metric.to_string(),
+            l.metric.clone(),
             fmt(l.old),
-            fmt(l.new),
+            l.new.map_or_else(|| "missing".into(), fmt),
             format!("{:.2}x", l.slowdown),
             if l.regressed { "REGRESSED".into() } else { "ok".into() },
         ]);
@@ -289,26 +305,13 @@ fn perf_diff(old_dir: &Path, new_dir: &Path, tolerance: f64) -> ExitCode {
 }
 
 fn check_artifacts(dir: &Path) -> ExitCode {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(e) => e,
+    let paths = match perfdiff::artifact_paths(dir) {
+        Ok(paths) => paths,
         Err(e) => {
-            eprintln!("error: cannot read {}: {e}", dir.display());
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-        })
-        .collect();
-    paths.sort();
-    if paths.is_empty() {
-        eprintln!("error: no BENCH_*.json artifacts in {}", dir.display());
-        return ExitCode::FAILURE;
-    }
     let mut ok = true;
     for path in &paths {
         let content = match std::fs::read_to_string(path) {
@@ -358,8 +361,8 @@ fn main() -> ExitCode {
         trace: false,
         soak: false,
         socket: None,
-        tolerance: None,
     };
+    let mut tolerance = perfdiff::DEFAULT_TOLERANCE;
     let mut names: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -383,7 +386,7 @@ fn main() -> ExitCode {
                 }
             },
             "--tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r >= 1.0 => opts.tolerance = Some(r),
+                Some(r) if r >= 1.0 => tolerance = r,
                 _ => {
                     eprintln!("error: --tolerance requires a ratio >= 1.0");
                     return ExitCode::FAILURE;
@@ -454,11 +457,7 @@ fn main() -> ExitCode {
                 eprintln!("usage: repro perf-diff <old-dir> <new-dir> [--tolerance <ratio>]");
                 return ExitCode::FAILURE;
             };
-            perf_diff(
-                Path::new(old_dir),
-                Path::new(new_dir),
-                opts.tolerance.unwrap_or(perfdiff::DEFAULT_TOLERANCE),
-            )
+            perf_diff(Path::new(old_dir), Path::new(new_dir), tolerance)
         }
         "all" => {
             let mut all_passed = true;

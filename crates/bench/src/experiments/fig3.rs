@@ -21,7 +21,7 @@ use crate::report::Report;
 use crate::table::{f4, Table};
 use games::cache;
 use games::graph::sample_games;
-use games::{SolverOpts, XorGame};
+use games::XorGame;
 use obs::json::Json;
 use qmath::stats::wilson;
 use rand::rngs::StdRng;
@@ -53,7 +53,7 @@ fn advantage_counts<P: Sync>(
             games_of(p, &mut rng)
         })
         .collect();
-    let values = cache::solve_batch_threads(threads, &games, &SolverOpts::default());
+    let values = cache::solve_batch_threads(threads, &games);
     values
         .chunks(samples)
         .map(|chunk| {

@@ -5,9 +5,10 @@
 //! engine ([`loadbalance::shard`]) across three orders of magnitude —
 //! 10³, 10⁵, and 10⁶ servers at the knee load N/M = 1.2 — for the
 //! classical baseline and the quantum CHSH pairing, and reports measured
-//! throughput (`perf.tasks_per_sec`) per point alongside the usual queue
-//! statistics. Two extra rows exercise the non-i.i.d. arrival models
-//! (two-state MMPP bursts and a diurnal cycle) at the middle scale.
+//! throughput (the `tasks_per_sec` metric of each point's `perf`
+//! section) alongside the usual queue statistics. Two extra rows
+//! exercise the non-i.i.d. arrival models (two-state MMPP bursts and a
+//! diurnal cycle) at the middle scale.
 //!
 //! Determinism: every point's master seed is `point_seed(43, arm, i)`,
 //! and the engine is byte-identical at any worker/shard count, so with
@@ -16,7 +17,7 @@
 //! exactly that configuration. Wall-clock throughput is measured per
 //! point only when `with_perf = true` (the `repro` path).
 
-use crate::report::{sim_result_to_json, Report};
+use crate::report::{sim_result_to_json, Better, Metric, PerfStats, Report};
 use crate::table::{f2, Table};
 use loadbalance::metrics::SimResult;
 use loadbalance::server::Discipline;
@@ -34,8 +35,8 @@ struct Point {
     n_servers: usize,
     workload: ArrivalModel,
     result: SimResult,
-    /// `(elapsed_ns, tasks_per_sec)` when timing was requested.
-    perf: Option<(u64, f64)>,
+    /// Wall clock and `tasks_per_sec` when timing was requested.
+    perf: Option<PerfStats>,
 }
 
 fn scale_config(n_servers: usize, workload: ArrivalModel, steps: u64, threads: usize) -> ScaleConfig {
@@ -66,7 +67,15 @@ fn sim_point(
     let perf = with_perf.then(|| {
         let elapsed_ns = (start.elapsed().as_nanos() as u64).max(1);
         let tasks = cfg.sim.n_balancers as u64 * (cfg.sim.warmup + cfg.sim.timesteps);
-        (elapsed_ns, tasks as f64 / (elapsed_ns as f64 / 1e9))
+        PerfStats {
+            elapsed_ns,
+            metrics: vec![Metric {
+                name: "tasks_per_sec".into(),
+                unit: "1/s".into(),
+                better: Better::Higher,
+                value: tasks as f64 / (elapsed_ns as f64 / 1e9),
+            }],
+        }
     });
     Point {
         n_servers,
@@ -84,13 +93,7 @@ fn point_json(p: &Point) -> Json {
         pairs.insert(0, ("n_servers".into(), Json::uint(p.n_servers as u64)));
         pairs.push((
             "perf".into(),
-            match p.perf {
-                Some((elapsed_ns, tps)) => Json::obj([
-                    ("elapsed_ns", Json::uint(elapsed_ns)),
-                    ("tasks_per_sec", Json::num(tps)),
-                ]),
-                None => Json::Null,
-            },
+            p.perf.as_ref().map_or(Json::Null, PerfStats::to_json),
         ));
     }
     point
@@ -150,8 +153,9 @@ pub fn run_full(threads: usize, quick: bool, with_perf: bool) -> Report {
 
     let mtask = |p: &Point| -> String {
         p.perf
-            .map(|(_, tps)| format!("{:.1}", tps / 1e6))
-            .unwrap_or_else(|| "-".into())
+            .as_ref()
+            .and_then(|perf| perf.metric("tasks_per_sec"))
+            .map_or_else(|| "-".into(), |m| format!("{:.1}", m.value / 1e6))
     };
     for row in &grid {
         let (c, q) = (&row[0], &row[1]);

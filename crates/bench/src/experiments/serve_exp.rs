@@ -14,9 +14,10 @@
 //!   blocking).
 //! - **Wall-clock arms** (obs + stderr only, never canonical): timed
 //!   fill-then-drain windows feed `qnlg.serve.hot.{decisions,ns}` —
-//!   the artifact's `decisions_per_sec` — and per-decision `Instant`
-//!   samples feed the `qnlg.serve.decision_latency_ns` histogram behind
-//!   `p50_ns`/`p99_ns`/`p999_ns`.
+//!   the artifact's `hot_decisions_per_sec` perf metric — and
+//!   per-decision `Instant` samples feed the
+//!   `qnlg.serve.decision_latency_ns` histogram behind
+//!   `decision_p50_ns`/`decision_p99_ns`/`decision_p999_ns`.
 //!
 //! Under `repro serve --soak` the wall-clock arms loop until SIGINT;
 //! the acceptance checks all come from the deterministic arms, so an
@@ -349,7 +350,7 @@ fn run_with_stop(quick: bool, stop: Option<&AtomicBool>) -> Report {
     }
     out.push_str(&format!(
         "E11d — wall-clock hot-path measurement: see the artifact's `perf` \
-         section (decisions_per_sec, p50/p99/p999 ns) and stderr; \
+         section (hot_decisions_per_sec, decision_p50/p99/p999_ns) and stderr; \
          machine-dependent numbers never enter the canonical payload.\n\
          quantum tier fraction (control): {}\n",
         f4(quantum_frac)

@@ -168,19 +168,7 @@ impl Report {
         ));
         pairs.push((
             "perf".into(),
-            match &ctx.perf {
-                Some(p) => Json::obj([
-                    ("elapsed_ns", Json::uint(p.elapsed_ns)),
-                    ("pairs_per_sec", Json::num(p.pairs_per_sec)),
-                    ("tasks_per_sec", Json::num(p.tasks_per_sec)),
-                    ("rounds_per_sec", Json::num(p.rounds_per_sec)),
-                    ("decisions_per_sec", Json::num(p.decisions_per_sec)),
-                    ("p50_ns", Json::num(p.p50_ns)),
-                    ("p99_ns", Json::num(p.p99_ns)),
-                    ("p999_ns", Json::num(p.p999_ns)),
-                ]),
-                None => Json::Null,
-            },
+            ctx.perf.as_ref().map_or(Json::Null, PerfStats::to_json),
         ));
         pairs.push((
             "series".into(),
@@ -204,77 +192,181 @@ impl std::fmt::Display for Report {
     }
 }
 
-/// Wall-clock performance of one experiment run. Like `threads` and
-/// `git`, this describes the producing machine, not the experiment's
-/// deterministic result — determinism comparisons strip it.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Which way a [`Metric`] improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Larger is better (rates).
+    Higher,
+    /// Smaller is better (latencies).
+    Lower,
+}
+
+impl Better {
+    /// The schema spelling, `"higher"` or `"lower"`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Better::Higher => "higher",
+            Better::Lower => "lower",
+        }
+    }
+}
+
+/// One per-unit-of-work performance number, in `BENCHMARK.json`'s metric
+/// shape.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// Name, unique within one `perf` section (e.g. `"tasks_per_sec"`).
+    pub name: String,
+    /// Unit (e.g. `"1/s"`, `"ns"`).
+    pub unit: String,
+    /// Which way the number improves.
+    pub better: Better,
+    /// The measured value.
+    pub value: f64,
+}
+
+/// Wall-clock performance of one experiment run (or of one fig4-scale
+/// point). Like `threads` and `git`, this describes the producing
+/// machine, not the experiment's deterministic result — determinism
+/// comparisons strip it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfStats {
-    /// Wall-clock nanoseconds for the experiment proper (excludes
-    /// serialization).
+    /// Wall-clock nanoseconds for the measured work (excludes
+    /// serialization). The only number tied to the Monte-Carlo budget.
     pub elapsed_ns: u64,
-    /// Entangled pairs emitted per wall-clock second
-    /// (`qnet.epr.emitted / elapsed`); 0 when the experiment runs no
-    /// distributor.
-    pub pairs_per_sec: f64,
-    /// Load-balancer task assignments per wall-clock second
-    /// (`lb.tasks.assigned / elapsed`); 0 when no simulator runs.
-    pub tasks_per_sec: f64,
-    /// Multiparty game rounds played per wall-clock second
-    /// (`games.ghz.rounds / elapsed`); 0 when no game kernel runs.
-    pub rounds_per_sec: f64,
-    /// Served placement decisions per wall-clock second of *hot-path
-    /// busy time* (`qnlg.serve.hot.decisions / qnlg.serve.hot.ns`):
-    /// the serve experiment's measured drain loops only, so open-loop
-    /// pacing and refill time don't dilute the figure. 0 when no
-    /// service runs.
-    pub decisions_per_sec: f64,
-    /// Median served decision latency in ns (from the
-    /// `qnlg.serve.decision_latency_ns` histogram; bucket upper
-    /// bounds). 0 when no service runs.
-    pub p50_ns: f64,
-    /// 99th-percentile served decision latency in ns.
-    pub p99_ns: f64,
-    /// 99.9th-percentile served decision latency in ns.
-    pub p999_ns: f64,
+    /// Per-unit-of-work metrics, each present only when its subsystem
+    /// ran.
+    pub metrics: Vec<Metric>,
 }
 
 impl PerfStats {
-    /// Derives throughput from an elapsed time and the obs counters
-    /// captured over the same span.
+    /// Derives the metrics from an elapsed time and the obs snapshot
+    /// captured over the same span, from one table: a metric whose
+    /// source recorded nothing is left out.
     pub fn from_elapsed(elapsed: std::time::Duration, snap: Option<&obs::Snapshot>) -> Self {
         let elapsed_ns = (elapsed.as_nanos() as u64).max(1);
-        let secs = elapsed_ns as f64 / 1e9;
-        let counter = |name: &str| -> f64 {
+        let counter = |name: &str| {
             snap.and_then(|s| s.counters.iter().find(|(n, _)| n == name))
-                .map(|(_, v)| *v as f64)
-                .unwrap_or(0.0)
+                .map(|(_, v)| *v)
+                .filter(|&v| v > 0)
         };
-        // Decision throughput is per second of hot-path busy time, not
-        // per second of total experiment wall clock: the serve soak
-        // spends most of its elapsed time paced (open-loop) or refilling.
-        let hot_ns = counter("qnlg.serve.hot.ns");
-        let decisions_per_sec = if hot_ns > 0.0 {
-            counter("qnlg.serve.hot.decisions") / (hot_ns / 1e9)
-        } else {
-            0.0
+        let per_sec = |count: &str, ns| Some(counter(count)? as f64 / (ns? as f64 / 1e9));
+        let latency = |q: f64| {
+            let hist = snap?.hist("qnlg.serve.decision_latency_ns")?;
+            Some(hist.percentile(q)? as f64)
         };
-        let latency = snap.and_then(|s| s.hist("qnlg.serve.decision_latency_ns"));
-        let pct = |q: f64| -> f64 {
-            latency
-                .and_then(|h| h.percentile(q))
-                .map(|v| v as f64)
-                .unwrap_or(0.0)
-        };
+        let wall = Some(elapsed_ns);
+        // E11's hot rate is per second of hot-window busy time, so
+        // open-loop pacing and refills don't dilute it.
+        let busy = counter("qnlg.serve.hot.ns");
+        use Better::{Higher, Lower};
+        #[rustfmt::skip]
+        let table = [
+            ("pairs_per_sec", "1/s", Higher, per_sec("qnet.epr.emitted", wall)),
+            ("tasks_per_sec", "1/s", Higher, per_sec("lb.tasks.assigned", wall)),
+            ("rounds_per_sec", "1/s", Higher, per_sec("games.ghz.rounds", wall)),
+            ("hot_decisions_per_sec", "1/s", Higher, per_sec("qnlg.serve.hot.decisions", busy)),
+            ("decision_p50_ns", "ns", Lower, latency(0.50)),
+            ("decision_p99_ns", "ns", Lower, latency(0.99)),
+            ("decision_p999_ns", "ns", Lower, latency(0.999)),
+        ];
+        let metrics = table
+            .into_iter()
+            .filter_map(|(name, unit, better, value)| {
+                Some(Metric {
+                    name: name.into(),
+                    unit: unit.into(),
+                    better,
+                    value: value?,
+                })
+            })
+            .collect();
         PerfStats {
             elapsed_ns,
-            pairs_per_sec: counter("qnet.epr.emitted") / secs,
-            tasks_per_sec: counter("lb.tasks.assigned") / secs,
-            rounds_per_sec: counter("games.ghz.rounds") / secs,
-            decisions_per_sec,
-            p50_ns: pct(0.50),
-            p99_ns: pct(0.99),
-            p999_ns: pct(0.999),
+            metrics,
         }
+    }
+
+    /// The metric called `name`, if present.
+    pub fn metric(&self, name: &str) -> Option<&Metric> {
+        self.metrics.iter().find(|m| m.name == name)
+    }
+
+    /// Serializes as `{"elapsed_ns": N, "metrics": [{"name", "unit",
+    /// "better", "value"}, …]}`.
+    pub fn to_json(&self) -> Json {
+        let metric = |m: &Metric| {
+            Json::obj([
+                ("name", Json::str(m.name.clone())),
+                ("unit", Json::str(m.unit.clone())),
+                ("better", Json::str(m.better.as_str())),
+                ("value", Json::num(m.value)),
+            ])
+        };
+        Json::obj([
+            ("elapsed_ns", Json::uint(self.elapsed_ns)),
+            (
+                "metrics",
+                Json::Arr(self.metrics.iter().map(metric).collect()),
+            ),
+        ])
+    }
+
+    /// Parses a `perf` object written by [`PerfStats::to_json`].
+    ///
+    /// # Errors
+    /// A message naming the first missing or mistyped field, or a metric
+    /// name that appears twice.
+    pub fn from_json(perf: &Json) -> Result<Self, String> {
+        let elapsed_ns = perf
+            .get("elapsed_ns")
+            .and_then(Json::as_i64)
+            .and_then(|v| u64::try_from(v).ok())
+            .ok_or("'perf.elapsed_ns' is not a non-negative integer")?;
+        let items = perf
+            .get("metrics")
+            .and_then(Json::as_arr)
+            .ok_or("'perf.metrics' is not an array")?;
+        let mut metrics: Vec<Metric> = Vec::with_capacity(items.len());
+        for (i, m) in items.iter().enumerate() {
+            let bad = |key: &str| format!("'perf.metrics[{i}].{key}' is missing or mistyped");
+            let text = |key: &str| m.get(key).and_then(Json::as_str).ok_or_else(|| bad(key));
+            let better = match m.get("better").and_then(Json::as_str) {
+                Some("higher") => Better::Higher,
+                Some("lower") => Better::Lower,
+                _ => return Err(bad("better")),
+            };
+            let metric = Metric {
+                name: text("name")?.into(),
+                unit: text("unit")?.into(),
+                better,
+                value: m
+                    .get("value")
+                    .and_then(Json::as_f64)
+                    .ok_or_else(|| bad("value"))?,
+            };
+            if metrics.iter().any(|prev| prev.name == metric.name) {
+                return Err(format!("'perf.metrics' names '{}' twice", metric.name));
+            }
+            metrics.push(metric);
+        }
+        Ok(PerfStats {
+            elapsed_ns,
+            metrics,
+        })
+    }
+
+    /// Parses the `perf` member of an artifact line or a fig4-scale
+    /// point; `None` when it is absent or null (the determinism-pinned
+    /// form).
+    ///
+    /// # Errors
+    /// As [`PerfStats::from_json`].
+    pub fn of(obj: &Json) -> Result<Option<Self>, String> {
+        obj.get("perf")
+            .filter(|p| !matches!(p, Json::Null))
+            .map(PerfStats::from_json)
+            .transpose()
     }
 }
 
@@ -462,9 +554,9 @@ pub fn validate_artifact_line(line: &str) -> Result<Json, String> {
         Some("qnlg.bench.v1") => {}
         other => return Err(format!("unsupported schema {other:?}")),
     }
-    if doc.get("points").and_then(Json::as_arr).is_none() {
+    let Some(points) = doc.get("points").and_then(Json::as_arr) else {
         return Err("'points' is not an array".into());
-    }
+    };
     if doc.get("checks").and_then(Json::as_arr).is_none() {
         return Err("'checks' is not an array".into());
     }
@@ -475,32 +567,10 @@ pub fn validate_artifact_line(line: &str) -> Result<Json, String> {
         return Err("'threads' is not an integer".into());
     }
     // `perf` must be present; when populated (not the determinism-pinned
-    // null) it needs a well-typed elapsed time and throughputs.
-    if let Some(perf) = doc.get("perf").filter(|p| !matches!(p, Json::Null)) {
-        if perf.get("elapsed_ns").and_then(Json::as_i64).is_none() {
-            return Err("'perf.elapsed_ns' is not an integer".into());
-        }
-        for field in ["pairs_per_sec", "tasks_per_sec"] {
-            if perf.get(field).and_then(Json::as_f64).is_none() {
-                return Err(format!("'perf.{field}' is not a number"));
-            }
-        }
-        // Later schema additions (PR 8's rounds_per_sec, the serve
-        // metrics) are optional for backward compatibility with old
-        // artifacts, but must be numbers when present.
-        for field in [
-            "rounds_per_sec",
-            "decisions_per_sec",
-            "p50_ns",
-            "p99_ns",
-            "p999_ns",
-        ] {
-            if let Some(v) = perf.get(field) {
-                if v.as_f64().is_none() {
-                    return Err(format!("'perf.{field}' is not a number"));
-                }
-            }
-        }
+    // null) it must parse, and so must fig4-scale's per-point sections.
+    PerfStats::of(&doc)?;
+    for (i, point) in points.iter().enumerate() {
+        PerfStats::of(point).map_err(|e| format!("points[{i}]: {e}"))?;
     }
     // `series` must be present; when populated (not the determinism-pinned
     // null) it needs a window width and a windows array.
@@ -536,6 +606,26 @@ pub fn write_artifact(
 mod tests {
     use super::*;
 
+    fn metric(name: &str, unit: &str, better: Better, value: f64) -> Metric {
+        Metric {
+            name: name.into(),
+            unit: unit.into(),
+            better,
+            value,
+        }
+    }
+
+    fn sample_perf() -> PerfStats {
+        PerfStats {
+            elapsed_ns: 1_500_000,
+            metrics: vec![
+                metric("pairs_per_sec", "1/s", Better::Higher, 2e6),
+                metric("hot_decisions_per_sec", "1/s", Better::Higher, 8.25e6),
+                metric("decision_p99_ns", "ns", Better::Lower, 511.0),
+            ],
+        }
+    }
+
     fn sample_report() -> Report {
         let mut r = Report::new("sample", 7);
         r.text = "a table\n".into();
@@ -554,26 +644,15 @@ mod tests {
             threads: 4,
             git: "test".into(),
             obs: None,
-            perf: Some(PerfStats {
-                elapsed_ns: 1_500_000,
-                pairs_per_sec: 2e6,
-                tasks_per_sec: 4e5,
-                rounds_per_sec: 3e6,
-                decisions_per_sec: 8e6,
-                p50_ns: 127.0,
-                p99_ns: 511.0,
-                p999_ns: 1023.0,
-            }),
+            perf: Some(sample_perf()),
             series: None,
         };
         let line = r.to_json(&ctx).render();
         let doc = validate_artifact_line(&line).expect("valid artifact");
         assert_eq!(doc.get("experiment").unwrap().as_str(), Some("sample"));
-        let perf = doc.get("perf").unwrap();
-        assert_eq!(perf.get("elapsed_ns").unwrap().as_i64(), Some(1_500_000));
-        assert!(perf.get("pairs_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        assert_eq!(perf.get("decisions_per_sec").unwrap().as_f64(), Some(8e6));
-        assert_eq!(perf.get("p99_ns").unwrap().as_f64(), Some(511.0));
+        let perf = PerfStats::of(&doc).unwrap().expect("perf is populated");
+        assert_eq!(perf.elapsed_ns, 1_500_000);
+        assert_eq!(perf.metric("decision_p99_ns").unwrap().value, 511.0);
         assert_eq!(doc.get("seed").unwrap().as_i64(), Some(7));
         assert_eq!(doc.get("passed").unwrap().as_bool(), Some(true));
         let interval = doc.get("intervals").unwrap().get("cc").unwrap();
@@ -601,22 +680,72 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_old_perf_blocks_and_rejects_bad_new_fields() {
-        // A pre-PR-8 artifact: perf without any of the later additions.
-        let old = r#"{"schema":"qnlg.bench.v1","experiment":"sample","seed":7,
-            "quick":true,"threads":1,"git":"x","passed":true,"points":[],
-            "checks":[],"scalars":{},"intervals":{},"obs":null,"series":null,
-            "perf":{"elapsed_ns":5,"pairs_per_sec":1.0,"tasks_per_sec":1.0}}"#;
-        let line = old.replace('\n', " ");
-        validate_artifact_line(&line).expect("optional perf fields may be absent");
+    fn perf_round_trips_through_to_json_and_from_json() {
+        let perf = sample_perf();
+        let text = perf.to_json().render();
+        let parsed = PerfStats::from_json(&Json::parse(&text).unwrap()).unwrap();
+        assert_eq!(parsed, perf);
+        let empty = PerfStats {
+            elapsed_ns: 7,
+            metrics: Vec::new(),
+        };
+        assert_eq!(PerfStats::from_json(&empty.to_json()), Ok(empty));
+    }
 
-        // But when present, the serve metrics must be numbers.
-        let bad = line.replace(
-            r#""tasks_per_sec":1.0"#,
-            r#""tasks_per_sec":1.0,"decisions_per_sec":"fast""#,
+    #[test]
+    fn validator_rejects_malformed_perf_metrics() {
+        let r = sample_report();
+        let ctx = RunContext {
+            quick: true,
+            threads: 1,
+            git: "test".into(),
+            obs: None,
+            perf: Some(sample_perf()),
+            series: None,
+        };
+        let line = r.to_json(&ctx).render();
+        validate_artifact_line(&line).expect("well-formed perf");
+        let rejects = |from: &str, to: &str, needle: &str| {
+            let bad = line.replacen(from, to, 1);
+            assert_ne!(bad, line, "replacement must hit: {from}");
+            let err = validate_artifact_line(&bad).expect_err(to);
+            assert!(err.contains(needle), "{to}: got {err}");
+        };
+        rejects(r#""better":"higher""#, r#""better":"up""#, "better");
+        rejects(r#""value":2000000"#, r#""value":"fast""#, "value");
+        rejects(r#""unit":"1/s","#, "", "unit");
+        rejects(
+            "hot_decisions_per_sec",
+            "pairs_per_sec",
+            "'pairs_per_sec' twice",
         );
-        let err = validate_artifact_line(&bad).expect_err("string decisions_per_sec");
-        assert!(err.contains("decisions_per_sec"), "got: {err}");
+        rejects(
+            r#""elapsed_ns":1500000"#,
+            r#""elapsed_ns":-1"#,
+            "elapsed_ns",
+        );
+        rejects(r#""metrics":["#, r#""metrics":{},"x":["#, "metrics");
+
+        // An empty list is a run in which no measured subsystem ran.
+        let empty = line.replacen(
+            &sample_perf().to_json().render(),
+            r#"{"elapsed_ns":5,"metrics":[]}"#,
+            1,
+        );
+        assert_ne!(empty, line);
+        validate_artifact_line(&empty).expect("empty metric list is valid");
+
+        // fig4-scale's per-point perf sections go through the same parser.
+        let mut point = r.clone();
+        point.points = vec![Json::obj([
+            ("load", Json::num(1.0)),
+            ("perf", sample_perf().to_json()),
+        ])];
+        let good = point.to_json(&ctx).render();
+        validate_artifact_line(&good).expect("per-point perf is valid");
+        let bad = good.replacen(r#""better":"lower""#, r#""better":"down""#, 1);
+        let err = validate_artifact_line(&bad).expect_err("bad per-point better");
+        assert!(err.contains("points[0]"), "got: {err}");
     }
 
     #[test]

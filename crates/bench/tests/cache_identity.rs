@@ -7,7 +7,7 @@
 
 use games::cache::ValueCache;
 use games::graph::sample_games;
-use games::{SolverOpts, XorGame};
+use games::XorGame;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -39,12 +39,11 @@ fn fig3_quick_games() -> Vec<XorGame> {
 #[test]
 fn memo_hits_return_the_bits_a_cold_solve_computes() {
     let games = fig3_quick_games();
-    let opts = SolverOpts::default();
     let shared = ValueCache::new();
     for (i, game) in games.iter().enumerate() {
-        let memo = shared.solve(game, &opts).unwrap();
+        let memo = shared.solve(game).unwrap();
         // A fresh cache can never hit: this is the cold computation.
-        let cold = ValueCache::new().solve(game, &opts).unwrap();
+        let cold = ValueCache::new().solve(game).unwrap();
         assert_eq!(
             memo.classical_bias.to_bits(),
             cold.classical_bias.to_bits(),

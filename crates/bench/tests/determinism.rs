@@ -294,7 +294,7 @@ fn ghz_kernel_artifact_is_thread_obs_and_trace_invariant() {
         );
     }
     // Metrics must observe, never perturb — and the instrumented run
-    // must feed the rounds counter behind perf.rounds_per_sec.
+    // must feed the rounds counter behind the rounds_per_sec perf metric.
     obs::reset();
     obs::set_enabled(true);
     let observed = qnlg_bench::experiments::ghz_exp::run_with_threads(2, true);
@@ -350,7 +350,7 @@ fn topology_artifact_is_thread_obs_and_trace_invariant() {
     }
     // Metrics must observe, never perturb — and the instrumented run
     // must feed the chain counters plus the shared emission counter
-    // behind perf.pairs_per_sec.
+    // behind the pairs_per_sec perf metric.
     obs::reset();
     obs::set_enabled(true);
     let observed = qnlg_bench::experiments::topology_exp::run_with_threads(2, true);
@@ -427,7 +427,7 @@ fn serve_artifact_is_rerun_obs_and_trace_invariant() {
     }
     // Metrics must observe, never perturb — and the instrumented run
     // must feed both the lane counters and the hot-path counters behind
-    // perf.decisions_per_sec / p99_ns.
+    // the hot_decisions_per_sec and decision_p99_ns perf metrics.
     obs::reset();
     obs::set_enabled(true);
     let observed = qnlg_bench::experiments::serve_exp::run(true);

@@ -317,14 +317,14 @@ impl ValueCache {
 
     /// Solves `game` through the cache: canonicalize, look up, and on a
     /// miss compute both values **on the canonical matrix** with the
-    /// solver RNG seeded from the canonical key (see the module docs for
-    /// why results are then independent of caching, ordering, and thread
-    /// count).
+    /// default [`SolverOpts`] and the solver RNG seeded from the canonical
+    /// key (see the module docs for why results are then independent of
+    /// caching, ordering, and thread count).
     ///
     /// # Errors
     /// [`GameError::TooLarge`] if the exact classical enumeration is
     /// infeasible; nothing is cached in that case.
-    pub fn solve(&self, game: &XorGame, opts: &SolverOpts) -> Result<GameValues, GameError> {
+    pub fn solve(&self, game: &XorGame) -> Result<GameValues, GameError> {
         let canon = canonical_form(game);
         if let Some(v) = self
             .shard(&canon.key)
@@ -335,7 +335,7 @@ impl ValueCache {
             HITS.inc();
             return Ok(*v);
         }
-        let values = solve_canonical(&canon, opts)?;
+        let values = solve_canonical(&canon)?;
         MISSES.inc();
         self.shard(&canon.key)
             .lock()
@@ -345,9 +345,10 @@ impl ValueCache {
     }
 }
 
-/// Compute both values on the canonical matrix. Pure function of
-/// `(canon, opts)` — the solver RNG is derived from the key.
-fn solve_canonical(canon: &Canonical, opts: &SolverOpts) -> Result<GameValues, GameError> {
+/// Compute both values on the canonical matrix with the default solver
+/// options. Pure function of `canon` — the solver RNG is derived from the
+/// key.
+fn solve_canonical(canon: &Canonical) -> Result<GameValues, GameError> {
     let classical_bias = classical_bias_flat(&canon.mat, canon.na, canon.nb)?;
     let dim = canon.na + canon.nb;
     let mut u = vec![0.0; canon.na * dim];
@@ -357,7 +358,7 @@ fn solve_canonical(canon: &Canonical, opts: &SolverOpts) -> Result<GameValues, G
         &canon.mat,
         canon.na,
         canon.nb,
-        opts,
+        &SolverOpts::default(),
         &mut rng,
         &mut u,
         &mut v,
@@ -378,8 +379,8 @@ pub fn global() -> &'static ValueCache {
 ///
 /// # Errors
 /// [`GameError::TooLarge`] if the classical enumeration is infeasible.
-pub fn solve_values(game: &XorGame, opts: &SolverOpts) -> Result<GameValues, GameError> {
-    global().solve(game, opts)
+pub fn solve_values(game: &XorGame) -> Result<GameValues, GameError> {
+    global().solve(game)
 }
 
 /// Solves a batch of games through the [`global`] cache, fanned out over
@@ -393,9 +394,8 @@ pub fn solve_values(game: &XorGame, opts: &SolverOpts) -> Result<GameValues, Gam
 pub fn solve_batch_threads(
     threads: usize,
     games: &[XorGame],
-    opts: &SolverOpts,
 ) -> Vec<Result<GameValues, GameError>> {
-    runtime::par_map_threads(threads, games, |_, game| solve_values(game, opts))
+    runtime::par_map_threads(threads, games, |_, game| solve_values(game))
 }
 
 #[cfg(test)]
@@ -471,17 +471,16 @@ mod tests {
     #[test]
     fn cache_hit_returns_identical_values() {
         let cache = ValueCache::new();
-        let opts = SolverOpts::default();
         let mut rng = StdRng::seed_from_u64(12);
         let g = AffinityGraph::random(4, 0.5, &mut rng);
         let game = g.to_xor_game(true);
-        let first = cache.solve(&game, &opts).unwrap();
-        let second = cache.solve(&game, &opts).unwrap();
+        let first = cache.solve(&game).unwrap();
+        let second = cache.solve(&game).unwrap();
         assert_eq!(first, second);
         assert_eq!(cache.len(), 1);
         // A relabeled copy hits the same entry.
         let relabeled = relabel(&g, &[2, 0, 3, 1]).to_xor_game(true);
-        let third = cache.solve(&relabeled, &opts).unwrap();
+        let third = cache.solve(&relabeled).unwrap();
         assert_eq!(first, third);
         assert_eq!(cache.len(), 1);
     }
@@ -489,19 +488,18 @@ mod tests {
     #[test]
     fn cached_values_match_direct_solver() {
         let cache = ValueCache::new();
-        let opts = SolverOpts::default();
         let mut rng = StdRng::seed_from_u64(13);
         for _ in 0..6 {
             let g = AffinityGraph::random(5, 0.4, &mut rng);
             let game = g.to_xor_game(true);
-            let cached = cache.solve(&game, &opts).unwrap();
+            let cached = cache.solve(&game).unwrap();
             let direct_c = game.classical_bias().unwrap();
             assert!(
                 (cached.classical_bias - direct_c).abs() < 1e-9,
                 "classical {} vs {direct_c}",
                 cached.classical_bias
             );
-            let direct_q = game.quantum_solution_with(&opts, &mut rng).bias;
+            let direct_q = game.quantum_solution_with(&SolverOpts::default(), &mut rng).bias;
             assert!(
                 (cached.quantum_bias - direct_q).abs() < 1e-6,
                 "quantum {} vs {direct_q}",
@@ -512,16 +510,15 @@ mod tests {
 
     #[test]
     fn batch_matches_sequential_and_is_thread_invariant() {
-        let opts = SolverOpts::default();
         let mut rng = StdRng::seed_from_u64(14);
         let games: Vec<XorGame> = (0..12)
             .map(|_| AffinityGraph::random(4, 0.5, &mut rng).to_xor_game(true))
             .collect();
-        let one = solve_batch_threads(1, &games, &opts);
-        let four = solve_batch_threads(4, &games, &opts);
+        let one = solve_batch_threads(1, &games);
+        let four = solve_batch_threads(4, &games);
         assert_eq!(one, four);
         for (g, r) in games.iter().zip(&one) {
-            assert_eq!(solve_values(g, &opts).unwrap(), r.clone().unwrap());
+            assert_eq!(solve_values(g).unwrap(), r.clone().unwrap());
         }
     }
 
@@ -532,7 +529,7 @@ mod tests {
         let prob = RMatrix::from_fn(n, 2, |_, _| 1.0 / (2 * n) as f64);
         let game = XorGame::new(prob, vec![vec![false; 2]; n]);
         let cache = ValueCache::new();
-        assert!(cache.solve(&game, &SolverOpts::default()).is_err());
+        assert!(cache.solve(&game).is_err());
         assert!(cache.is_empty());
     }
 
@@ -545,7 +542,7 @@ mod tests {
         let target = vec![vec![false, true, false], vec![true, false, false]];
         let game = XorGame::new(prob, target);
         let cache = ValueCache::new();
-        let cached = cache.solve(&game, &SolverOpts::default()).unwrap();
+        let cached = cache.solve(&game).unwrap();
         let direct = game.classical_bias().unwrap();
         assert!((cached.classical_bias - direct).abs() < 1e-12);
     }

@@ -132,12 +132,10 @@ pub fn sample_games<R: Rng + ?Sized>(
 /// games are capped at [`crate::xor::ENUM_LIMIT`] vertices by
 /// construction, so this is unreachable for callers of [`sample_games`].
 pub fn advantage_count_of(games: &[XorGame], tol: f64) -> usize {
-    let opts = crate::xor::SolverOpts::default();
     games
         .iter()
         .map(|g| {
-            crate::cache::solve_values(g, &opts)
-                .expect("graph games stay below the enumeration limit")
+            crate::cache::solve_values(g).expect("graph games stay below the enumeration limit")
         })
         .filter(|v| v.has_advantage(tol))
         .count()

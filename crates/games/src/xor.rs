@@ -21,9 +21,9 @@
 //!   cross-check with an independent projected-gradient ascent over the
 //!   elliptope. This replaces the paper's use of the Toqito package.
 //!
-//! Solver iteration budgets, the convergence tolerance, and the restart
-//! count all live in one [`SolverOpts`] struct threaded through both the
-//! alternating solver and the PGD cross-check.
+//! The iteration budget and the restart count live in one [`SolverOpts`]
+//! struct threaded through both the alternating solver and the PGD
+//! cross-check.
 //!
 //! The game value is `(1 + β) / 2` in both cases. A game has a *quantum
 //! advantage* iff `β_q > β_c`.
@@ -49,48 +49,25 @@ pub struct SolverOpts {
     /// Default 500 — the historical fixed budget, now an upper bound
     /// thanks to the convergence exit.
     pub max_iters: usize,
-    /// Relative-improvement convergence threshold: the alternating solver
-    /// stops a restart once `bias − prev ≤ tol · max(1, |bias|)`.
-    /// Default `1e-12` (bias values are O(1), so this is effectively
-    /// machine precision). Set to `0.0` to run every restart for the
-    /// full `max_iters` (the pre-optimization behavior, kept for the
-    /// `xor_value` ablation bench).
-    pub tol: f64,
     /// Number of starts of the alternating solver. The first start is the
-    /// deterministic spectral warm start when [`SolverOpts::warm_start`]
-    /// is set; the rest draw random unit vectors from the caller's RNG.
-    /// Default 8.
+    /// deterministic spectral warm start; the rest draw random unit
+    /// vectors from the caller's RNG. Default 8.
     pub restarts: usize,
-    /// Use the deterministic spectral warm start (power iteration on
-    /// AᵀA) for the first start. Default `true`; the ablation bench
-    /// disables it to measure the cold-start cost.
-    pub warm_start: bool,
 }
 
 impl Default for SolverOpts {
     fn default() -> Self {
         SolverOpts {
             max_iters: 500,
-            tol: 1e-12,
             restarts: 8,
-            warm_start: true,
         }
     }
 }
 
-impl SolverOpts {
-    /// The pre-optimization solver configuration: fixed-iteration budget,
-    /// no warm start, no convergence exit. Used by the ablation bench as
-    /// the "seed solver" arm.
-    pub fn seed_solver() -> Self {
-        SolverOpts {
-            max_iters: 500,
-            tol: 0.0,
-            restarts: 8,
-            warm_start: false,
-        }
-    }
-}
+/// Relative-improvement convergence threshold: the alternating solver
+/// stops a restart once `bias − prev ≤ CONVERGED · max(1, |bias|)`. Bias
+/// values are O(1), so this is effectively machine precision.
+const CONVERGED: f64 = 1e-12;
 
 /// A two-player XOR game.
 ///
@@ -265,12 +242,12 @@ impl XorGame {
     ///
     /// Each half-step is the exact optimum given the other side's
     /// vectors, so the objective increases monotonically; a restart exits
-    /// once the relative improvement drops below [`SolverOpts::tol`]. The
-    /// first start is a deterministic spectral warm start (top singular
-    /// direction of the bias matrix via power iteration on AᵀA, spread
-    /// across dimensions so alternating steps can still rotate freely);
-    /// the remaining restarts draw random unit vectors from `rng` and
-    /// guard against the rare saddle start.
+    /// once the relative improvement drops below 10⁻¹². The first start
+    /// is a deterministic spectral warm start (top singular direction of
+    /// the bias matrix via power iteration on AᵀA, spread across
+    /// dimensions so alternating steps can still rotate freely); the
+    /// remaining restarts draw random unit vectors from `rng` and guard
+    /// against the rare saddle start.
     ///
     /// All strategy vectors live in contiguous flat buffers during the
     /// solve; the returned [`QuantumSolution`] repacks them per input.
@@ -482,7 +459,7 @@ pub(crate) fn solve_quantum_flat<R: Rng + ?Sized>(
         for x in 0..na {
             u[x * dim] = 1.0;
         }
-        if restart == 0 && opts.warm_start {
+        if restart == 0 {
             spectral_init(a, na, nb, dim, &mut v);
         } else {
             for y in 0..nb {
@@ -516,7 +493,7 @@ pub(crate) fn solve_quantum_flat<R: Rng + ?Sized>(
                     v[y * dim..(y + 1) * dim].copy_from_slice(&acc);
                 }
             }
-            if iter > 0 && bias - prev <= opts.tol * bias.abs().max(1.0) {
+            if iter > 0 && bias - prev <= CONVERGED * bias.abs().max(1.0) {
                 break;
             }
             prev = bias;

@@ -23,7 +23,7 @@ pub(crate) static SIM_RUNS: obs::LazyCounter = obs::LazyCounter::new("lb.sim.run
 /// Timesteps simulated (warmup included).
 pub(crate) static SIM_STEPS: obs::LazyCounter = obs::LazyCounter::new("lb.sim.steps");
 /// Tasks routed through a strategy's `assign_all`, across all runs —
-/// the numerator of the artifact `perf.tasks_per_sec` throughput.
+/// the numerator of the artifact's `tasks_per_sec` perf metric.
 /// Flushed once per run (hoisted out of the step loop).
 pub(crate) static TASKS_ASSIGNED: obs::LazyCounter = obs::LazyCounter::new("lb.tasks.assigned");
 /// Total queue length across servers, accumulated per measured timestep

@@ -3,18 +3,22 @@
 //! Everything in `endpoint`/`service` is deterministic and never reads a
 //! clock; wall-clock numbers come from measurement harnesses (the E11
 //! experiment, `benches/serve.rs`) that time their own loops and report
-//! here. Keeping the metric names in one place ties the `perf` schema
-//! fields to their definitions:
+//! here. Keeping the metric names in one place ties the artifact's `perf`
+//! metrics to their definitions:
 //!
 //! - `qnlg.serve.hot.decisions` / `qnlg.serve.hot.ns` — decisions served
 //!   and nanoseconds spent inside *measured drain windows only* (ring
 //!   pre-filled, timer around the decide loop). Their quotient is the
-//!   artifact's `decisions_per_sec`: hot-path busy-time throughput, not
-//!   diluted by refills or open-loop pacing.
+//!   artifact's `hot_decisions_per_sec`: a drain rate over slots already
+//!   drawn, not diluted by refills or open-loop pacing — unlike the
+//!   benchmark's serve-plane `decisions_per_s`, where every decision pays
+//!   for drawing its slot.
 //! - `qnlg.serve.decision_latency_ns` — per-decision latency samples
-//!   (one `Instant` pair around a single `decide`). Percentile estimates
-//!   are log-bucket upper bounds (`2^k − 1` ns), so a reported p99 of
-//!   511 means "the 99th-percentile decision took at most 511 ns".
+//!   (one `Instant` pair around a single `decide`), behind the
+//!   `decision_p50_ns` / `decision_p99_ns` / `decision_p999_ns` metrics.
+//!   Percentile estimates are log-bucket upper bounds (`2^k − 1` ns), so
+//!   a reported p99 of 511 means "the 99th-percentile decision took at
+//!   most 511 ns".
 //!
 //! All hooks are no-ops while obs collection is disabled, so calling
 //! them cannot perturb determinism arms.
