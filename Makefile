@@ -1,11 +1,12 @@
 # Local mirror of .github/workflows/ci.yml — `make ci` is the gate a
-# change must pass before it lands.
+# change must pass before it lands. It runs every Rust-side CI step; the
+# inline Python asserts on the artifacts run in CI only.
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-release clippy bench-compile bench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+.PHONY: ci build test test-release clippy bench-compile perfbench-build bench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
 
-ci: build test test-release clippy bench-compile repro-quick
+ci: build test test-release clippy bench-compile perfbench-build bench-smoke test-stat repro-quick perf-diff trace-quick
 
 build:
 	$(CARGO) build --release
@@ -27,6 +28,10 @@ clippy:
 # All bench harnesses must keep building even when not run.
 bench-compile:
 	$(CARGO) bench --no-run
+
+# The benchmark harness is its own workspace; it must keep building.
+perfbench-build:
+	$(CARGO) build --release --manifest-path perfbench/Cargo.toml
 
 # A quick pass of every bench target (CI's smoke step). `--bench '*'`
 # keeps the lib's test harness, which rejects `--quick`, out of the run.

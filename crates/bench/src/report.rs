@@ -10,10 +10,10 @@
 //!
 //! Determinism contract: everything inside the report is a pure function
 //! of the experiment's seeds, so the JSON line is byte-identical across
-//! worker counts once the two run-environment fields (`threads` and the
-//! `obs` snapshot, which contains `time.*` wall-clock metrics and
-//! scheduling counters) are stripped. The determinism tests do exactly
-//! that.
+//! worker counts once the run-environment fields (`threads`, `git`, the
+//! `obs` snapshot with its `time.*` wall-clock metrics and scheduling
+//! counters, `perf` and `series`) are stripped. [`canonical_json`] pins
+//! them, and the determinism tests digest its output.
 
 use obs::json::Json;
 use qmath::stats::Proportion;
@@ -400,6 +400,21 @@ impl RunContext {
             series: None,
         }
     }
+}
+
+/// `report`'s quick artifact line with the run-environment fields pinned
+/// (`threads`, `git`, `obs`, `perf`, `series`): two renders differ only
+/// where the experiment's results differ.
+pub fn canonical_json(report: &Report) -> String {
+    let ctx = RunContext {
+        quick: true,
+        threads: 0,
+        git: "pinned".into(),
+        obs: None,
+        perf: None,
+        series: None,
+    };
+    report.to_json(&ctx).render()
 }
 
 /// `git describe --always --dirty` of the working tree, `"unknown"` when

@@ -8,22 +8,9 @@
 use games::cache::ValueCache;
 use games::graph::sample_games;
 use games::XorGame;
+use qnlg_bench::report::canonical_json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Renders a report with the run-environment fields pinned, mirroring
-/// `determinism.rs`: any byte difference left is a real divergence.
-fn canonical_json(report: &qnlg_bench::Report) -> String {
-    let ctx = qnlg_bench::RunContext {
-        quick: true,
-        threads: 0,
-        git: "pinned".into(),
-        obs: None,
-        perf: None,
-        series: None,
-    };
-    report.to_json(&ctx).render()
-}
 
 /// fig3's quick game list: 11 exclusivity points × 40 five-vertex games,
 /// each point drawn from the stream `fig3::advantage_counts` seeds.

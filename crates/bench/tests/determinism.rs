@@ -3,6 +3,7 @@
 //! reproducibility guarantees — a figure regenerated on a 2-core laptop
 //! and a 64-core server must be byte-identical.
 
+use qnlg_bench::report::canonical_json;
 use rand::Rng;
 
 /// The canonical Figure-4-shaped grid (6 strategies × 10 loads) swept at
@@ -27,19 +28,74 @@ fn par_sweep_6x10_grid_is_worker_count_invariant() {
     }
 }
 
-/// Renders a report as a `qnlg.bench.v1` JSON line with the
-/// run-environment fields (`threads`, `obs`, `perf`, `series`) pinned,
-/// so any remaining byte difference is a real determinism violation.
-fn canonical_json(report: &qnlg_bench::Report) -> String {
-    let ctx = qnlg_bench::RunContext {
-        quick: true,
-        threads: 0,
-        git: "pinned".into(),
-        obs: None,
-        perf: None,
-        series: None,
-    };
-    report.to_json(&ctx).render()
+/// FNV-1a digests of every experiment's quick canonical payload
+/// ([`canonical_json`]; fig4-scale's with per-point perf off). They pin
+/// each result across commits: a refactor leaves them unchanged, and a
+/// change that means to alter results updates the entry from the failure
+/// message and says so in its notes.
+const QUICK_DIGESTS: [(&str, u64); 16] = [
+    ("chsh", 0x1bc5_6862_beaf_6f3a),
+    ("fig3", 0x0b6e_45dc_28ee_8ff8),
+    ("fig3-vertices", 0xe1bf_a6b6_bce3_358d),
+    ("fig4", 0xcd4e_fcc4_1582_0a8e),
+    ("fig4-scaling", 0x4cca_7f9a_dbdc_b21e),
+    ("fig4-disciplines", 0x2370_9b22_affb_42b0),
+    ("fig4-faults", 0xd337_a349_94f6_45a9),
+    ("fig4-scale", 0x6322_b2ef_1b55_fae9),
+    ("ecmp", 0x3645_17f3_f537_030a),
+    ("timing", 0xb5fe_9d6f_a42d_4873),
+    ("noise", 0xfa2b_692b_2522_6806),
+    ("hybrid", 0xc14c_4593_63e3_21bd),
+    ("pipeline", 0xda7f_f5b9_65d7_147b),
+    ("ghz", 0xd937_6953_56f1_ff75),
+    ("topology", 0x29b3_ef94_bd4e_1ea5),
+    ("serve", 0xb709_2ab5_20e8_5473),
+];
+
+/// The digest drift of one canonical payload, or `None` when it matches
+/// its [`QUICK_DIGESTS`] entry. The fold is the one
+/// `serve/tests/replay_digest.rs` uses.
+fn digest_drift(experiment: &str, canonical: &str) -> Option<String> {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let h = canonical.bytes().fold(FNV_OFFSET, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+    });
+    let (_, want) = QUICK_DIGESTS
+        .iter()
+        .find(|(name, _)| *name == experiment)
+        .expect("every experiment has a pinned digest");
+    (h != *want).then(|| format!("{experiment} quick payload digest drifted: {h:#018x}"))
+}
+
+fn assert_quick_digest(experiment: &str, canonical: &str) {
+    if let Some(drift) = digest_drift(experiment, canonical) {
+        panic!("{drift}");
+    }
+}
+
+/// The eight experiments no other test here renders: each quick payload
+/// matches its pinned digest. Every drifted digest is reported, not only
+/// the first.
+#[test]
+fn remaining_quick_payloads_match_their_digests() {
+    let drifts: Vec<String> = [
+        "chsh",
+        "fig3-vertices",
+        "fig4-scaling",
+        "fig4-disciplines",
+        "ecmp",
+        "timing",
+        "noise",
+        "hybrid",
+    ]
+    .into_iter()
+    .filter_map(|name| {
+        let report = qnlg_bench::experiments::run(name, true).expect("known experiment");
+        digest_drift(name, &canonical_json(&report))
+    })
+    .collect();
+    assert!(drifts.is_empty(), "{}", drifts.join("\n"));
 }
 
 /// End-to-end: the rendered E2 (Figure 4) quick report is identical no
@@ -49,6 +105,7 @@ fn fig4_quick_report_is_identical_at_any_thread_count() {
     let sequential = qnlg_bench::experiments::fig4::run_with_threads(1, true);
     let reference_text = format!("{sequential}");
     let reference_json = canonical_json(&sequential);
+    assert_quick_digest("fig4", &reference_json);
     for threads in [2, runtime::thread_count()] {
         let report = qnlg_bench::experiments::fig4::run_with_threads(threads, true);
         assert_eq!(
@@ -75,6 +132,7 @@ fn fig3_quick_report_is_identical_at_any_thread_count() {
     let sequential = qnlg_bench::experiments::fig3::run_with_threads(1, true);
     let reference_text = format!("{sequential}");
     let reference_json = canonical_json(&sequential);
+    assert_quick_digest("fig3", &reference_json);
     for threads in [2, runtime::thread_count()] {
         let report = qnlg_bench::experiments::fig3::run_with_threads(threads, true);
         assert_eq!(
@@ -103,6 +161,7 @@ fn fig4_faults_chaos_run_is_deterministic() {
     let sequential = qnlg_bench::experiments::faults_exp::run_with_threads(1, true);
     let reference_text = format!("{sequential}");
     let reference_json = canonical_json(&sequential);
+    assert_quick_digest("fig4-faults", &reference_json);
     for threads in [2, 4] {
         let report = qnlg_bench::experiments::faults_exp::run_with_threads(threads, true);
         assert_eq!(
@@ -175,6 +234,7 @@ fn trace_on_off_and_ring_capacity_leave_artifacts_identical() {
 #[test]
 fn pipeline_batched_plane_is_deterministic() {
     let reference = canonical_json(&qnlg_bench::experiments::pipeline_exp::run(true));
+    assert_quick_digest("pipeline", &reference);
     for _ in 0..2 {
         let report = qnlg_bench::experiments::pipeline_exp::run(true);
         assert_eq!(canonical_json(&report), reference, "rerun diverged");
@@ -206,6 +266,7 @@ fn fig4_scale_quick_artifact_is_shard_thread_and_obs_invariant() {
     let sequential = qnlg_bench::experiments::scale_exp::run_full(1, true, false);
     let reference_text = format!("{sequential}");
     let reference_json = canonical_json(&sequential);
+    assert_quick_digest("fig4-scale", &reference_json);
     for threads in [2, 4] {
         let report = qnlg_bench::experiments::scale_exp::run_full(threads, true, false);
         assert_eq!(
@@ -280,6 +341,7 @@ fn ghz_kernel_artifact_is_thread_obs_and_trace_invariant() {
     let sequential = qnlg_bench::experiments::ghz_exp::run_with_threads(1, true);
     let reference_text = format!("{sequential}");
     let reference_json = canonical_json(&sequential);
+    assert_quick_digest("ghz", &reference_json);
     for threads in [2, 4] {
         let report = qnlg_bench::experiments::ghz_exp::run_with_threads(threads, true);
         assert_eq!(
@@ -335,6 +397,7 @@ fn topology_artifact_is_thread_obs_and_trace_invariant() {
     let sequential = qnlg_bench::experiments::topology_exp::run_with_threads(1, true);
     let reference_text = format!("{sequential}");
     let reference_json = canonical_json(&sequential);
+    assert_quick_digest("topology", &reference_json);
     for threads in [2, 4] {
         let report = qnlg_bench::experiments::topology_exp::run_with_threads(threads, true);
         assert_eq!(
@@ -408,6 +471,7 @@ fn serve_artifact_is_rerun_obs_and_trace_invariant() {
     let sequential = qnlg_bench::experiments::serve_exp::run(true);
     let reference_text = format!("{sequential}");
     let reference_json = canonical_json(&sequential);
+    assert_quick_digest("serve", &reference_json);
     // The service core is single-threaded by construction; ambient
     // worker counts (QNLG_THREADS) must not leak into the artifact.
     // Reruns under the test harness's parallel scheduling stand in for

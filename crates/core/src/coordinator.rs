@@ -21,7 +21,7 @@
 //! caller's own input.
 
 use crate::error::CoreError;
-use games::{AffinityGraph, CorrelationBox};
+use games::{pairing, AffinityGraph, CorrelationBox};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -122,12 +122,7 @@ impl Inner {
             None => None,
             Some(n) => {
                 if self.rounds[slot].servers.is_none() {
-                    let s0 = self.rng.gen_range(0..n);
-                    let mut s1 = self.rng.gen_range(0..n - 1);
-                    if s1 >= s0 {
-                        s1 += 1;
-                    }
-                    self.rounds[slot].servers = Some((s0, s1));
+                    self.rounds[slot].servers = Some(pairing::candidates(n, &mut self.rng));
                 }
                 self.rounds[slot].servers
             }

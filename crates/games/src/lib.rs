@@ -16,6 +16,9 @@
 //!   brute force, quantum value by Tsirelson's vector characterization
 //!   (alternating optimization + an independent projected-gradient SDP
 //!   cross-check).
+//! - [`pairing`]: the load-balancing pairing rule (§4.1) — the candidate
+//!   draw, the placement, and the classical and flipped-CHSH bit rules —
+//!   written once for every caller.
 //! - [`correlation`]: quantum correlation "boxes" — joint conditional
 //!   distributions `p(a,b|x,y)` with uniform marginals realized by an
 //!   entangled strategy; includes no-signaling verification and the
@@ -43,6 +46,7 @@ pub mod game;
 pub mod graph;
 pub mod magic;
 pub mod multiparty;
+pub mod pairing;
 pub mod xor;
 
 pub use cache::{GameValues, ValueCache};

@@ -25,7 +25,7 @@
 //! actually exercised the state machine.
 
 use crate::pipeline::PipelinePairedQuantum;
-use crate::strategy::AssignmentStrategy;
+use crate::strategy::{assign_pairs, assign_uniform, AssignmentStrategy};
 use crate::task::TaskType;
 use obs::{LazyCounter, LazyGauge};
 use qnet::DistributorConfig;
@@ -348,38 +348,6 @@ impl Degrading {
         }
         self.inner.stats().quantum_rounds as f64 / self.pair_rounds as f64
     }
-
-    fn assign_classical_shared(
-        &self,
-        tasks: &[TaskType],
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<usize> {
-        // Always-split via shared randomness: both halves of a pair agree
-        // on (s0, s1) and take one each — the optimal classical pairing.
-        let mut out = vec![0usize; tasks.len()];
-        let mut i = 0;
-        while i + 1 < tasks.len() {
-            let s0 = rng.gen_range(0..self.n_servers);
-            let mut s1 = rng.gen_range(0..self.n_servers - 1);
-            if s1 >= s0 {
-                s1 += 1;
-            }
-            out[i] = s0;
-            out[i + 1] = s1;
-            i += 2;
-        }
-        if i < tasks.len() {
-            out[i] = rng.gen_range(0..self.n_servers);
-        }
-        out
-    }
-
-    fn assign_independent(&self, tasks: &[TaskType], rng: &mut dyn rand::RngCore) -> Vec<usize> {
-        tasks
-            .iter()
-            .map(|_| rng.gen_range(0..self.n_servers))
-            .collect()
-    }
 }
 
 impl AssignmentStrategy for Degrading {
@@ -402,11 +370,13 @@ impl AssignmentStrategy for Degrading {
             }
             CoordinationMode::ClassicalShared => {
                 let (delivered, polled) = self.inner.poll_delivery();
-                (self.assign_classical_shared(tasks, rng), delivered, polled)
+                let out = assign_pairs(tasks, self.n_servers, rng, |_, _, _| games::pairing::SPLIT);
+                (out, delivered, polled)
             }
             CoordinationMode::IndependentRandom => {
                 let (delivered, polled) = self.inner.poll_delivery();
-                (self.assign_independent(tasks, rng), delivered, polled)
+                let out = assign_uniform(tasks, self.n_servers, rng);
+                (out, delivered, polled)
             }
         };
         let mode_after = self.governor.observe(delivered, polled);

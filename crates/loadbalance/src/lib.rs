@@ -24,7 +24,8 @@
 //! - [`strategy`]: assignment strategies — uniform random, round-robin,
 //!   power-of-two-choices, classical pairings, dedicated-server hybrid,
 //!   and the quantum CHSH pairing (the flipped-CHSH
-//!   `games::CorrelationBox`, plus finite pair availability).
+//!   `games::CorrelationBox`, plus finite pair availability), all pairings
+//!   on the `games::pairing` kernel.
 //! - [`sim`]: the timestep loop of Figure 4 (compatibility path: any
 //!   strategy, caller-supplied RNG, bit-stable historical trajectories,
 //!   one run-wide wait reservoir shared by every server).
@@ -62,5 +63,5 @@ pub use shard::{run_scaled, ScaleConfig, ScaleStrategy};
 pub use sim::{
     run_simulation, run_simulation_with, try_run_simulation, try_run_simulation_with, SimConfig,
 };
-pub use strategy::{AssignmentStrategy, PairDecision, Strategy};
+pub use strategy::{AssignmentStrategy, Strategy};
 pub use task::{ArrivalModel, Task, TaskType, Workload};

@@ -12,9 +12,9 @@
 //! This is experiment E8's engine: the end-to-end Figure 4 effect of real
 //! source rates and memory lifetimes.
 
-use crate::strategy::AssignmentStrategy;
+use crate::strategy::{assign_pairs, AssignmentStrategy};
 use crate::task::TaskType;
-use games::chsh::{alice_angle, bob_angle};
+use games::pairing;
 use qnet::{DistributorConfig, EntanglementDistributor, SimTime};
 use rand::Rng;
 use std::time::Duration;
@@ -137,27 +137,6 @@ impl PipelinePairedQuantum {
         }
         (delivered, self.distributors.len() as u64)
     }
-
-    /// Coordinates one CHSH round on pipeline `pair_idx` with inputs
-    /// `(x, y)`, returning the two (already flipped-game-adjusted)
-    /// decision bits, or `None` on a miss.
-    ///
-    /// Runs the closed-form Werner kernel
-    /// ([`qnet::EntanglementDistributor::take_werner`] +
-    /// [`qsim::WernerPair::sample`]): one RNG draw per round, no density
-    /// matrices.
-    fn coordinate(
-        &mut self,
-        pair_idx: usize,
-        x: usize,
-        y: usize,
-        rng: &mut dyn rand::RngCore,
-    ) -> Option<(bool, bool)> {
-        let kernel = self.distributors[pair_idx].take_werner(self.now)?;
-        let (a, b) = kernel.sample(alice_angle(x), bob_angle(y), rng);
-        // Flipped game: negate Bob's bit (§4.1).
-        Some((a == 1, b == 0))
-    }
 }
 
 impl AssignmentStrategy for PipelinePairedQuantum {
@@ -168,35 +147,22 @@ impl AssignmentStrategy for PipelinePairedQuantum {
         rng: &mut dyn rand::RngCore,
     ) -> Vec<usize> {
         self.now += self.timestep;
-        let mut out = vec![0usize; tasks.len()];
-        let mut i = 0;
-        let mut pair_idx = 0;
-        while i + 1 < tasks.len() {
-            let s0 = rng.gen_range(0..self.n_servers);
-            let mut s1 = rng.gen_range(0..self.n_servers - 1);
-            if s1 >= s0 {
-                s1 += 1;
-            }
-            let (x, y) = (tasks[i].chsh_input(), tasks[i + 1].chsh_input());
-            let (a, b) = match self.coordinate(pair_idx, x, y, rng) {
-                Some(bits) => {
-                    self.stats.quantum_rounds += 1;
-                    bits
+        let now = self.now;
+        let stats = &mut self.stats;
+        let mut pipelines = self.distributors.iter_mut();
+        assign_pairs(tasks, self.n_servers, rng, |x, y, rng| {
+            let pipeline = pipelines.next().expect("one pipeline per balancer pair");
+            match pipeline.take_werner(now) {
+                Some(pair) => {
+                    stats.quantum_rounds += 1;
+                    pairing::werner_bits(&pair, x, y, rng)
                 }
                 None => {
-                    self.stats.fallback_rounds += 1;
-                    (false, true) // classical always-split fallback
+                    stats.fallback_rounds += 1;
+                    pairing::SPLIT
                 }
-            };
-            out[i] = if a { s1 } else { s0 };
-            out[i + 1] = if b { s1 } else { s0 };
-            i += 2;
-            pair_idx += 1;
-        }
-        if i < tasks.len() {
-            out[i] = rng.gen_range(0..self.n_servers);
-        }
-        out
+            }
+        })
     }
 
     fn name(&self) -> &'static str {

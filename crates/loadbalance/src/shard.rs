@@ -51,7 +51,7 @@ use crate::sim::{
     QUEUE_TOTAL, SIM_RUNS, SIM_STEPS, TASKS_ASSIGNED,
 };
 use crate::task::ArrivalModel;
-use games::CorrelationBox;
+use games::pairing::{self, PairRule};
 use runtime::{par_map_mut_threads, stream_seed, SplitMix64};
 use std::collections::VecDeque;
 
@@ -147,7 +147,7 @@ pub enum ScaleStrategy {
     /// Paired, match types (`a = x, b = y`).
     PairedMatchTypes,
     /// Paired, flipped-CHSH quantum box
-    /// ([`CorrelationBox::flipped_chsh`]): P(same server) = (1 ± v/√2)/2,
+    /// ([`games::CorrelationBox::flipped_chsh`]): P(same server) = (1 ± v/√2)/2,
     /// + exactly when both tasks are type-C.
     PairedQuantum {
         /// Probability a fresh pair is available (misses split).
@@ -177,13 +177,17 @@ impl ScaleStrategy {
         }
     }
 
-    fn is_paired(&self) -> bool {
-        matches!(
-            self,
-            ScaleStrategy::PairedAlwaysSplit
-                | ScaleStrategy::PairedMatchTypes
-                | ScaleStrategy::PairedQuantum { .. }
-        )
+    /// The pairing rule of a paired strategy; `None` for the others.
+    fn pair_rule(&self) -> Option<PairRule> {
+        match *self {
+            ScaleStrategy::PairedAlwaysSplit => Some(PairRule::AlwaysSplit),
+            ScaleStrategy::PairedMatchTypes => Some(PairRule::MatchTypes),
+            ScaleStrategy::PairedQuantum {
+                availability,
+                visibility,
+            } => Some(PairRule::quantum(visibility, availability)),
+            _ => None,
+        }
     }
 
     fn needs_queue_lens(&self) -> bool {
@@ -234,7 +238,7 @@ impl PairShard {
     /// Phase A for steps `[e0, e1)`: draw arrivals and assignments for
     /// every owned pair, appending handoffs in (step, pair) order — which
     /// is why server shards can drain inboxes sequentially per step with
-    /// no sort. `chsh` is the run's flipped-CHSH box (paired-quantum only).
+    /// no sort. `rule` is the run's pairing rule (paired strategies only).
     #[allow(clippy::too_many_arguments)]
     fn run_epoch(
         &mut self,
@@ -242,7 +246,7 @@ impl PairShard {
         e1: u64,
         cfg: &ScaleConfig,
         strategy: ScaleStrategy,
-        chsh: Option<&CorrelationBox>,
+        rule: Option<&PairRule>,
         n_balancers: usize,
         n_servers: u32,
         server_shards: usize,
@@ -254,7 +258,7 @@ impl PairShard {
         let model = cfg.workload;
         let switch = model.switch_prob();
         let warmup = cfg.sim.warmup;
-        let paired = strategy.is_paired();
+        let paired = rule.is_some();
         let mut assigned = 0u64;
         for t in e0..e1 {
             let off = t - e0;
@@ -292,30 +296,11 @@ impl PairShard {
                             (l, Some(r))
                         }
                         _ => {
-                            // Pre-shared randomness: two distinct
-                            // candidate servers per round.
-                            let s0 = rng.gen_range(n_servers);
-                            let mut s1 = rng.gen_range(n_servers - 1);
-                            if s1 >= s0 {
-                                s1 += 1;
-                            }
-                            let (a, b) = match strategy {
-                                ScaleStrategy::PairedAlwaysSplit => (false, true),
-                                ScaleStrategy::PairedMatchTypes => (x_c, y_c),
-                                ScaleStrategy::PairedQuantum { availability, .. } => {
-                                    if rng.next_f64() < availability {
-                                        let chsh = chsh.expect("paired-quantum runs build the box");
-                                        chsh.sample(usize::from(x_c), usize::from(y_c), &mut rng)
-                                    } else {
-                                        (false, true)
-                                    }
-                                }
-                                _ => unreachable!("non-paired handled above"),
-                            };
-                            (
-                                if a { s1 } else { s0 },
-                                Some(if b { s1 } else { s0 }),
-                            )
+                            let rule = rule.expect("paired runs build their rule");
+                            let servers = pairing::candidates(n_servers as usize, &mut rng);
+                            let bits = rule.bits(usize::from(x_c), usize::from(y_c), &mut rng);
+                            let (l, r) = pairing::place(servers, bits);
+                            (l as u32, Some(r as u32))
                         }
                     }
                 } else {
@@ -574,23 +559,13 @@ pub fn run_scaled(
         }
         _ => {}
     }
-    if strategy.is_paired() && cfg.sim.n_servers < 2 {
+    let rule = strategy.pair_rule();
+    if rule.is_some() && cfg.sim.n_servers < 2 {
         return Err(SimError::TooFewServers {
             n_servers: cfg.sim.n_servers,
             min: 2,
         });
     }
-    let chsh = match strategy {
-        ScaleStrategy::PairedQuantum {
-            availability,
-            visibility,
-        } => {
-            assert!((0.0..=1.0).contains(&availability), "bad availability");
-            assert!((0.0..=1.0).contains(&visibility), "bad visibility");
-            Some(CorrelationBox::flipped_chsh(visibility))
-        }
-        _ => None,
-    };
 
     let n_balancers = cfg.sim.n_balancers;
     let n_servers = cfg.sim.n_servers;
@@ -647,14 +622,14 @@ pub fn run_scaled(
         }
         let queue_lens_ref: &[u32] = &queue_lens;
         let cfg_ref = cfg;
-        let chsh_ref = chsh.as_ref();
+        let rule_ref = rule.as_ref();
         par_map_mut_threads(threads, &mut pair_shards, |_, ps| {
             ps.run_epoch(
                 e0,
                 e1,
                 cfg_ref,
                 strategy,
-                chsh_ref,
+                rule_ref,
                 n_balancers,
                 n_servers as u32,
                 shards,

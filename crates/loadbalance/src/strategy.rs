@@ -3,6 +3,8 @@
 //! The classical baselines (§4.1): uniform random, round-robin, power of
 //! two choices, and the best *classical pairing* strategies. The quantum
 //! strategy pairs balancers and plays the flipped CHSH game per round.
+//! Every paired strategy, here and in [`crate::pipeline`] and
+//! [`crate::degrade`], runs [`assign_pairs`] over [`games::pairing`].
 //!
 //! ## Locality discipline
 //!
@@ -16,18 +18,8 @@
 //! whose no-signaling property is tested upstream.
 
 use crate::task::TaskType;
-use games::CorrelationBox;
-use rand::Rng;
-
-/// The outcome of one pair-coordination round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PairDecision {
-    /// First balancer's output bit (selects between the two candidate
-    /// servers).
-    pub a: bool,
-    /// Second balancer's output bit.
-    pub b: bool,
-}
+use games::pairing::{self, PairRule};
+use rand::{Rng, RngCore};
 
 /// An assignment strategy: maps this timestep's tasks to server indices.
 pub trait AssignmentStrategy {
@@ -63,7 +55,7 @@ pub enum Strategy {
     /// splits CE/EC, but collides both Es (fails EE).
     PairedMatchTypes,
     /// Quantum pairing: flipped CHSH over pre-shared entanglement,
-    /// sampled from [`CorrelationBox::flipped_chsh`].
+    /// sampled from [`games::CorrelationBox::flipped_chsh`].
     PairedQuantum {
         /// Probability a fresh pair is available at decision time
         /// (1.0 = ideal pipeline); misses fall back to always-split.
@@ -102,24 +94,19 @@ impl Strategy {
             Strategy::PowerOfTwoChoices => Box::new(PowerOfTwo { n_servers }),
             Strategy::PairedAlwaysSplit => Box::new(Paired {
                 n_servers,
-                decider: Decider::AlwaysSplit,
+                rule: PairRule::AlwaysSplit,
             }),
             Strategy::PairedMatchTypes => Box::new(Paired {
                 n_servers,
-                decider: Decider::MatchTypes,
+                rule: PairRule::MatchTypes,
             }),
             Strategy::PairedQuantum {
                 availability,
                 visibility,
-            } => {
-                assert!((0.0..=1.0).contains(&availability), "bad availability");
-                assert!((0.0..=1.0).contains(&visibility), "bad visibility");
-                let decider = Decider::QuantumBox {
-                    boxx: CorrelationBox::flipped_chsh(visibility),
-                    availability,
-                };
-                Box::new(Paired { n_servers, decider })
-            }
+            } => Box::new(Paired {
+                n_servers,
+                rule: PairRule::quantum(visibility, availability),
+            }),
             Strategy::DedicatedServers { dedicated_fraction } => {
                 assert!(
                     (0.0..=1.0).contains(&dedicated_fraction),
@@ -136,6 +123,38 @@ impl Strategy {
     }
 }
 
+/// Each task to a uniformly random server, independently.
+pub(crate) fn assign_uniform(
+    tasks: &[TaskType],
+    n_servers: usize,
+    rng: &mut dyn RngCore,
+) -> Vec<usize> {
+    tasks.iter().map(|_| rng.gen_range(0..n_servers)).collect()
+}
+
+/// Assigns balancers two by two (§4.1): per pair, two distinct candidate
+/// servers, then the pair's bits for its inputs, then the placement. An
+/// odd balancer out picks uniformly.
+pub(crate) fn assign_pairs(
+    tasks: &[TaskType],
+    n_servers: usize,
+    rng: &mut dyn RngCore,
+    mut bits: impl FnMut(usize, usize, &mut dyn RngCore) -> (bool, bool),
+) -> Vec<usize> {
+    let mut out = vec![0usize; tasks.len()];
+    for (slots, pair) in out.chunks_exact_mut(2).zip(tasks.chunks_exact(2)) {
+        // Pre-shared randomness picks the round's two candidates (§4.1:
+        // "each pair randomly selects a pair of servers in each round").
+        let servers = pairing::candidates(n_servers, rng);
+        let bits = bits(pair[0].chsh_input(), pair[1].chsh_input(), rng);
+        (slots[0], slots[1]) = pairing::place(servers, bits);
+    }
+    if tasks.len() % 2 == 1 {
+        out[tasks.len() - 1] = rng.gen_range(0..n_servers);
+    }
+    out
+}
+
 struct UniformRandom {
     n_servers: usize,
 }
@@ -147,10 +166,7 @@ impl AssignmentStrategy for UniformRandom {
         _queue_lens: &[usize],
         rng: &mut dyn rand::RngCore,
     ) -> Vec<usize> {
-        tasks
-            .iter()
-            .map(|_| rng.gen_range(0..self.n_servers))
-            .collect()
+        assign_uniform(tasks, self.n_servers, rng)
     }
 
     fn name(&self) -> &'static str {
@@ -221,46 +237,9 @@ impl AssignmentStrategy for PowerOfTwo {
     }
 }
 
-enum Decider {
-    AlwaysSplit,
-    MatchTypes,
-    QuantumBox {
-        boxx: CorrelationBox,
-        availability: f64,
-    },
-}
-
-impl Decider {
-    fn decide(&self, x: usize, y: usize, rng: &mut dyn rand::RngCore) -> PairDecision {
-        match self {
-            Decider::AlwaysSplit => PairDecision { a: false, b: true },
-            Decider::MatchTypes => PairDecision {
-                a: x == 1,
-                b: y == 1,
-            },
-            Decider::QuantumBox { boxx, availability } => {
-                if rng.gen::<f64>() < *availability {
-                    let (a, b) = boxx.sample(x, y, rng);
-                    PairDecision { a, b }
-                } else {
-                    PairDecision { a: false, b: true }
-                }
-            }
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        match self {
-            Decider::AlwaysSplit => "paired-always-split",
-            Decider::MatchTypes => "paired-match-types",
-            Decider::QuantumBox { .. } => "paired-quantum",
-        }
-    }
-}
-
 struct Paired {
     n_servers: usize,
-    decider: Decider,
+    rule: PairRule,
 }
 
 impl AssignmentStrategy for Paired {
@@ -270,32 +249,13 @@ impl AssignmentStrategy for Paired {
         _queue_lens: &[usize],
         rng: &mut dyn rand::RngCore,
     ) -> Vec<usize> {
-        let mut out = vec![0usize; tasks.len()];
-        let mut i = 0;
-        while i + 1 < tasks.len() {
-            // Pre-shared randomness picks two distinct candidate servers
-            // per round (§4.1: "each pair randomly selects a pair of
-            // servers in each round").
-            let s0 = rng.gen_range(0..self.n_servers);
-            let mut s1 = rng.gen_range(0..self.n_servers - 1);
-            if s1 >= s0 {
-                s1 += 1;
-            }
-            let (x, y) = (tasks[i].chsh_input(), tasks[i + 1].chsh_input());
-            let d = self.decider.decide(x, y, rng);
-            out[i] = if d.a { s1 } else { s0 };
-            out[i + 1] = if d.b { s1 } else { s0 };
-            i += 2;
-        }
-        if i < tasks.len() {
-            // Odd balancer out: uniform random.
-            out[i] = rng.gen_range(0..self.n_servers);
-        }
-        out
+        assign_pairs(tasks, self.n_servers, rng, |x, y, rng| {
+            self.rule.bits(x, y, rng)
+        })
     }
 
     fn name(&self) -> &'static str {
-        self.decider.label()
+        self.rule.label()
     }
 }
 

@@ -25,6 +25,7 @@
 //! cannot change a single drawn bit, which is what lets a soak run's
 //! canonical artifact stay byte-identical across `QNLG_THREADS`.
 
+use games::pairing;
 use qsim::werner::WernerPair;
 use runtime::{stream_seed, SplitMix64};
 
@@ -81,9 +82,10 @@ impl DecisionSlot {
     #[inline]
     pub fn place(&self, x: bool, y: bool) -> Placement {
         let bits = self.outcomes[((x as usize) << 1) | (y as usize)];
+        let (first, second) = pairing::place((self.s0, self.s1), (bits & 1 != 0, bits & 2 != 0));
         Placement {
-            first: if bits & 1 != 0 { self.s1 } else { self.s0 },
-            second: if bits & 2 != 0 { self.s1 } else { self.s0 },
+            first,
+            second,
             tier: self.tier,
             seq: self.seq,
         }
@@ -106,53 +108,39 @@ pub fn fallback_rng(endpoint_seed: u64) -> SplitMix64 {
     SplitMix64::new(stream_seed(endpoint_seed, 0))
 }
 
-/// Draws the distinct candidate pair `(s0, s1)` — the same
-/// uniform-then-bump rule as `loadbalance::pipeline`.
-#[inline]
-fn draw_candidates(n_servers: u32, rng: &mut SplitMix64) -> (u32, u32) {
-    let s0 = rng.gen_range(n_servers);
-    let mut s1 = rng.gen_range(n_servers - 1);
-    if s1 >= s0 {
-        s1 += 1;
-    }
-    (s0, s1)
-}
-
 /// Draws a quantum-tier slot from a consumed pair: one candidate draw
-/// plus one exact joint sample ([`WernerPair::sample`]) per input
+/// plus one flipped-CHSH round ([`pairing::werner_bits`]) per input
 /// combination (6 RNG draws total, all from the slot's own sub-stream).
 pub fn draw_quantum(seq: u64, n_servers: u32, pair: &WernerPair, rng: &mut SplitMix64) -> DecisionSlot {
-    let (s0, s1) = draw_candidates(n_servers, rng);
+    let (s0, s1) = pairing::candidates(n_servers as usize, rng);
     let mut outcomes = [0u8; 4];
     for x in 0..2usize {
         for y in 0..2usize {
-            let (a, b) = pair.sample(games::chsh::alice_angle(x), games::chsh::bob_angle(y), rng);
-            // Flipped game (§4.1): Alice's placement bit is a == 1, Bob's
-            // is b == 0 — same mapping as loadbalance::pipeline::coordinate.
-            outcomes[(x << 1) | y] = u8::from(a == 1) | (u8::from(b == 0) << 1);
+            let (a, b) = pairing::werner_bits(pair, x, y, rng);
+            outcomes[(x << 1) | y] = u8::from(a) | (u8::from(b) << 1);
         }
     }
     DecisionSlot {
         seq,
-        s0,
-        s1,
+        s0: s0 as u32,
+        s1: s1 as u32,
         outcomes,
         tier: TIER_QUANTUM,
     }
 }
 
-/// Outcome bits of the classical always-split rule: `(a, b) = (false,
-/// true)` for every input, i.e. first task → `s0`, second → `s1`.
+/// Outcome bits of the classical always-split rule ([`pairing::SPLIT`])
+/// for every input: first task → `s0`, second → `s1`.
 pub const CLASSICAL_OUTCOMES: [u8; 4] = [0b10; 4];
 
 /// Draws a classical-shared slot: distinct candidates split
 /// unconditionally (win rate 0.75, the best classical pairing).
 pub fn draw_classical_shared(seq: u64, n_servers: u32, rng: &mut SplitMix64) -> DecisionSlot {
-    let (s0, s1) = draw_candidates(n_servers, rng);
+    let (s0, s1) = pairing::candidates(n_servers as usize, rng);
     DecisionSlot {
         seq,
-        s0,
-        s1,
+        s0: s0 as u32,
+        s1: s1 as u32,
         outcomes: CLASSICAL_OUTCOMES,
         tier: TIER_CLASSICAL,
     }
