@@ -72,7 +72,11 @@ fn bench_sweep_executor(c: &mut Criterion) {
                     let strategy = strategies[si];
                     let load = loads[li];
                     scope.spawn(move || {
-                        let q = cell(strategy, load, runtime::point_seed(40, si as u64, li as u64));
+                        let q = cell(
+                            strategy,
+                            load,
+                            runtime::point_seed(40, si as u64, li as u64),
+                        );
                         lock.lock().expect("sweep lock").push((si, li, q));
                     });
                 }

@@ -202,7 +202,10 @@ fn emit(out: &RunOutput, opts: &Options) -> bool {
     let Some(dir) = &opts.out else {
         return true;
     };
-    let mut files = vec![(format!("BENCH_{}.json", out.report.name), format!("{line}\n"))];
+    let mut files = vec![(
+        format!("BENCH_{}.json", out.report.name),
+        format!("{line}\n"),
+    )];
     if let Some(log) = &out.trace_log {
         files.push((
             format!("TRACE_{}.json", out.report.name),
@@ -216,7 +219,8 @@ fn emit(out: &RunOutput, opts: &Options) -> bool {
             "trace: {} events ({} dropped) -> {}",
             log.events.len(),
             log.dropped,
-            dir.join(format!("TRACE_{}.json", out.report.name)).display()
+            dir.join(format!("TRACE_{}.json", out.report.name))
+                .display()
         );
     }
     for (name, contents) in &files {
@@ -243,7 +247,11 @@ fn summary_table(rows: &[(&'static str, PerfStats, bool)]) -> String {
         let mut lead = vec![
             name.to_string(),
             format!("{:.1}", perf.elapsed_ns as f64 / 1e6),
-            if *passed { "PASS".into() } else { "FAIL".into() },
+            if *passed {
+                "PASS".into()
+            } else {
+                "FAIL".into()
+            },
         ];
         if perf.metrics.is_empty() {
             t.row(lead);
@@ -272,7 +280,14 @@ fn perf_diff(old_dir: &Path, new_dir: &Path, tolerance: f64) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let d = perfdiff::diff(&old, &new, tolerance);
-    let mut t = Table::new(vec!["experiment", "metric", "old", "new", "ratio", "status"]);
+    let mut t = Table::new(vec![
+        "experiment",
+        "metric",
+        "old",
+        "new",
+        "ratio",
+        "status",
+    ]);
     for l in &d.lines {
         let fmt = |v: f64| {
             if l.metric == "elapsed_ns" {
@@ -287,7 +302,11 @@ fn perf_diff(old_dir: &Path, new_dir: &Path, tolerance: f64) -> ExitCode {
             fmt(l.old),
             l.new.map_or_else(|| "missing".into(), fmt),
             format!("{:.2}x", l.slowdown),
-            if l.regressed { "REGRESSED".into() } else { "ok".into() },
+            if l.regressed {
+                "REGRESSED".into()
+            } else {
+                "ok".into()
+            },
         ]);
     }
     println!("perf-diff (tolerance {tolerance:.2}x)");

@@ -24,24 +24,28 @@ pub fn run(quick: bool) -> Report {
     let xor = XorGame::chsh();
 
     let tasks: Vec<usize> = (0..6).collect();
-    let mc = runtime::par_sweep(crate::point_seed(3, 0, 0), &tasks, |_, &task, rng| match task {
-        0 => empirical_win_rate(
-            &game,
-            &mut ClassicalChshStrategy::optimal(ChshVariant::Standard),
-            rounds,
-            rng,
-        ),
-        1 => empirical_win_rate(&game, &mut IndependentRandomStrategy, rounds, rng),
-        2 => empirical_win_rate(&game, &mut QuantumChshStrategy::ideal(), rounds, rng),
-        3 => empirical_win_rate(
-            &ChshGame::flipped(),
-            &mut QuantumChshStrategy::ideal_flipped(),
-            rounds,
-            rng,
-        ),
-        4 => xor.quantum_solution(8, rng).value,
-        _ => multiparty::quantum_win_rate(if quick { 2_000 } else { 20_000 }, rng),
-    });
+    let mc = runtime::par_sweep(
+        crate::point_seed(3, 0, 0),
+        &tasks,
+        |_, &task, rng| match task {
+            0 => empirical_win_rate(
+                &game,
+                &mut ClassicalChshStrategy::optimal(ChshVariant::Standard),
+                rounds,
+                rng,
+            ),
+            1 => empirical_win_rate(&game, &mut IndependentRandomStrategy, rounds, rng),
+            2 => empirical_win_rate(&game, &mut QuantumChshStrategy::ideal(), rounds, rng),
+            3 => empirical_win_rate(
+                &ChshGame::flipped(),
+                &mut QuantumChshStrategy::ideal_flipped(),
+                rounds,
+                rng,
+            ),
+            4 => xor.quantum_solution(8, rng).value,
+            _ => multiparty::quantum_win_rate(if quick { 2_000 } else { 20_000 }, rng),
+        },
+    );
     let (classical, independent, quantum, flipped, solver_quantum, ghz_quantum) =
         (mc[0], mc[1], mc[2], mc[3], mc[4], mc[5]);
 
@@ -55,7 +59,11 @@ pub fn run(quick: bool) -> Report {
 
     let mut report = Report::new("chsh", 3);
     let mut t = Table::new(vec!["quantity", "measured", "theory"]);
-    t.row(vec!["CHSH independent-random".into(), f4(independent), f4(0.5)]);
+    t.row(vec![
+        "CHSH independent-random".into(),
+        f4(independent),
+        f4(0.5),
+    ]);
     t.row(vec![
         "CHSH classical optimal".into(),
         f4(classical),
@@ -103,9 +111,24 @@ pub fn run(quick: bool) -> Report {
     let wilson_of = |rate: f64, n: u64| wilson((rate * n as f64).round() as u64, n);
     let mc_rows: &[(&str, f64, f64, u64)] = &[
         ("independent_random", independent, 0.5, rounds as u64),
-        ("classical_optimal", classical, games::CHSH_CLASSICAL_VALUE, rounds as u64),
-        ("quantum_paper_angles", quantum, games::chsh_quantum_value(), rounds as u64),
-        ("quantum_flipped", flipped, games::chsh_quantum_value(), rounds as u64),
+        (
+            "classical_optimal",
+            classical,
+            games::CHSH_CLASSICAL_VALUE,
+            rounds as u64,
+        ),
+        (
+            "quantum_paper_angles",
+            quantum,
+            games::chsh_quantum_value(),
+            rounds as u64,
+        ),
+        (
+            "quantum_flipped",
+            flipped,
+            games::chsh_quantum_value(),
+            rounds as u64,
+        ),
         ("ghz_quantum", ghz_quantum, 1.0, ghz_rounds as u64),
     ];
     for &(name, measured, theory, n) in mc_rows {
@@ -119,7 +142,11 @@ pub fn run(quick: bool) -> Report {
     }
     for (name, measured, theory) in [
         ("xor_solver_classical", solver_classical, 0.75),
-        ("xor_solver_quantum", solver_quantum, games::chsh_quantum_value()),
+        (
+            "xor_solver_quantum",
+            solver_quantum,
+            games::chsh_quantum_value(),
+        ),
         ("xor_solver_pgd", solver_pgd, games::chsh_quantum_value()),
         ("ghz_classical", ghz_classical, 0.75),
     ] {

@@ -9,9 +9,9 @@
 use crate::report::Report;
 use crate::table::{f4, Table};
 use ecmp::model::{run_rounds, EcmpScenario};
+use ecmp::reduction_deviation;
 use ecmp::search::{exhaustive_quantum_search, pigeonhole_lower_bound};
 use ecmp::strategy::{EntangledStateKind, GlobalEntangled, IidRandom, SharedPermutation};
-use ecmp::reduction_deviation;
 use obs::json::Json;
 use qmath::stats::wilson;
 use qsim::bell;
@@ -67,8 +67,10 @@ pub fn run(quick: bool) -> Report {
         "w-spread-angles",
     ];
     let row_ids: Vec<usize> = (0..rows.len()).collect();
-    let probs = runtime::par_sweep(crate::point_seed(4, 1, 0), &row_ids, |_, &row, rng| {
-        match row {
+    let probs = runtime::par_sweep(
+        crate::point_seed(4, 1, 0),
+        &row_ids,
+        |_, &row, rng| match row {
             0 => run_rounds(scenario, &mut IidRandom, rounds, rng).collision_probability,
             1 => {
                 let mut s = SharedPermutation::new(3, 2, rng);
@@ -82,8 +84,8 @@ pub fn run(quick: bool) -> Report {
                 let mut s = GlobalEntangled::new(EntangledStateKind::W, vec![0.0, 2.094, 4.189]);
                 run_rounds(scenario, &mut s, rounds, rng).collision_probability
             }
-        }
-    });
+        },
+    );
     let mut t = Table::new(vec!["strategy", "P(collision)"]);
     for (name, p) in rows.iter().zip(&probs) {
         t.row(vec![name.to_string(), f4(*p)]);

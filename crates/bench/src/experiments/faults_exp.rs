@@ -122,7 +122,12 @@ fn sim_point(
         HysteresisConfig::default(),
         &mut rng,
     );
-    let r = run_simulation_with(config, &mut strat, &mut BernoulliWorkload::paper(), &mut rng);
+    let r = run_simulation_with(
+        config,
+        &mut strat,
+        &mut BernoulliWorkload::paper(),
+        &mut rng,
+    );
     let stats = strat.pipeline().stats();
     let dist = strat.pipeline().distributor_stats();
     let rounds = strat.governor().rounds();
@@ -166,7 +171,11 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             warmup: steps / 4,
             discipline: Discipline::PaperPairedC,
         };
-        let strategy = if arm == 0 { Strategy::PairedAlwaysSplit } else { Strategy::UniformRandom };
+        let strategy = if arm == 0 {
+            Strategy::PairedAlwaysSplit
+        } else {
+            Strategy::UniformRandom
+        };
         let mut rng = StdRng::seed_from_u64(crate::point_seed(43, 9, arm as u64));
         run_simulation(config, strategy, &mut BernoulliWorkload::paper(), &mut rng).avg_queue_len
     });
@@ -183,8 +192,9 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             crate::point_seed(43, di as u64, ci as u64),
         )
     });
-    let mut cells: Vec<Vec<Option<FaultPoint>>> =
-        (0..durations.len()).map(|_| (0..capacities.len()).map(|_| None).collect()).collect();
+    let mut cells: Vec<Vec<Option<FaultPoint>>> = (0..durations.len())
+        .map(|_| (0..capacities.len()).map(|_| None).collect())
+        .collect();
     for (&(di, ci), r) in points.iter().zip(flat) {
         cells[di][ci] = Some(r);
     }
@@ -203,7 +213,11 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
         }];
         row.extend((0..capacities.len()).map(|ci| {
             let p = cell(di, ci);
-            format!("q̄ {} ({:.0}% coord)", f2(p.avg_queue), 100.0 * p.coordinated)
+            format!(
+                "q̄ {} ({:.0}% coord)",
+                f2(p.avg_queue),
+                100.0 * p.coordinated
+            )
         }));
         t.row(row);
     }
@@ -228,7 +242,9 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             .collect();
         let knee = knee_load(&pts, knee_threshold);
         report.scalar(format!("knee.cap{c}"), knee.unwrap_or(f64::INFINITY));
-        let shown = knee.map(|k| format!("{k:.1} ms")).unwrap_or_else(|| "none".into());
+        let shown = knee
+            .map(|k| format!("{k:.1} ms"))
+            .unwrap_or_else(|| "none".into());
         knees.push_str(&format!(
             "  cap {c:<3} queue knee (q̄ > 1.25 × classical split) at outage = {shown}\n"
         ));
@@ -256,7 +272,10 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             ]));
         }
     }
-    report.scalar("governor_transitions.total", total_governor_transitions as f64);
+    report.scalar(
+        "governor_transitions.total",
+        total_governor_transitions as f64,
+    );
 
     // Coordinated-round intervals for the control and the worst case.
     let control = cell(0, 1);

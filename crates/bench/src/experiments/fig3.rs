@@ -172,7 +172,11 @@ pub fn run_vertices_with_threads(threads: usize, quick: bool) -> Report {
     report.check(
         "grows-with-vertices",
         rate(7) > rate(3),
-        format!("P(adv | n=7) = {:.3} > P(adv | n=3) = {:.3}", rate(7), rate(3)),
+        format!(
+            "P(adv | n=7) = {:.3} > P(adv | n=3) = {:.3}",
+            rate(7),
+            rate(3)
+        ),
     );
     report.check(
         "majority-at-seven",

@@ -71,8 +71,7 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             crate::point_seed(40, si as u64, li as u64),
         )
     });
-    let mut cells: Vec<Vec<Option<SimResult>>> =
-        vec![vec![None; loads.len()]; strategies.len()];
+    let mut cells: Vec<Vec<Option<SimResult>>> = vec![vec![None; loads.len()]; strategies.len()];
     for (&(si, li), r) in points.iter().zip(flat) {
         cells[si][li] = Some(r);
     }
@@ -106,7 +105,9 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
         let shown = knee
             .map(|k| format!("{k:.1}"))
             .unwrap_or_else(|| "> 1.5".into());
-        knees.push_str(&format!("  {name:<16} knee (queue > 10) at N/M = {shown}\n"));
+        knees.push_str(&format!(
+            "  {name:<16} knee (queue > 10) at N/M = {shown}\n"
+        ));
     }
 
     // Per-point payloads: the full SimResult of every grid cell.
@@ -142,7 +143,10 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
         ck <= qk,
         format!("classical knee {ck} ≤ quantum knee {qk}"),
     );
-    let li12 = loads.iter().position(|&l| (l - 1.2).abs() < 1e-9).expect("load 1.2 in grid");
+    let li12 = loads
+        .iter()
+        .position(|&l| (l - 1.2).abs() < 1e-9)
+        .expect("load 1.2 in grid");
     let (cq, qq) = (cell(0, li12).avg_queue_len, cell(qi, li12).avg_queue_len);
     report.check(
         "quantum-shorter-at-1.2",
@@ -161,7 +165,11 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
 /// consistent as N varies."
 pub fn run_scaling(quick: bool) -> Report {
     let steps = if quick { 600 } else { 3_000 };
-    let ns: &[usize] = if quick { &[20, 60, 100] } else { &[20, 60, 100, 200] };
+    let ns: &[usize] = if quick {
+        &[20, 60, 100]
+    } else {
+        &[20, 60, 100, 200]
+    };
     let loads = [1.0, 1.2];
     let strategies = [
         ("uniform-random", Strategy::UniformRandom),
@@ -214,7 +222,9 @@ pub fn run_scaling(quick: bool) -> Report {
     let quantum_at_1 = &cells[1][0];
     let (lo, hi) = quantum_at_1
         .iter()
-        .fold((f64::INFINITY, 0.0f64), |(lo, hi), &q| (lo.min(q), hi.max(q)));
+        .fold((f64::INFINITY, 0.0f64), |(lo, hi), &q| {
+            (lo.min(q), hi.max(q))
+        });
     report.scalar("quantum_spread_at_load_1.0", hi / lo);
     report.check(
         "n-independence",
@@ -251,15 +261,30 @@ pub fn run_disciplines(quick: bool) -> Report {
     let mut t = Table::new(vec!["discipline", "classical q̄", "quantum q̄", "reduction"]);
     let points = runtime::grid2(disciplines.len(), 2);
     let flat = runtime::par_map(&points, |_, &(di, arm)| {
-        let strategy = if arm == 0 { Strategy::UniformRandom } else { Strategy::quantum_ideal() };
-        sim_point(n, load, steps, disciplines[di], strategy, crate::point_seed(42, di as u64, arm as u64))
+        let strategy = if arm == 0 {
+            Strategy::UniformRandom
+        } else {
+            Strategy::quantum_ideal()
+        };
+        sim_point(
+            n,
+            load,
+            steps,
+            disciplines[di],
+            strategy,
+            crate::point_seed(42, di as u64, arm as u64),
+        )
     });
     let mut report = Report::new("fig4-disciplines", 42);
     let mut paper_reduction = f64::NAN;
     for (di, d) in disciplines.iter().enumerate() {
         let (cr, qr) = (&flat[di * 2], &flat[di * 2 + 1]);
         let (c, q) = (cr.avg_queue_len, qr.avg_queue_len);
-        let red = if c > 0.0 { format!("{:.0}%", 100.0 * (1.0 - q / c)) } else { "-".into() };
+        let red = if c > 0.0 {
+            format!("{:.0}%", 100.0 * (1.0 - q / c))
+        } else {
+            "-".into()
+        };
         if di == 0 {
             paper_reduction = 1.0 - q / c;
             report.scalar("paper_discipline_reduction", paper_reduction);
@@ -302,11 +327,27 @@ mod tests {
         for (i, &load) in loads.iter().enumerate() {
             classical.push((
                 load,
-                sim_point(40, load, 600, Discipline::PaperPairedC, Strategy::UniformRandom, crate::point_seed(99, i as u64, 0)).avg_queue_len,
+                sim_point(
+                    40,
+                    load,
+                    600,
+                    Discipline::PaperPairedC,
+                    Strategy::UniformRandom,
+                    crate::point_seed(99, i as u64, 0),
+                )
+                .avg_queue_len,
             ));
             quantum.push((
                 load,
-                sim_point(40, load, 600, Discipline::PaperPairedC, Strategy::quantum_ideal(), crate::point_seed(99, i as u64, 1)).avg_queue_len,
+                sim_point(
+                    40,
+                    load,
+                    600,
+                    Discipline::PaperPairedC,
+                    Strategy::quantum_ideal(),
+                    crate::point_seed(99, i as u64, 1),
+                )
+                .avg_queue_len,
             ));
         }
         let ck = knee_load(&classical, 2.0);

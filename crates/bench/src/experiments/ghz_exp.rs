@@ -67,7 +67,11 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
     let mut out = String::new();
 
     // (a) Mermin game: N × visibility, kernel-backed batches.
-    let ns: &[usize] = if quick { &[3, 5, 8] } else { &[3, 4, 5, 6, 7, 8, 9, 10] };
+    let ns: &[usize] = if quick {
+        &[3, 5, 8]
+    } else {
+        &[3, 4, 5, 6, 7, 8, 9, 10]
+    };
     let rounds: u64 = if quick { 4_000 } else { 50_000 };
     let mut crossovers: Vec<(usize, f64, f64)> = Vec::new();
     let mut rate_at_v0: Vec<(usize, f64)> = Vec::new();
@@ -117,12 +121,7 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             ("crossover_theory", Json::num(theory)),
             ("classical_bound", Json::num(bound)),
         ]));
-        t.row(vec![
-            n.to_string(),
-            f4(bound),
-            f4(measured),
-            f4(theory),
-        ]);
+        t.row(vec![n.to_string(), f4(bound), f4(measured), f4(theory)]);
     }
     out.push_str(&format!(
         "E9a — Mermin crossover visibility per player count \
@@ -150,7 +149,12 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             f4(v),
             f4(b.win_rate()),
             f4(theory),
-            (if b.win_rate() > 8.0 / 9.0 { "yes" } else { "NO" }).to_string(),
+            (if b.win_rate() > 8.0 / 9.0 {
+                "yes"
+            } else {
+                "NO"
+            })
+            .to_string(),
         ]);
         report.interval(format!("magic.v{v:.4}"), wilson(b.wins, b.rounds));
         report.point(Json::obj([
@@ -193,9 +197,7 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
     report.check(
         "no-advantage-at-zero-visibility",
         worst_v0 < 0.0,
-        format!(
-            "v = 0 win rates sit below the classical bound (worst margin {worst_v0:+.4})"
-        ),
+        format!("v = 0 win rates sit below the classical bound (worst margin {worst_v0:+.4})"),
     );
     let worst_cross = crossovers
         .iter()
@@ -263,7 +265,10 @@ mod tests {
 
     #[test]
     fn crossover_handles_edges() {
-        assert_eq!(crossover_from_sweep(&[0.0, 1.0], &[0.9, 1.0], 0.5), Some(0.0));
+        assert_eq!(
+            crossover_from_sweep(&[0.0, 1.0], &[0.9, 1.0], 0.5),
+            Some(0.0)
+        );
         assert_eq!(crossover_from_sweep(&[0.0, 1.0], &[0.1, 0.2], 0.5), None);
     }
 }

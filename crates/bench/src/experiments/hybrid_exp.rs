@@ -58,11 +58,8 @@ pub fn run(quick: bool) -> Report {
                 .iter()
                 .enumerate()
                 .map(|(fi, &f)| {
-                    let mut rng = StdRng::seed_from_u64(crate::point_seed(
-                        7,
-                        100 + fi as u64,
-                        ki as u64,
-                    ));
+                    let mut rng =
+                        StdRng::seed_from_u64(crate::point_seed(7, 100 + fi as u64, ki as u64));
                     let mut workload = BernoulliWorkload::new(0.5, k);
                     run_simulation(
                         config,

@@ -76,8 +76,7 @@ pub fn run(quick: bool) -> Report {
             discipline: Discipline::PaperPairedC,
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        run_simulation(config, strategy, &mut BernoulliWorkload::paper(), &mut rng)
-            .avg_queue_len
+        run_simulation(config, strategy, &mut BernoulliWorkload::paper(), &mut rng).avg_queue_len
     };
     let mut rows: Vec<(String, Strategy, u64)> = vec![
         (
@@ -91,7 +90,10 @@ pub fn run(quick: bool) -> Report {
             crate::point_seed(6, 1, 1),
         ),
     ];
-    for (vi, v) in [1.0, 0.9, 0.8, WERNER_CHSH_THRESHOLD, 0.5].iter().enumerate() {
+    for (vi, v) in [1.0, 0.9, 0.8, WERNER_CHSH_THRESHOLD, 0.5]
+        .iter()
+        .enumerate()
+    {
         rows.push((
             format!("quantum, visibility {v:.3}"),
             Strategy::PairedQuantum {

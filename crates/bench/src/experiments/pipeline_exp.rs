@@ -45,7 +45,11 @@ pub fn run(quick: bool) -> Report {
     // Baselines — each arm on its own seed so both run concurrently.
     let baselines = runtime::par_map(&[0usize, 1], |_, &arm| {
         let mut rng = StdRng::seed_from_u64(crate::point_seed(8, 0, arm as u64));
-        let strategy = if arm == 0 { Strategy::UniformRandom } else { Strategy::quantum_ideal() };
+        let strategy = if arm == 0 {
+            Strategy::UniformRandom
+        } else {
+            Strategy::quantum_ideal()
+        };
         let r = run_simulation(config, strategy, &mut BernoulliWorkload::paper(), &mut rng);
         (r.avg_queue_len, r.cc_colocation_rate)
     });

@@ -39,7 +39,12 @@ struct Point {
     perf: Option<PerfStats>,
 }
 
-fn scale_config(n_servers: usize, workload: ArrivalModel, steps: u64, threads: usize) -> ScaleConfig {
+fn scale_config(
+    n_servers: usize,
+    workload: ArrivalModel,
+    steps: u64,
+    threads: usize,
+) -> ScaleConfig {
     let sim = SimConfig {
         n_balancers: (n_servers as f64 * LOAD).round() as usize,
         n_servers,
@@ -89,7 +94,13 @@ fn point_json(p: &Point) -> Json {
     let mut point = sim_result_to_json(&p.result);
     if let Json::Obj(pairs) = &mut point {
         pairs.insert(0, ("workload".into(), Json::str(p.workload.label())));
-        pairs.insert(0, ("shards".into(), Json::uint(default_shards(p.n_servers) as u64)));
+        pairs.insert(
+            0,
+            (
+                "shards".into(),
+                Json::uint(default_shards(p.n_servers) as u64),
+            ),
+        );
         pairs.insert(0, ("n_servers".into(), Json::uint(p.n_servers as u64)));
         pairs.push((
             "perf".into(),
@@ -289,10 +300,7 @@ mod tests {
         let a = run_full(1, true, false);
         let b = run_full(3, true, false);
         assert_eq!(a.text, b.text);
-        assert_eq!(
-            format!("{:?}", a.scalars),
-            format!("{:?}", b.scalars)
-        );
+        assert_eq!(format!("{:?}", a.scalars), format!("{:?}", b.scalars));
         assert_eq!(a.points.len(), b.points.len());
         for (pa, pb) in a.points.iter().zip(&b.points) {
             assert_eq!(pa.render(), pb.render());

@@ -7,10 +7,8 @@ use crate::report::Report;
 use crate::table::Table;
 use obs::json::Json;
 use qmath::stats::wilson;
-use qnet::{
-    DecisionLatencyModel, DistributorConfig, EntanglementDistributor, SimTime,
-};
 use qnet::timing::run_timing_experiment;
+use qnet::{DecisionLatencyModel, DistributorConfig, EntanglementDistributor, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Duration;
@@ -54,12 +52,7 @@ pub fn run(quick: bool) -> Report {
     });
 
     let mut report = Report::new("timing", 5);
-    let mut t = Table::new(vec![
-        "model",
-        "mean latency",
-        "p99 latency",
-        "coordinated",
-    ]);
+    let mut t = Table::new(vec!["model", "mean latency", "p99 latency", "coordinated"]);
     let mut quantum_mean_ns = f64::NAN;
     for (&m, r) in models.iter().zip(&results) {
         let label = match m {
@@ -89,8 +82,14 @@ pub fn run(quick: bool) -> Report {
         );
         report.point(Json::obj([
             ("model", Json::str(&label)),
-            ("mean_latency_ns", Json::uint(r.mean_latency.as_nanos() as u64)),
-            ("p99_latency_ns", Json::uint(r.p99_latency.as_nanos() as u64)),
+            (
+                "mean_latency_ns",
+                Json::uint(r.mean_latency.as_nanos() as u64),
+            ),
+            (
+                "p99_latency_ns",
+                Json::uint(r.p99_latency.as_nanos() as u64),
+            ),
             ("coordinated_fraction", Json::num(r.coordinated_fraction)),
             ("inputs", Json::uint(inputs as u64)),
         ]));

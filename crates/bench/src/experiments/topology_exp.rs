@@ -191,7 +191,10 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
         let dsum: u64 = delivered.iter().sum();
         star_rows.push((fanout, gmin, gmax, dsum));
         report.scalar(format!("star.granted_per_pair.f{fanout}"), gmax as f64);
-        report.interval(format!("star.deliver.f{fanout}"), wilson(dsum, total_granted));
+        report.interval(
+            format!("star.deliver.f{fanout}"),
+            wilson(dsum, total_granted),
+        );
         report.point(Json::obj([
             ("part", Json::str("star")),
             ("fanout", Json::uint(fanout as u64)),
@@ -253,18 +256,36 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
     // Pairs 0 and 1 are cross-rack (ride the trunks); pair 2 is
     // intra-rack (leaf edges only — outside any trunk blast radius).
     let tree_pairs = [
-        PairDemand { from: s0, to: s2, demand: 64 },
-        PairDemand { from: s1, to: s3, demand: 64 },
-        PairDemand { from: s0, to: s1, demand: 64 },
+        PairDemand {
+            from: s0,
+            to: s2,
+            demand: 64,
+        },
+        PairDemand {
+            from: s1,
+            to: s3,
+            demand: 64,
+        },
+        PairDemand {
+            from: s0,
+            to: s1,
+            demand: 64,
+        },
     ];
     let mut plan = FaultPlan::none();
     let ms = |e: u64| SimTime::from_secs_f64(e as f64 * 1e-3);
     plan.push(FaultWindow {
         start: ms(CUT_ONE),
         end: ms(CUT_CLEAR),
-        kind: FaultKind::EdgeCut { edge: tree.primary_trunks[0] },
+        kind: FaultKind::EdgeCut {
+            edge: tree.primary_trunks[0],
+        },
     });
-    for edge in [tree.primary_trunks[1], tree.backup_trunks[0], tree.backup_trunks[1]] {
+    for edge in [
+        tree.primary_trunks[1],
+        tree.backup_trunks[0],
+        tree.backup_trunks[1],
+    ] {
         plan.push(FaultWindow {
             start: ms(CUT_ALL),
             end: ms(CUT_CLEAR),
@@ -296,16 +317,32 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
     let mut intra_unaffected = true;
     let mut starved_pair_epochs = 0u64;
     let mut tripped = [false; 2];
-    let mut t = Table::new(vec!["epoch", "faults", "pair", "route", "v_e2e", "delivered", "mode"]);
+    let mut t = Table::new(vec![
+        "epoch",
+        "faults",
+        "pair",
+        "route",
+        "v_e2e",
+        "delivered",
+        "mode",
+    ]);
     for epoch in 0..TREE_EPOCHS {
         clock.advance_through(ms(epoch));
         let downed = clock.downed_edges(g.edges().len());
         let n_cuts = downed.iter().filter(|&&d| d).count();
-        let outcomes = route_epoch(&g, &tree_pairs, &downed, Policy::RoundRobin, epoch, &mut rng);
+        let outcomes = route_epoch(
+            &g,
+            &tree_pairs,
+            &downed,
+            Policy::RoundRobin,
+            epoch,
+            &mut rng,
+        );
         for (i, o) in outcomes.iter().enumerate() {
             let label = ["s0-s2", "s1-s3", "s0-s1"][i];
             let mode = if i < 2 {
-                let mode = governors[i].observe_delivery(o.delivered, tree_pairs[i].demand, o.visibility);
+                let mode =
+                    governors[i].observe_delivery(o.delivered, tree_pairs[i].demand, o.visibility);
                 if mode != CoordinationMode::Quantum {
                     tripped[i] = true;
                 }
@@ -319,8 +356,8 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             } else {
                 // The intra-rack pair never crosses a trunk: it must ride
                 // out every cut at full visibility and full grants.
-                intra_unaffected &= o.visibility > WERNER_CHSH_THRESHOLD
-                    && o.granted == tree_pairs[i].demand;
+                intra_unaffected &=
+                    o.visibility > WERNER_CHSH_THRESHOLD && o.granted == tree_pairs[i].demand;
                 "-"
             };
             let route = match &o.route {
@@ -342,7 +379,10 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
                 ("pair", Json::str(label)),
                 ("cut_edges", Json::uint(n_cuts as u64)),
                 ("routed", Json::Bool(o.route.is_some())),
-                ("hops", Json::uint(o.route.as_ref().map_or(0, |r| r.edges.len() as u64))),
+                (
+                    "hops",
+                    Json::uint(o.route.as_ref().map_or(0, |r| r.edges.len() as u64)),
+                ),
                 ("visibility", Json::num(o.visibility)),
                 ("granted", Json::uint(o.granted)),
                 ("delivered", Json::uint(o.delivered)),
@@ -361,7 +401,10 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
         ("affected_pairs", Json::uint(affected_pairs)),
         ("intra_unaffected", Json::Bool(intra_unaffected)),
         ("starved_pair_epochs", Json::uint(starved_pair_epochs)),
-        ("governors_tripped", Json::uint(tripped.iter().filter(|&&x| x).count() as u64)),
+        (
+            "governors_tripped",
+            Json::uint(tripped.iter().filter(|&&x| x).count() as u64),
+        ),
         ("governors_recovered", Json::Bool(recovered)),
     ]));
     out.push_str(&format!(
@@ -385,7 +428,9 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
         format!(
             "v_e2e strictly decreases over hops {:?} ({:.4} → {:.4})",
             hops_grid,
-            specs.first().map_or(f64::NAN, |s| s.end_to_end_visibility()),
+            specs
+                .first()
+                .map_or(f64::NAN, |s| s.end_to_end_visibility()),
             specs.last().map_or(f64::NAN, |s| s.end_to_end_visibility()),
         ),
     );
@@ -409,9 +454,7 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
         ),
     );
     let split_exact = star_rows.iter().all(|&(_, gmin, gmax, _)| gmax - gmin <= 1);
-    let rate_falls = star_rows
-        .windows(2)
-        .all(|w| w[1].2 < w[0].2); // per-pair granted falls with fanout
+    let rate_falls = star_rows.windows(2).all(|w| w[1].2 < w[0].2); // per-pair granted falls with fanout
     report.check(
         "star-contention-splits-rate",
         split_exact && rate_falls,

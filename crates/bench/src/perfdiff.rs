@@ -100,8 +100,8 @@ pub fn load_dir(dir: &Path) -> Result<Vec<PerfEntry>, String> {
         let content = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         for line in content.lines().filter(|l| !l.trim().is_empty()) {
-            let doc = validate_artifact_line(line)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
+            let doc =
+                validate_artifact_line(line).map_err(|e| format!("{}: {e}", path.display()))?;
             out.push(entry_from_doc(&doc)?);
         }
     }
@@ -232,7 +232,10 @@ mod tests {
 
     #[test]
     fn self_comparison_never_regresses() {
-        let set = vec![fig4(true, 5_000_000, 2e6), entry("timing", true, 1_000_000, vec![])];
+        let set = vec![
+            fig4(true, 5_000_000, 2e6),
+            entry("timing", true, 1_000_000, vec![]),
+        ];
         let d = diff(&set, &set, DEFAULT_TOLERANCE);
         assert!(!d.regressed(), "self-diff must pass: {:?}", d.lines);
         assert!(d.lines.iter().all(|l| (l.slowdown - 1.0).abs() < 1e-12));
@@ -284,8 +287,18 @@ mod tests {
 
     #[test]
     fn zero_new_throughput_is_a_regression() {
-        let old = vec![entry("pipeline", true, 1_000, vec![rate("pairs_per_sec", 1e6)])];
-        let new = vec![entry("pipeline", true, 1_000, vec![rate("pairs_per_sec", 0.0)])];
+        let old = vec![entry(
+            "pipeline",
+            true,
+            1_000,
+            vec![rate("pairs_per_sec", 1e6)],
+        )];
+        let new = vec![entry(
+            "pipeline",
+            true,
+            1_000,
+            vec![rate("pairs_per_sec", 0.0)],
+        )];
         let d = diff(&old, &new, DEFAULT_TOLERANCE);
         assert!(d.regressed());
         assert!(d
@@ -296,8 +309,18 @@ mod tests {
 
     #[test]
     fn vanished_metric_regresses_and_new_only_metric_is_not_compared() {
-        let old = vec![entry("pipeline", true, 1_000, vec![rate("pairs_per_sec", 1e6)])];
-        let new = vec![entry("pipeline", true, 1_000, vec![rate("tasks_per_sec", 9e5)])];
+        let old = vec![entry(
+            "pipeline",
+            true,
+            1_000,
+            vec![rate("pairs_per_sec", 1e6)],
+        )];
+        let new = vec![entry(
+            "pipeline",
+            true,
+            1_000,
+            vec![rate("tasks_per_sec", 9e5)],
+        )];
         let d = diff(&old, &new, DEFAULT_TOLERANCE);
         assert!(d.regressed());
         let metrics: Vec<&str> = d.lines.iter().map(|l| l.metric.as_str()).collect();
@@ -314,10 +337,18 @@ mod tests {
             ..timed.clone()
         };
         for (old, new) in [(&timed, &pinned), (&pinned, &timed), (&pinned, &pinned)] {
-            let d = diff(slice::from_ref(old), slice::from_ref(new), DEFAULT_TOLERANCE);
+            let d = diff(
+                slice::from_ref(old),
+                slice::from_ref(new),
+                DEFAULT_TOLERANCE,
+            );
             assert!(!d.regressed(), "{:?}", d.lines);
             assert!(d.lines.is_empty());
-            assert!(d.skipped.iter().any(|s| s.contains("null")), "{:?}", d.skipped);
+            assert!(
+                d.skipped.iter().any(|s| s.contains("null")),
+                "{:?}",
+                d.skipped
+            );
         }
     }
 
@@ -336,9 +367,17 @@ mod tests {
         };
         let old = serve(8e6, 255.0);
         // Faster (lower) p99 and faster throughput: no regression.
-        let d = diff(slice::from_ref(&old), &[serve(9e6, 127.0)], DEFAULT_TOLERANCE);
+        let d = diff(
+            slice::from_ref(&old),
+            &[serve(9e6, 127.0)],
+            DEFAULT_TOLERANCE,
+        );
         assert!(!d.regressed());
-        let p99 = d.lines.iter().find(|l| l.metric == "decision_p99_ns").unwrap();
+        let p99 = d
+            .lines
+            .iter()
+            .find(|l| l.metric == "decision_p99_ns")
+            .unwrap();
         assert!((p99.slowdown - 127.0 / 255.0).abs() < 1e-12);
         // p99 quadrupling trips the gate even with throughput unchanged.
         let d = diff(&[old], &[serve(8e6, 1023.0)], DEFAULT_TOLERANCE);
@@ -360,7 +399,10 @@ mod tests {
         report.point(Json::obj([("load", Json::num(1.0))]));
         let perf = PerfStats {
             elapsed_ns: 42_000,
-            metrics: vec![rate("rounds_per_sec", 5e5), latency("decision_p99_ns", 511.0)],
+            metrics: vec![
+                rate("rounds_per_sec", 5e5),
+                latency("decision_p99_ns", 511.0),
+            ],
         };
         let ctx = crate::RunContext {
             quick: true,
@@ -373,7 +415,10 @@ mod tests {
         let line = report.to_json(&ctx).render();
         crate::report::write_artifact(&dir, "BENCH_sample.json", &format!("{line}\n"))
             .expect("write artifact");
-        assert_eq!(artifact_paths(&dir), Ok(vec![dir.join("BENCH_sample.json")]));
+        assert_eq!(
+            artifact_paths(&dir),
+            Ok(vec![dir.join("BENCH_sample.json")])
+        );
         let entries = load_dir(&dir).expect("load artifacts");
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].experiment, "sample");

@@ -449,17 +449,25 @@ pub fn obs_to_json(snap: &obs::Snapshot) -> Json {
         Json::obj([
             ("count", Json::uint(h.count)),
             ("sum", Json::uint(h.sum)),
-            ("min", if h.count > 0 { Json::uint(h.min) } else { Json::Null }),
-            ("max", if h.count > 0 { Json::uint(h.max) } else { Json::Null }),
+            (
+                "min",
+                if h.count > 0 {
+                    Json::uint(h.min)
+                } else {
+                    Json::Null
+                },
+            ),
+            (
+                "max",
+                if h.count > 0 {
+                    Json::uint(h.max)
+                } else {
+                    Json::Null
+                },
+            ),
             ("mean", Json::num(h.mean())),
-            (
-                "p50",
-                h.percentile(0.5).map_or(Json::Null, Json::uint),
-            ),
-            (
-                "p99",
-                h.percentile(0.99).map_or(Json::Null, Json::uint),
-            ),
+            ("p50", h.percentile(0.5).map_or(Json::Null, Json::uint)),
+            ("p99", h.percentile(0.99).map_or(Json::Null, Json::uint)),
         ])
     };
     Json::obj([
@@ -810,10 +818,7 @@ mod tests {
         assert!(!nested.exists(), "precondition: target dir absent");
         let path = write_artifact(&nested, "BENCH_x.json", "{\"ok\":true}\n")
             .expect("writes through missing parents");
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"ok\":true}\n"
-        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "{\"ok\":true}\n");
         // Second write into the now-existing dir overwrites cleanly.
         write_artifact(&nested, "BENCH_x.json", "{}\n").expect("rewrite");
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "{}\n");

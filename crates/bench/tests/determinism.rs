@@ -202,8 +202,9 @@ fn fig4_faults_chaos_run_is_deterministic() {
 /// cannot observe it.
 #[test]
 fn trace_on_off_and_ring_capacity_leave_artifacts_identical() {
-    let reference =
-        canonical_json(&qnlg_bench::experiments::faults_exp::run_with_threads(2, true));
+    let reference = canonical_json(&qnlg_bench::experiments::faults_exp::run_with_threads(
+        2, true,
+    ));
     for capacity in [256, 4096] {
         trace::reset();
         trace::set_capacity(capacity);
@@ -562,7 +563,11 @@ fn fig4_artifact_line_matches_schema() {
     assert!(!points.is_empty());
     for p in points {
         for field in ["strategy", "load", "avg_queue_len", "cc_colocation_rate"] {
-            assert!(p.get(field).is_some(), "point missing {field}: {}", p.render());
+            assert!(
+                p.get(field).is_some(),
+                "point missing {field}: {}",
+                p.render()
+            );
         }
     }
     let intervals = doc.get("intervals").unwrap().as_obj().unwrap();

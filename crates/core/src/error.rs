@@ -41,7 +41,9 @@ mod tests {
 
     #[test]
     fn display() {
-        assert!(CoreError::RoundOverrun { ahead: 3 }.to_string().contains('3'));
+        assert!(CoreError::RoundOverrun { ahead: 3 }
+            .to_string()
+            .contains('3'));
         assert!(CoreError::UnknownTaskClass {
             vertex: 9,
             n_classes: 5

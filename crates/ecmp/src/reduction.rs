@@ -217,8 +217,7 @@ mod tests {
         let state = bell::w_state(3);
         for bc in bases() {
             let dev =
-                reduction_deviation(&state, &Basis1::angle(0.7), &Basis1::angle(1.9), &bc)
-                    .unwrap();
+                reduction_deviation(&state, &Basis1::angle(0.7), &Basis1::angle(1.9), &bc).unwrap();
             assert!(dev < 1e-10, "deviation {dev}");
         }
     }
@@ -229,9 +228,13 @@ mod tests {
         let mut amps = Vec::with_capacity(8);
         let mut seed = 12345u64;
         for _ in 0..8 {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let re = ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let im = ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
             amps.push(C64::new(re, im));
         }
@@ -240,8 +243,7 @@ mod tests {
         let state = StateVector::from_amplitudes(amps).unwrap();
         for bc in bases() {
             let dev =
-                reduction_deviation(&state, &Basis1::angle(0.2), &Basis1::angle(2.5), &bc)
-                    .unwrap();
+                reduction_deviation(&state, &Basis1::angle(0.2), &Basis1::angle(2.5), &bc).unwrap();
             assert!(dev < 1e-10, "deviation {dev}");
         }
     }
@@ -268,8 +270,8 @@ mod tests {
         // Tracing C from GHZ leaves (|00⟩⟨00| + |11⟩⟨11|)/2: perfect
         // Z-correlation, zero X-correlation (no entanglement left).
         let state = bell::ghz(3);
-        let z = joint_ab_traced(&state, &Basis1::computational(), &Basis1::computational())
-            .unwrap();
+        let z =
+            joint_ab_traced(&state, &Basis1::computational(), &Basis1::computational()).unwrap();
         assert!((z[0] - 0.5).abs() < 1e-10); // 00
         assert!((z[3] - 0.5).abs() < 1e-10); // 11
         let x = joint_ab_traced(

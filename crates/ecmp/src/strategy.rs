@@ -196,9 +196,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let classical_opt = 1.0 / 3.0;
         let grid = [
-            [0.0, 2.094, 4.189], // 120°-spread
+            [0.0, 2.094, 4.189],                                      // 120°-spread
             [0.0, std::f64::consts::FRAC_PI_2, std::f64::consts::PI], // 90°-spread
-            [0.524, 1.571, 2.618], // asymmetric
+            [0.524, 1.571, 2.618],                                    // asymmetric
         ];
         for angles in grid {
             let mut s = GlobalEntangled::new(EntangledStateKind::Ghz, angles.to_vec());
@@ -214,10 +214,7 @@ mod tests {
     #[test]
     fn w_state_also_bounded_by_classical() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut s = GlobalEntangled::new(
-            EntangledStateKind::W,
-            vec![0.0, 2.094, 4.189],
-        );
+        let mut s = GlobalEntangled::new(EntangledStateKind::W, vec![0.0, 2.094, 4.189]);
         let stats = run_rounds(EcmpScenario::minimal(), &mut s, 30_000, &mut rng);
         assert!(
             stats.collision_probability >= 1.0 / 3.0 - 0.01,

@@ -243,7 +243,11 @@ fn canonical_form(game: &XorGame) -> Canonical {
     let neg: Vec<f64> = m.iter().map(|&v| if v == 0.0 { 0.0 } else { -v }).collect();
     let a = canonicalize_signed(&m, na, nb, symmetric);
     let b = canonicalize_signed(&neg, na, nb, symmetric);
-    let mat = if cmp_slices(&b, &a) == Ordering::Less { b } else { a };
+    let mat = if cmp_slices(&b, &a) == Ordering::Less {
+        b
+    } else {
+        a
+    };
     let mut key = Vec::with_capacity(2 + mat.len());
     key.push(na as u64);
     key.push(nb as u64);
@@ -499,7 +503,9 @@ mod tests {
                 "classical {} vs {direct_c}",
                 cached.classical_bias
             );
-            let direct_q = game.quantum_solution_with(&SolverOpts::default(), &mut rng).bias;
+            let direct_q = game
+                .quantum_solution_with(&SolverOpts::default(), &mut rng)
+                .bias;
             assert!(
                 (cached.quantum_bias - direct_q).abs() < 1e-6,
                 "quantum {} vs {direct_q}",

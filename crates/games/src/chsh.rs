@@ -220,7 +220,10 @@ mod tests {
         let game = ChshGame::flipped();
         let mut s = QuantumChshStrategy::ideal_flipped();
         let rate = empirical_win_rate(&game, &mut s, 60_000, &mut rng);
-        assert!((rate - crate::chsh_quantum_value()).abs() < 0.01, "rate {rate}");
+        assert!(
+            (rate - crate::chsh_quantum_value()).abs() < 0.01,
+            "rate {rate}"
+        );
     }
 
     #[test]

@@ -345,13 +345,17 @@ mod tests {
     #[test]
     fn perfect_correlation_and_anticorrelation() {
         let mut rng = StdRng::seed_from_u64(5);
-        let boxx = CorrelationBox::new(RMatrix::from_fn(1, 2, |_, y| {
-            if y == 0 {
-                1.0
-            } else {
-                -1.0
-            }
-        }));
+        let boxx = CorrelationBox::new(RMatrix::from_fn(
+            1,
+            2,
+            |_, y| {
+                if y == 0 {
+                    1.0
+                } else {
+                    -1.0
+                }
+            },
+        ));
         for _ in 0..100 {
             let (a, b) = boxx.sample(0, 0, &mut rng);
             assert_eq!(a, b);

@@ -187,7 +187,10 @@ mod tests {
         for p11 in [0.0, 1.0] {
             let game = biased_chsh(p11);
             assert!((game.classical_value().unwrap() - 1.0).abs() < 1e-12);
-            assert!(!game.has_quantum_advantage(1e-4, &mut rng).unwrap(), "p11 = {p11}");
+            assert!(
+                !game.has_quantum_advantage(1e-4, &mut rng).unwrap(),
+                "p11 = {p11}"
+            );
         }
         // Mid-bias retains an advantage.
         let game = biased_chsh(0.25);

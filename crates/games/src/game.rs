@@ -206,7 +206,8 @@ mod tests {
         let m = AgreeGame.input_matrix();
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 2);
-        let total: f64 = (0..2).flat_map(|x| (0..2).map(move |y| (x, y)))
+        let total: f64 = (0..2)
+            .flat_map(|x| (0..2).map(move |y| (x, y)))
             .map(|(x, y)| m[(x, y)])
             .sum();
         assert!((total - 1.0).abs() < 1e-12);

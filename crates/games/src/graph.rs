@@ -93,13 +93,17 @@ impl AffinityGraph {
         let n = self.n;
         let n_pairs = if include_diagonal { n * n } else { n * n - n };
         let p = 1.0 / n_pairs as f64;
-        let prob = RMatrix::from_fn(n, n, |x, y| {
-            if !include_diagonal && x == y {
-                0.0
-            } else {
-                p
-            }
-        });
+        let prob = RMatrix::from_fn(
+            n,
+            n,
+            |x, y| {
+                if !include_diagonal && x == y {
+                    0.0
+                } else {
+                    p
+                }
+            },
+        );
         let target = (0..n)
             .map(|x| (0..n).map(|y| self.is_exclusive(x, y)).collect())
             .collect();

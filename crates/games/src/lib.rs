@@ -39,9 +39,9 @@
 
 pub mod cache;
 pub mod chsh;
+pub mod correlation;
 pub mod error;
 pub mod family;
-pub mod correlation;
 pub mod game;
 pub mod graph;
 pub mod magic;

@@ -218,13 +218,18 @@ pub fn mermin_quantum_win_rate<R: Rng + ?Sized>(n: usize, rounds: usize, rng: &m
 /// [`mermin_inputs`].
 pub fn mermin_input_masks(n: usize) -> Vec<u64> {
     assert!(n >= 2, "Mermin game needs at least two players");
-    (0..1u64 << n).filter(|m| m.count_ones().is_multiple_of(2)).collect()
+    (0..1u64 << n)
+        .filter(|m| m.count_ones().is_multiple_of(2))
+        .collect()
 }
 
 /// Mask form of [`mermin_wins`]: bit `j` of `outcome` is player `j`'s
 /// answer; the win target for even-weight `y_mask` is `(wt mod 4)/2`.
 pub fn mermin_wins_mask(y_mask: u64, outcome: u64) -> bool {
-    debug_assert!(y_mask.count_ones().is_multiple_of(2), "Mermin inputs have even parity");
+    debug_assert!(
+        y_mask.count_ones().is_multiple_of(2),
+        "Mermin inputs have even parity"
+    );
     let target = y_mask.count_ones() % 4 == 2;
     (outcome.count_ones() % 2 == 1) == target
 }
@@ -318,7 +323,10 @@ mod tests {
         for &inputs in &GHZ_INPUTS {
             for _ in 0..200 {
                 let outputs = play_quantum_round(inputs, &mut rng);
-                assert!(ghz_wins(inputs, outputs), "lost on {inputs:?} → {outputs:?}");
+                assert!(
+                    ghz_wins(inputs, outputs),
+                    "lost on {inputs:?} → {outputs:?}"
+                );
             }
         }
     }
@@ -404,10 +412,7 @@ mod mermin_tests {
         let mut rng = StdRng::seed_from_u64(5);
         for n in [3usize, 4, 5, 6] {
             let rate = mermin_quantum_win_rate(n, 400, &mut rng);
-            assert!(
-                (rate - 1.0).abs() < 1e-12,
-                "n = {n}: quantum rate {rate}"
-            );
+            assert!((rate - 1.0).abs() < 1e-12, "n = {n}: quantum rate {rate}");
         }
     }
 
@@ -493,7 +498,11 @@ mod kernel_tests {
         let mut rng = StdRng::seed_from_u64(12);
         let kernel = NoisyGhz::new(4, 0.0).unwrap();
         let batch = play_mermin_batch(&kernel, 40_000, &mut rng);
-        assert!((batch.win_rate() - 0.5).abs() < 0.01, "{}", batch.win_rate());
+        assert!(
+            (batch.win_rate() - 0.5).abs() < 0.01,
+            "{}",
+            batch.win_rate()
+        );
     }
 
     #[test]

@@ -312,7 +312,8 @@ impl XorGame {
 
     /// Quantum value `(1 + β_q)/2` with default solver settings.
     pub fn quantum_value<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.quantum_solution_with(&SolverOpts::default(), rng).value
+        self.quantum_solution_with(&SolverOpts::default(), rng)
+            .value
     }
 
     /// True if the quantum value exceeds the classical value by more than
@@ -542,7 +543,10 @@ mod tests {
     #[test]
     fn gray_code_matches_naive_on_chsh() {
         let g = XorGame::chsh();
-        assert_eq!(g.classical_bias().unwrap(), g.classical_bias_naive().unwrap());
+        assert_eq!(
+            g.classical_bias().unwrap(),
+            g.classical_bias_naive().unwrap()
+        );
     }
 
     #[test]
@@ -589,7 +593,11 @@ mod tests {
         };
         let sol = XorGame::chsh().quantum_solution_with(&opts, &mut rng);
         assert!((sol.bias - SQRT1_2).abs() < 1e-6, "bias {}", sol.bias);
-        assert_eq!(rng.gen::<u64>(), before, "warm start must not draw from the RNG");
+        assert_eq!(
+            rng.gen::<u64>(),
+            before,
+            "warm start must not draw from the RNG"
+        );
     }
 
     #[test]
@@ -704,10 +712,7 @@ mod tests {
             // PGD is the *cross-check* method: first-order, with an
             // approximate elliptope projection — agreement to ~2% is the
             // designed contract (the alternating solver is the primary).
-            assert!(
-                (alt - pgd).abs() < 2e-2,
-                "alternating {alt} vs pgd {pgd}"
-            );
+            assert!((alt - pgd).abs() < 2e-2, "alternating {alt} vs pgd {pgd}");
         }
     }
 

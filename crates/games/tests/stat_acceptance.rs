@@ -26,7 +26,10 @@ const ROUNDS: u64 = 50_000;
 fn wins<S: PairStrategy>(game: &ChshGame, strategy: &mut S, rng: &mut StdRng) -> u64 {
     let mut wins = 0u64;
     for _ in 0..ROUNDS {
-        let (x, y) = (usize::from(rng.gen::<bool>()), usize::from(rng.gen::<bool>()));
+        let (x, y) = (
+            usize::from(rng.gen::<bool>()),
+            usize::from(rng.gen::<bool>()),
+        );
         let (a, b) = strategy.play(x, y, rng);
         wins += u64::from(game.wins(x, y, a, b));
     }
@@ -81,7 +84,12 @@ fn sub_threshold_visibility_is_significantly_below_classical() {
         ChshVariant::Standard,
     );
     let w = wins(&game, &mut strategy, &mut rng);
-    let check = assert_prob_in!(w, ROUNDS, 0.5 + v * std::f64::consts::SQRT_2 / 4.0, conf = CONF);
+    let check = assert_prob_in!(
+        w,
+        ROUNDS,
+        0.5 + v * std::f64::consts::SQRT_2 / 4.0,
+        conf = CONF
+    );
     assert!(
         check.hi < 0.75,
         "upper bound {:.4} must fall below the classical optimum (n = {ROUNDS}, conf = {CONF})",
@@ -141,6 +149,11 @@ fn magic_square_hits_its_closed_form() {
         let mut rng = StdRng::seed_from_u64(600 + lane as u64);
         let game = games::magic::MagicSquare::new(v).expect("valid visibility");
         let batch = game.play_batch(ROUNDS, &mut rng);
-        assert_prob_in!(batch.wins, ROUNDS, games::magic::quantum_win(v), conf = CONF);
+        assert_prob_in!(
+            batch.wins,
+            ROUNDS,
+            games::magic::quantum_win(v),
+            conf = CONF
+        );
     }
 }

@@ -255,11 +255,7 @@ impl Server {
                 Some(_) => vec![0],
             },
             Discipline::ExclusiveFirst => {
-                if let Some(first_e) = self
-                    .queue
-                    .iter()
-                    .position(|t| !t.ty.is_colocate())
-                {
+                if let Some(first_e) = self.queue.iter().position(|t| !t.ty.is_colocate()) {
                     vec![first_e]
                 } else if let Some(first_c) = self.first_colocate(0) {
                     self.pair_of_colocate(first_c)

@@ -220,7 +220,10 @@ impl FallbackGovernor {
     /// `polled` attempts) and returns the mode to use for the *next*
     /// round.
     pub fn observe(&mut self, delivered: u64, polled: u64) -> CoordinationMode {
-        debug_assert!(delivered <= polled, "delivered {delivered} > polled {polled}");
+        debug_assert!(
+            delivered <= polled,
+            "delivered {delivered} > polled {polled}"
+        );
         match self.mode {
             CoordinationMode::Quantum => ROUNDS_QUANTUM.inc(),
             CoordinationMode::ClassicalShared => ROUNDS_CLASSICAL.inc(),
@@ -497,10 +500,7 @@ mod tests {
     fn above_threshold_visibility_passes_delivery_through() {
         let mut g = FallbackGovernor::new(quick_hysteresis());
         for _ in 0..50 {
-            assert_eq!(
-                g.observe_delivery(10, 10, 0.85),
-                CoordinationMode::Quantum
-            );
+            assert_eq!(g.observe_delivery(10, 10, 0.85), CoordinationMode::Quantum);
         }
         assert_eq!(g.transitions(), 0);
     }

@@ -56,10 +56,9 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::NoBalancers => write!(f, "need at least one load balancer"),
-            SimError::TooFewServers { n_servers, min } => write!(
-                f,
-                "need at least {min} servers, got {n_servers}"
-            ),
+            SimError::TooFewServers { n_servers, min } => {
+                write!(f, "need at least {min} servers, got {n_servers}")
+            }
             SimError::NoTimesteps => write!(f, "need at least one measured timestep"),
             SimError::HorizonOverflow { warmup, timesteps } => write!(
                 f,

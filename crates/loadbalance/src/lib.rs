@@ -57,8 +57,8 @@ pub mod task;
 pub use degrade::{CoordinationMode, Degrading, FallbackGovernor, HysteresisConfig};
 pub use error::SimError;
 pub use metrics::{SimResult, WaitReservoir};
-pub use server::{Discipline, Server};
 pub use pipeline::PipelinePairedQuantum;
+pub use server::{Discipline, Server};
 pub use shard::{run_scaled, ScaleConfig, ScaleStrategy};
 pub use sim::{
     run_simulation, run_simulation_with, try_run_simulation, try_run_simulation_with, SimConfig,

@@ -73,14 +73,7 @@ impl WaitReservoir {
 
     #[inline]
     fn priority(&self, server: u64, seq: u64) -> u64 {
-        mix64(
-            self.seed
-                ^ mix64(
-                    server
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        .wrapping_add(seq),
-                ),
-        )
+        mix64(self.seed ^ mix64(server.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(seq)))
     }
 
     /// Offers the wait of completion number `seq` on `server`.
@@ -263,8 +256,7 @@ mod tests {
 
     #[test]
     fn reservoir_survivors_are_insertion_order_invariant() {
-        let offers: Vec<(u64, u64, u64)> =
-            (0..500).map(|i| (i % 17, i / 17, i * 3 % 97)).collect();
+        let offers: Vec<(u64, u64, u64)> = (0..500).map(|i| (i % 17, i / 17, i * 3 % 97)).collect();
         let mut fwd = WaitReservoir::with_capacity(99, 32);
         for &(s, k, w) in &offers {
             fwd.offer(s, k, w);
@@ -288,8 +280,9 @@ mod tests {
         for &(s, k, w) in &offers {
             global.offer(s, k, w);
         }
-        let mut shards: Vec<WaitReservoir> =
-            (0..4).map(|_| WaitReservoir::with_capacity(3, 64)).collect();
+        let mut shards: Vec<WaitReservoir> = (0..4)
+            .map(|_| WaitReservoir::with_capacity(3, 64))
+            .collect();
         for &(s, k, w) in &offers {
             shards[(s % 4) as usize].offer(s, k, w);
         }

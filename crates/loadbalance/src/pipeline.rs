@@ -116,7 +116,10 @@ impl PipelinePairedQuantum {
 
     /// Total fault-window edges replayed across all pipelines.
     pub fn fault_transitions(&self) -> u64 {
-        self.distributors.iter().map(|d| d.fault_transitions()).sum()
+        self.distributors
+            .iter()
+            .map(|d| d.fault_transitions())
+            .sum()
     }
 
     /// Advances every pipeline one timestep and polls each for a pair,
@@ -231,8 +234,7 @@ mod tests {
             &mut BernoulliWorkload::paper(),
             &mut rng,
         );
-        let rel = (piped.avg_queue_len - ideal.avg_queue_len).abs()
-            / ideal.avg_queue_len.max(1e-9);
+        let rel = (piped.avg_queue_len - ideal.avg_queue_len).abs() / ideal.avg_queue_len.max(1e-9);
         assert!(
             rel < 0.4,
             "pipeline {} vs ideal {}",

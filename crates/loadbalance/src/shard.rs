@@ -848,8 +848,8 @@ mod tests {
             &mut BernoulliWorkload::paper(),
             &mut rng,
         );
-        let rel = (scaled.avg_queue_len - legacy.avg_queue_len).abs()
-            / legacy.avg_queue_len.max(0.05);
+        let rel =
+            (scaled.avg_queue_len - legacy.avg_queue_len).abs() / legacy.avg_queue_len.max(0.05);
         assert!(
             rel < 0.35,
             "scaled {} vs legacy {} (rel {rel})",
@@ -961,7 +961,14 @@ mod tests {
 
     #[test]
     fn part_of_is_the_exact_inverse_of_part() {
-        for &(n, shards) in &[(1usize, 1usize), (5, 4), (41, 4), (165, 4), (165, 16), (100, 7)] {
+        for &(n, shards) in &[
+            (1usize, 1usize),
+            (5, 4),
+            (41, 4),
+            (165, 4),
+            (165, 16),
+            (100, 7),
+        ] {
             for s in 0..n {
                 let b = part_of(s, n, shards);
                 let (lo, hi) = part(b, n, shards);

@@ -325,8 +325,7 @@ where
 
     let wait_samples = waits.sorted_waits();
     let served: u64 = servers.iter().map(|s| s.served).sum::<u64>() - served_before_window;
-    let total_wait: u64 =
-        servers.iter().map(|s| s.total_wait).sum::<u64>() - wait_before_window;
+    let total_wait: u64 = servers.iter().map(|s| s.total_wait).sum::<u64>() - wait_before_window;
     let samples = config.timesteps * config.n_servers as u64;
 
     // Obs flushes, hoisted out of the step loop: counters once per run,
@@ -388,11 +387,7 @@ where
 /// Points run concurrently on the shared pool, each on a seed stream
 /// derived from one draw on `rng` — the result depends only on the
 /// caller's RNG state, never on the worker count.
-pub fn load_sweep<R: Rng>(
-    strategy: Strategy,
-    loads: &[f64],
-    rng: &mut R,
-) -> Vec<(f64, f64)> {
+pub fn load_sweep<R: Rng>(strategy: Strategy, loads: &[f64], rng: &mut R) -> Vec<(f64, f64)> {
     let master = rng.next_u64();
     runtime::par_sweep(master, loads, |_, &load, rng| {
         let _span = obs::span!("sweep.point");
@@ -531,8 +526,7 @@ mod tests {
         assert_eq!(r.queue_len_series.len(), QUEUE_SERIES_WINDOWS);
         // Window means aggregate to (approximately — windows differ by at
         // most one step in width) the overall mean.
-        let series_mean =
-            r.queue_len_series.iter().sum::<f64>() / r.queue_len_series.len() as f64;
+        let series_mean = r.queue_len_series.iter().sum::<f64>() / r.queue_len_series.len() as f64;
         assert!(
             (series_mean - r.avg_queue_len).abs() < 0.05 * r.avg_queue_len.max(1.0),
             "series mean {series_mean} vs avg {}",
@@ -712,7 +706,8 @@ mod delay_metric_tests {
         }
         // The paper's Figure 4 caption is about queuing delay: quantum
         // must improve the tail, not just the mean queue length.
-        let mean_p99 = |rs: &[SimResult]| rs.iter().map(|r| r.p99_wait).sum::<f64>() / rs.len() as f64;
+        let mean_p99 =
+            |rs: &[SimResult]| rs.iter().map(|r| r.p99_wait).sum::<f64>() / rs.len() as f64;
         let (cp, qp) = (mean_p99(&classical), mean_p99(&quantum));
         assert!(qp <= cp, "quantum mean p99 {qp} vs classical {cp}");
     }

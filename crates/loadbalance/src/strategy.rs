@@ -421,8 +421,7 @@ mod tests {
                     .unwrap();
                 same_exact += usize::from((a == 1) == (b == 0));
             }
-            let diff =
-                (same_fast as f64 - same_exact as f64).abs() / trials as f64;
+            let diff = (same_fast as f64 - same_exact as f64).abs() / trials as f64;
             assert!(diff < 0.03, "{tasks:?}: fast vs exact differ by {diff}");
         }
     }

@@ -138,7 +138,11 @@ impl Workload for BurstyWorkload {
         if rng.gen::<f64>() < self.switch_prob {
             self.hot = !self.hot;
         }
-        let p = if self.hot { self.p_c_hot } else { self.p_c_cold };
+        let p = if self.hot {
+            self.p_c_hot
+        } else {
+            self.p_c_cold
+        };
         if rng.gen::<f64>() < p {
             TaskType::Colocate(0)
         } else {

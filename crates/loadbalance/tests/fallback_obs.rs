@@ -32,7 +32,11 @@ fn transition_counts_match_obs_counters() {
         }
     }
     assert_eq!(g.mode(), CoordinationMode::Quantum);
-    assert!(g.transitions() >= 4, "expected a full excursion, got {}", g.transitions());
+    assert!(
+        g.transitions() >= 4,
+        "expected a full excursion, got {}",
+        g.transitions()
+    );
 
     let snap = obs::snapshot();
     obs::set_enabled(false);

@@ -47,10 +47,16 @@ fn never_flaps_inside_the_dead_band() {
         let tripped = g.transitions();
         let modes = drive(&mut g, rate, 200);
         assert!(
-            modes.iter().all(|&m| m == CoordinationMode::ClassicalShared),
+            modes
+                .iter()
+                .all(|&m| m == CoordinationMode::ClassicalShared),
             "rate {rate} flapped out of ClassicalShared"
         );
-        assert_eq!(g.transitions(), tripped, "no further transitions in the band");
+        assert_eq!(
+            g.transitions(),
+            tripped,
+            "no further transitions in the band"
+        );
     }
 }
 
@@ -141,7 +147,10 @@ fn degrading_strategy_trips_and_recovers_on_a_real_outage() {
         strat.assign_all(&tasks, &lens, &mut rng);
         saw_degraded |= strat.governor().mode() != CoordinationMode::Quantum;
     }
-    assert!(saw_degraded, "governor never left Quantum during the outage");
+    assert!(
+        saw_degraded,
+        "governor never left Quantum during the outage"
+    );
     assert_eq!(
         strat.governor().mode(),
         CoordinationMode::Quantum,
@@ -149,5 +158,8 @@ fn degrading_strategy_trips_and_recovers_on_a_real_outage() {
     );
     assert!(strat.governor().transitions() >= 2);
     assert!(strat.coordinated_fraction() < 1.0);
-    assert!(strat.pipeline().fault_transitions() >= 2, "both fault edges replayed");
+    assert!(
+        strat.pipeline().fault_transitions() >= 2,
+        "both fault edges replayed"
+    );
 }

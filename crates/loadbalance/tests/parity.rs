@@ -59,9 +59,19 @@ fn every_strategy_matches_the_frozen_loop_on_a_quick_config() {
     for (label, strategy) in strategies() {
         let mut rng_a = StdRng::seed_from_u64(0x9a11);
         let mut rng_b = StdRng::seed_from_u64(0x9a11);
-        let a = run_simulation(config, strategy, &mut BernoulliWorkload::paper(), &mut rng_a);
-        let b = run_simulation_aos(config, strategy, &mut BernoulliWorkload::paper(), &mut rng_b)
-            .unwrap();
+        let a = run_simulation(
+            config,
+            strategy,
+            &mut BernoulliWorkload::paper(),
+            &mut rng_a,
+        );
+        let b = run_simulation_aos(
+            config,
+            strategy,
+            &mut BernoulliWorkload::paper(),
+            &mut rng_b,
+        )
+        .unwrap();
         assert_same(&a, &b, label);
     }
 }
@@ -75,9 +85,19 @@ fn the_paper_config_matches_at_the_knee() {
     ] {
         let mut rng_a = StdRng::seed_from_u64(42);
         let mut rng_b = StdRng::seed_from_u64(42);
-        let a = run_simulation(config, strategy, &mut BernoulliWorkload::paper(), &mut rng_a);
-        let b = run_simulation_aos(config, strategy, &mut BernoulliWorkload::paper(), &mut rng_b)
-            .unwrap();
+        let a = run_simulation(
+            config,
+            strategy,
+            &mut BernoulliWorkload::paper(),
+            &mut rng_a,
+        );
+        let b = run_simulation_aos(
+            config,
+            strategy,
+            &mut BernoulliWorkload::paper(),
+            &mut rng_b,
+        )
+        .unwrap();
         assert_same(&a, &b, label);
     }
 }
@@ -103,8 +123,8 @@ fn every_discipline_matches_under_a_bursty_workload() {
         let mut rng_a = StdRng::seed_from_u64(7);
         let mut rng_b = StdRng::seed_from_u64(7);
         let a = run_simulation(config, Strategy::quantum_ideal(), &mut wl_a, &mut rng_a);
-        let b = run_simulation_aos(config, Strategy::quantum_ideal(), &mut wl_b, &mut rng_b)
-            .unwrap();
+        let b =
+            run_simulation_aos(config, Strategy::quantum_ideal(), &mut wl_b, &mut rng_b).unwrap();
         assert_same(&a, &b, discipline.label());
     }
 }

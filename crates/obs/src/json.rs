@@ -315,8 +315,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(_) => {
                 // Consume one UTF-8 scalar (input is a &str, so this is
                 // always at a char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid utf-8".to_string())?;
+                let rest =
+                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8".to_string())?;
                 let c = rest.chars().next().expect("non-empty");
                 out.push(c);
                 *pos += c.len_utf8();
@@ -405,7 +405,10 @@ mod tests {
     #[test]
     fn roundtrips() {
         let doc = Json::obj([
-            ("arr", Json::Arr(vec![Json::Int(0), Json::Num(0.8536), Json::Null])),
+            (
+                "arr",
+                Json::Arr(vec![Json::Int(0), Json::Num(0.8536), Json::Null]),
+            ),
             ("nested", Json::obj([("k", Json::str("v"))])),
             ("neg", Json::Int(-17)),
             ("tiny", Json::Num(1e-12)),

@@ -59,8 +59,7 @@ pub use span::SpanGuard;
 #[macro_export]
 macro_rules! span {
     ($label:literal) => {{
-        static SPAN_HIST: $crate::LazyHist =
-            $crate::LazyHist::new(concat!("time.", $label, ".ns"));
+        static SPAN_HIST: $crate::LazyHist = $crate::LazyHist::new(concat!("time.", $label, ".ns"));
         $crate::SpanGuard::new(&SPAN_HIST)
     }};
 }

@@ -46,7 +46,9 @@ struct Registry {
     shards: [Mutex<HashMap<String, Metric>>; REGISTRY_SHARDS],
 }
 
-fn lock_shard(m: &Mutex<HashMap<String, Metric>>) -> std::sync::MutexGuard<'_, HashMap<String, Metric>> {
+fn lock_shard(
+    m: &Mutex<HashMap<String, Metric>>,
+) -> std::sync::MutexGuard<'_, HashMap<String, Metric>> {
     // A panic while holding a shard lock (e.g. a type-conflict panic in
     // a test) never leaves the map inconsistent, so poison is recoverable.
     m.lock().unwrap_or_else(|e| e.into_inner())
@@ -239,7 +241,10 @@ pub struct Snapshot {
 impl Snapshot {
     /// Counter value by name.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
+        self.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
     }
 
     /// Gauge state by name.
@@ -261,7 +266,8 @@ pub fn snapshot() -> Snapshot {
         for (name, metric) in shard.iter() {
             match metric {
                 Metric::Counter(c) => {
-                    snap.counters.push((name.clone(), c.load(Ordering::Relaxed)));
+                    snap.counters
+                        .push((name.clone(), c.load(Ordering::Relaxed)));
                 }
                 Metric::Gauge(g) => snap.gauges.push((
                     name.clone(),
@@ -291,7 +297,10 @@ pub struct LazyCounter {
 impl LazyCounter {
     /// Declares a counter named `name` without registering it yet.
     pub const fn new(name: &'static str) -> Self {
-        LazyCounter { name, cell: OnceLock::new() }
+        LazyCounter {
+            name,
+            cell: OnceLock::new(),
+        }
     }
 
     fn get(&self) -> &Counter {
@@ -324,7 +333,10 @@ pub struct LazyGauge {
 impl LazyGauge {
     /// Declares a gauge named `name` without registering it yet.
     pub const fn new(name: &'static str) -> Self {
-        LazyGauge { name, cell: OnceLock::new() }
+        LazyGauge {
+            name,
+            cell: OnceLock::new(),
+        }
     }
 
     fn get(&self) -> &Gauge {
@@ -357,7 +369,10 @@ pub struct LazyHist {
 impl LazyHist {
     /// Declares a histogram named `name` without registering it yet.
     pub const fn new(name: &'static str) -> Self {
-        LazyHist { name, cell: OnceLock::new() }
+        LazyHist {
+            name,
+            cell: OnceLock::new(),
+        }
     }
 
     pub(crate) fn get(&self) -> &Hist {

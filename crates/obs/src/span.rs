@@ -19,7 +19,11 @@ impl SpanGuard {
     /// Starts timing (inert if collection is disabled).
     pub fn new(hist: &'static LazyHist) -> Self {
         SpanGuard {
-            start: if enabled() { Some(Instant::now()) } else { None },
+            start: if enabled() {
+                Some(Instant::now())
+            } else {
+                None
+            },
             hist,
         }
     }

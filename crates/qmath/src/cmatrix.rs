@@ -143,13 +143,7 @@ impl CMatrix {
             });
         }
         Ok((0..self.rows)
-            .map(|i| {
-                self.row(i)
-                    .iter()
-                    .zip(v)
-                    .map(|(a, x)| *a * *x)
-                    .sum()
-            })
+            .map(|i| self.row(i).iter().zip(v).map(|(a, x)| *a * *x).sum())
             .collect())
     }
 
@@ -307,21 +301,11 @@ mod tests {
     use super::*;
 
     fn pauli_x() -> CMatrix {
-        CMatrix::from_vec(
-            2,
-            2,
-            vec![C64::ZERO, C64::ONE, C64::ONE, C64::ZERO],
-        )
-        .unwrap()
+        CMatrix::from_vec(2, 2, vec![C64::ZERO, C64::ONE, C64::ONE, C64::ZERO]).unwrap()
     }
 
     fn pauli_y() -> CMatrix {
-        CMatrix::from_vec(
-            2,
-            2,
-            vec![C64::ZERO, -C64::I, C64::I, C64::ZERO],
-        )
-        .unwrap()
+        CMatrix::from_vec(2, 2, vec![C64::ZERO, -C64::I, C64::I, C64::ZERO]).unwrap()
     }
 
     #[test]
@@ -336,12 +320,7 @@ mod tests {
     fn pauli_algebra_xy_equals_iz() {
         let xy = pauli_x().matmul(&pauli_y()).unwrap();
         // XY = iZ
-        let iz = CMatrix::from_vec(
-            2,
-            2,
-            vec![C64::I, C64::ZERO, C64::ZERO, -C64::I],
-        )
-        .unwrap();
+        let iz = CMatrix::from_vec(2, 2, vec![C64::I, C64::ZERO, C64::ZERO, -C64::I]).unwrap();
         assert!(xy.max_abs_diff(&iz) < 1e-12);
     }
 

@@ -129,7 +129,11 @@ pub fn eigh(a: &RMatrix) -> Result<EigenDecomposition, MathError> {
 /// Sorts eigenpairs ascending and converts column-eigenvectors to rows.
 fn finish(m: RMatrix, v: RMatrix, n: usize) -> EigenDecomposition {
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&i, &j| m[(i, i)].partial_cmp(&m[(j, j)]).expect("finite eigenvalues"));
+    order.sort_by(|&i, &j| {
+        m[(i, i)]
+            .partial_cmp(&m[(j, j)])
+            .expect("finite eigenvalues")
+    });
     let values: Vec<f64> = order.iter().map(|&i| m[(i, i)]).collect();
     let vectors = RMatrix::from_fn(n, n, |row, col| v[(col, order[row])]);
     EigenDecomposition { values, vectors }
@@ -238,8 +242,7 @@ mod tests {
 
     #[test]
     fn eigh_diagonal_matrix() {
-        let a = RMatrix::from_vec(3, 3, vec![3.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0])
-            .unwrap();
+        let a = RMatrix::from_vec(3, 3, vec![3.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0]).unwrap();
         let dec = eigh(&a).unwrap();
         assert_eq!(dec.values.len(), 3);
         assert!((dec.values[0] - 1.0).abs() < 1e-12);
@@ -341,7 +344,9 @@ mod tests {
         let mut h = CMatrix::zeros(n, n);
         let mut seed = 1u64;
         let mut next = move || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             ((seed >> 33) as f64 / (1u64 << 31) as f64) - 1.0
         };
         for i in 0..n {

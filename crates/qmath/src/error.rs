@@ -69,7 +69,11 @@ impl fmt::Display for MathError {
                 lhs.0, lhs.1, rhs.0, rhs.1
             ),
             MathError::NotSquare { op, dims } => {
-                write!(f, "{op} requires a square matrix, got {}x{}", dims.0, dims.1)
+                write!(
+                    f,
+                    "{op} requires a square matrix, got {}x{}",
+                    dims.0, dims.1
+                )
             }
             MathError::NotSymmetric { max_asymmetry } => write!(
                 f,
@@ -79,8 +83,14 @@ impl fmt::Display for MathError {
             MathError::NotPositiveDefinite { pivot } => {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
             }
-            MathError::NoConvergence { algorithm, iterations } => {
-                write!(f, "{algorithm} did not converge after {iterations} iterations")
+            MathError::NoConvergence {
+                algorithm,
+                iterations,
+            } => {
+                write!(
+                    f,
+                    "{algorithm} did not converge after {iterations} iterations"
+                )
             }
             MathError::Empty { op } => write!(f, "{op} requires a non-empty input"),
         }

@@ -109,12 +109,8 @@ mod tests {
 
     #[test]
     fn elliptope_projection_feasible() {
-        let a = RMatrix::from_vec(
-            3,
-            3,
-            vec![5.0, 0.9, -0.9, 0.9, 0.1, 0.9, -0.9, 0.9, 1.0],
-        )
-        .unwrap();
+        let a =
+            RMatrix::from_vec(3, 3, vec![5.0, 0.9, -0.9, 0.9, 0.1, 0.9, -0.9, 0.9, 1.0]).unwrap();
         let g = project_elliptope(&a, 20).unwrap();
         assert!(is_positive_semidefinite(&g, 1e-7).unwrap());
         for i in 0..3 {
@@ -130,12 +126,7 @@ mod tests {
     #[test]
     fn elliptope_projection_fixed_point() {
         // A valid correlation matrix should be (nearly) unchanged.
-        let a = RMatrix::from_vec(
-            2,
-            2,
-            vec![1.0, 0.5, 0.5, 1.0],
-        )
-        .unwrap();
+        let a = RMatrix::from_vec(2, 2, vec![1.0, 0.5, 0.5, 1.0]).unwrap();
         let g = project_elliptope(&a, 10).unwrap();
         assert!(g.max_abs_diff(&a) < 1e-8);
     }

@@ -199,12 +199,7 @@ impl RMatrix {
                 rhs: (rhs.rows, rhs.cols),
             });
         }
-        Ok(self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a * b)
-            .sum())
+        Ok(self.data.iter().zip(&rhs.data).map(|(a, b)| a * b).sum())
     }
 
     /// Frobenius norm.
@@ -271,7 +266,12 @@ impl Add for &RMatrix {
     type Output = RMatrix;
     fn add(self, rhs: &RMatrix) -> RMatrix {
         assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "add shape");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a + b).collect();
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a + b)
+            .collect();
         RMatrix {
             rows: self.rows,
             cols: self.cols,
@@ -284,7 +284,12 @@ impl Sub for &RMatrix {
     type Output = RMatrix;
     fn sub(self, rhs: &RMatrix) -> RMatrix {
         assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "sub shape");
-        let data = self.data.iter().zip(&rhs.data).map(|(a, b)| a - b).collect();
+        let data = self
+            .data
+            .iter()
+            .zip(&rhs.data)
+            .map(|(a, b)| a - b)
+            .collect();
         RMatrix {
             rows: self.rows,
             cols: self.cols,

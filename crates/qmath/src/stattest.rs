@@ -288,7 +288,10 @@ mod tests {
         let bad = BoundCheck::wilson(7500, 10_000, 0.8536, 0.999);
         assert!(!bad.pass);
         let s = bad.to_string();
-        assert!(s.contains("FAIL") && s.contains("n = 10000") && s.contains("99.9%"), "{s}");
+        assert!(
+            s.contains("FAIL") && s.contains("n = 10000") && s.contains("99.9%"),
+            "{s}"
+        );
     }
 
     #[test]

@@ -226,8 +226,14 @@ impl EntanglementDistributor {
         let lane = trace::next_lane();
         let mut nic_a = nic(&config);
         let mut nic_b = nic(&config);
-        nic_a.set_trace_track(trace::Track::Qnic { lane, side: trace::Side::A });
-        nic_b.set_trace_track(trace::Track::Qnic { lane, side: trace::Side::B });
+        nic_a.set_trace_track(trace::Track::Qnic {
+            lane,
+            side: trace::Side::A,
+        });
+        nic_b.set_trace_track(trace::Track::Qnic {
+            lane,
+            side: trace::Side::B,
+        });
         EntanglementDistributor {
             nic_a,
             nic_b,
@@ -273,14 +279,20 @@ impl EntanglementDistributor {
         for ev in self.nic_a.set_capacity_clamp(state.capacity_clamp) {
             self.nic_b.take_pair_id(ev.pair_id);
             if tracing {
-                let track = trace::Track::Qnic { lane: self.lane, side: trace::Side::A };
+                let track = trace::Track::Qnic {
+                    lane: self.lane,
+                    side: trace::Side::A,
+                };
                 trace::pair(track, trace::PairStage::Dropped, ev.pair_id, at.as_nanos());
             }
         }
         for ev in self.nic_b.set_capacity_clamp(state.capacity_clamp) {
             self.nic_a.take_pair_id(ev.pair_id);
             if tracing {
-                let track = trace::Track::Qnic { lane: self.lane, side: trace::Side::B };
+                let track = trace::Track::Qnic {
+                    lane: self.lane,
+                    side: trace::Side::B,
+                };
                 trace::pair(track, trace::PairStage::Dropped, ev.pair_id, at.as_nanos());
             }
         }
@@ -376,7 +388,12 @@ impl EntanglementDistributor {
             // Only the survivor has an individual emission time — the
             // batch-counted fiber losses never go in flight and carry no
             // lifecycle events.
-            trace::pair(trace::Track::Source(self.lane), trace::PairStage::Emitted, id, t.as_nanos());
+            trace::pair(
+                trace::Track::Source(self.lane),
+                trace::PairStage::Emitted,
+                id,
+                t.as_nanos(),
+            );
             self.schedule_survivor(id, t);
         }
     }
@@ -389,7 +406,10 @@ impl EntanglementDistributor {
             let t = match self.pending {
                 Some(t) => t,
                 None => {
-                    let gap = self.config.source.sample_interval_ns(&mut self.emission_rng);
+                    let gap = self
+                        .config
+                        .source
+                        .sample_interval_ns(&mut self.emission_rng);
                     let t = self.last_event + Duration::from_nanos(gap);
                     self.pending = Some(t);
                     t
@@ -401,7 +421,11 @@ impl EntanglementDistributor {
             self.pending = None;
             self.last_event = t;
             let state = self.faults.state();
-            if !self.config.source.brownout_keeps(state.rate_factor, &mut self.loss_rng) {
+            if !self
+                .config
+                .source
+                .brownout_keeps(state.rate_factor, &mut self.loss_rng)
+            {
                 self.stats.suppressed += 1;
                 EPR_SUPPRESSED.inc();
                 continue;
@@ -413,7 +437,12 @@ impl EntanglementDistributor {
             // Per-emission mode (faults active): every emitted pair gets
             // an event; pairs the outage or fiber absorbs simply have no
             // later lifecycle stages.
-            trace::pair(trace::Track::Source(self.lane), trace::PairStage::Emitted, id, t.as_nanos());
+            trace::pair(
+                trace::Track::Source(self.lane),
+                trace::PairStage::Emitted,
+                id,
+                t.as_nanos(),
+            );
             if !(state.link_a_up && state.link_b_up) {
                 // A downed link absorbs the pair with certainty — no draw.
                 self.stats.lost_in_fiber += 1;
@@ -441,10 +470,26 @@ impl EntanglementDistributor {
             self.in_flight.pop_front();
             SIM_EVENTS.inc();
             if trace::enabled() {
-                let a = trace::Track::Qnic { lane: self.lane, side: trace::Side::A };
-                let b = trace::Track::Qnic { lane: self.lane, side: trace::Side::B };
-                trace::pair(a, trace::PairStage::FiberArrival, rec.id, rec.arrive_a.as_nanos());
-                trace::pair(b, trace::PairStage::FiberArrival, rec.id, rec.arrive_b.as_nanos());
+                let a = trace::Track::Qnic {
+                    lane: self.lane,
+                    side: trace::Side::A,
+                };
+                let b = trace::Track::Qnic {
+                    lane: self.lane,
+                    side: trace::Side::B,
+                };
+                trace::pair(
+                    a,
+                    trace::PairStage::FiberArrival,
+                    rec.id,
+                    rec.arrive_a.as_nanos(),
+                );
+                trace::pair(
+                    b,
+                    trace::PairStage::FiberArrival,
+                    rec.id,
+                    rec.arrive_b.as_nanos(),
+                );
             }
             // A full memory overwrites its oldest qubit; the evicted
             // qubit's partner half becomes an orphan and is pruned here
@@ -525,7 +570,10 @@ impl EntanglementDistributor {
             );
         }
         if obs::enabled() {
-            let emitted_ns = qa.arrival.as_nanos().saturating_sub(self.delay_a.as_nanos() as u64);
+            let emitted_ns = qa
+                .arrival
+                .as_nanos()
+                .saturating_sub(self.delay_a.as_nanos() as u64);
             DELIVERY_LATENCY_NS.record(now.as_nanos().saturating_sub(emitted_ns));
             PAIR_DWELL_NS.record(now.as_nanos().saturating_sub(qa.arrival.as_nanos()));
             PAIR_DWELL_NS.record(now.as_nanos().saturating_sub(qb.arrival.as_nanos()));

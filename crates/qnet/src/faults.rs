@@ -178,7 +178,10 @@ impl FaultPlan {
     /// `mean_duration`; brownout/clamp/spike severities are drawn per
     /// window. Intended for chaos testing, not for calibrated sweeps.
     pub fn chaos(seed: u64, horizon: SimTime, mean_gap: Duration, mean_duration: Duration) -> Self {
-        assert!(!mean_gap.is_zero() && !mean_duration.is_zero(), "zero means");
+        assert!(
+            !mean_gap.is_zero() && !mean_duration.is_zero(),
+            "zero means"
+        );
         let mut plan = FaultPlan::none();
         for lane in 0u64..4 {
             let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(lane)));
@@ -289,8 +292,20 @@ impl FaultClock {
             .iter()
             .flat_map(|w| {
                 [
-                    (w.start, FaultEdge { on: true, kind: w.kind }),
-                    (w.end, FaultEdge { on: false, kind: w.kind }),
+                    (
+                        w.start,
+                        FaultEdge {
+                            on: true,
+                            kind: w.kind,
+                        },
+                    ),
+                    (
+                        w.end,
+                        FaultEdge {
+                            on: false,
+                            kind: w.kind,
+                        },
+                    ),
                 ]
             })
             .collect();
@@ -533,7 +548,11 @@ mod tests {
             Duration::from_micros(300),
             Duration::from_micros(150),
         );
-        assert_ne!(a.windows(), other.windows(), "different seed, different plan");
+        assert_ne!(
+            a.windows(),
+            other.windows(),
+            "different seed, different plan"
+        );
     }
 
     #[test]
@@ -558,7 +577,10 @@ mod tests {
         // Out-of-range ids never panic the mask.
         assert_eq!(clock.downed_edges(2), vec![false, true]);
         clock.advance_through(us(25));
-        assert_eq!(clock.downed_edges(5), vec![false, true, false, false, false]);
+        assert_eq!(
+            clock.downed_edges(5),
+            vec![false, true, false, false, false]
+        );
         clock.advance_through(us(40));
         assert!(!clock.edge_down(1));
     }

@@ -81,7 +81,10 @@ mod tests {
         // 1 km of fiber ≈ 4.9 µs one-way.
         let l = FiberLink::new(1.0);
         let d = l.propagation_delay();
-        assert!(d > Duration::from_micros(4) && d < Duration::from_micros(6), "{d:?}");
+        assert!(
+            d > Duration::from_micros(4) && d < Duration::from_micros(6),
+            "{d:?}"
+        );
     }
 
     #[test]

@@ -23,8 +23,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Arrivals that overwrote the oldest stored qubit (memory full).
-static QNIC_OVERWRITE_DROPS: obs::LazyCounter =
-    obs::LazyCounter::new("qnet.qnic.overwrite_drops");
+static QNIC_OVERWRITE_DROPS: obs::LazyCounter = obs::LazyCounter::new("qnet.qnic.overwrite_drops");
 /// Qubits evicted for exceeding the maximum storage age.
 static QNIC_EXPIRED: obs::LazyCounter = obs::LazyCounter::new("qnet.qnic.expired");
 /// Occupancy high-water mark across all NICs in the process.
@@ -89,11 +88,7 @@ impl Qnic {
     /// A representative room-temperature NIC: 16 slots, τ = 100 µs,
     /// eviction at 160 µs (the upper end of demonstrated storage, §3).
     pub fn typical_room_temperature() -> Self {
-        Qnic::new(
-            16,
-            Duration::from_micros(100),
-            Duration::from_micros(160),
-        )
+        Qnic::new(16, Duration::from_micros(100), Duration::from_micros(160))
     }
 
     /// Coherence lifetime τ (nominal, before any fault scaling).
@@ -186,7 +181,12 @@ impl Qnic {
         QNIC_OCCUPANCY.set_max(self.slots.len() as i64);
         if let (Some(track), true) = (self.track, trace::enabled()) {
             if let Some(ev) = evicted {
-                trace::pair(track, trace::PairStage::Dropped, ev.pair_id, arrival.as_nanos());
+                trace::pair(
+                    track,
+                    trace::PairStage::Dropped,
+                    ev.pair_id,
+                    arrival.as_nanos(),
+                );
             }
             trace::pair(track, trace::PairStage::Stored, pair_id, arrival.as_nanos());
         }
@@ -337,7 +337,10 @@ mod tests {
             n.store(id, SimTime::from_micros(id));
         }
         let evicted = n.set_capacity_clamp(Some(2));
-        assert_eq!(evicted.iter().map(|q| q.pair_id).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(
+            evicted.iter().map(|q| q.pair_id).collect::<Vec<_>>(),
+            [0, 1]
+        );
         assert_eq!(n.len(), 2);
         assert_eq!(n.effective_capacity(), 2);
         assert_eq!(n.clamp_evicted, 2);

@@ -76,7 +76,8 @@ pub fn best_path(
     }
     let ideality = g.swap_model().ideality;
     // Additive edge weight; −ln clamps v = 0 to +∞ (unusable edge).
-    let weight = |v: f64| -> f64 { -(v.max(f64::MIN_POSITIVE).ln()) - ideality.max(f64::MIN_POSITIVE).ln() };
+    let weight =
+        |v: f64| -> f64 { -(v.max(f64::MIN_POSITIVE).ln()) - ideality.max(f64::MIN_POSITIVE).ln() };
 
     let mut dist = vec![f64::INFINITY; n];
     let mut prev_edge: Vec<Option<u32>> = vec![None; n];

@@ -14,8 +14,8 @@
 //! verified by the tests below, and the reason long repeater chains need
 //! purification.
 
-use qsim::{gates, DensityMatrix, SimError};
 use qmath::CMatrix;
+use qsim::{gates, DensityMatrix, SimError};
 use rand::Rng;
 use std::fmt;
 
@@ -175,7 +175,9 @@ pub fn max_swap_hops(per_link_visibility: f64) -> Result<usize, SwapError> {
     }
     let threshold = qsim::noise::WERNER_CHSH_THRESHOLD;
     // v^(h+1) > t  ⟺  h + 1 < ln t / ln v  (both logs negative).
-    let mut hops = (threshold.ln() / per_link_visibility.ln() - 1.0).floor().max(0.0) as usize;
+    let mut hops = (threshold.ln() / per_link_visibility.ln() - 1.0)
+        .floor()
+        .max(0.0) as usize;
     // The log estimate can be off by one either way; settle it with exact
     // powers where the exponent fits (beyond ~10⁹ hops a ±1 correction is
     // physically meaningless anyway).

@@ -111,7 +111,8 @@ pub fn run_timing_experiment<R: Rng + ?Sized>(
     }
     latencies.sort_unstable();
     let total: Duration = latencies.iter().sum();
-    let p99 = latencies[(latencies.len() as f64 * 0.99) as usize - (latencies.len() >= 100) as usize];
+    let p99 =
+        latencies[(latencies.len() as f64 * 0.99) as usize - (latencies.len() >= 100) as usize];
     TimingReport {
         model: model.label(),
         inputs,

@@ -260,11 +260,7 @@ impl ChainSpec {
         hop_survival: f64,
         swap: SwapModel,
     ) -> Result<Self, TopologyError> {
-        ChainSpec::new(
-            vec![hop_visibility; hops],
-            vec![hop_survival; hops],
-            swap,
-        )
+        ChainSpec::new(vec![hop_visibility; hops], vec![hop_survival; hops], swap)
     }
 
     /// Number of fiber hops.
@@ -478,7 +474,10 @@ impl MetroGraph {
         let edges = self.path_edges(edge_ids)?;
         ChainSpec::new(
             edges.iter().map(|e| e.visibility).collect(),
-            edges.iter().map(|e| e.fiber.survival_probability()).collect(),
+            edges
+                .iter()
+                .map(|e| e.fiber.survival_probability())
+                .collect(),
             self.swap,
         )
     }
@@ -517,9 +516,7 @@ impl MetroGraph {
                 .ok_or(TopologyError::UnknownNode { node: id })?;
             if i > 0 {
                 let prev: Edge = edges[i - 1];
-                let joined = [prev.a, prev.b]
-                    .iter()
-                    .any(|&n| e.other(n).is_some());
+                let joined = [prev.a, prev.b].iter().any(|&n| e.other(n).is_some());
                 if !joined {
                     return Err(TopologyError::BrokenPath { at: i });
                 }
@@ -695,12 +692,7 @@ mod tests {
 
     #[test]
     fn chain_closed_forms() {
-        let c = ChainSpec::new(
-            vec![0.98, 0.96, 0.99],
-            vec![0.9, 0.8, 0.7],
-            swap(),
-        )
-        .unwrap();
+        let c = ChainSpec::new(vec![0.98, 0.96, 0.99], vec![0.9, 0.8, 0.7], swap()).unwrap();
         assert_eq!(c.hops(), 3);
         assert_eq!(c.swaps(), 2);
         let v = 0.98 * 0.96 * 0.99 * 0.97f64.powi(2);
@@ -720,12 +712,7 @@ mod tests {
     #[test]
     fn oracle_pins_closed_form() {
         let mut rng = StdRng::seed_from_u64(7);
-        let c = ChainSpec::new(
-            vec![0.98, 0.92, 0.99, 0.95],
-            vec![1.0; 4],
-            swap(),
-        )
-        .unwrap();
+        let c = ChainSpec::new(vec![0.98, 0.92, 0.99, 0.95], vec![1.0; 4], swap()).unwrap();
         let oracle = c.oracle_visibility(&mut rng).unwrap();
         assert!(
             (oracle - c.end_to_end_visibility()).abs() < 1e-12,

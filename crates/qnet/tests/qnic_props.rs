@@ -59,7 +59,11 @@ fn apply_op(
             }
         }
         _ => {
-            let clamp = if arg.is_multiple_of(4) { None } else { Some((arg % 8) as usize) };
+            let clamp = if arg.is_multiple_of(4) {
+                None
+            } else {
+                Some((arg % 8) as usize)
+            };
             nic.set_capacity_clamp(clamp);
         }
     }

@@ -91,13 +91,10 @@ fn below_crossover_chain_is_flagged_and_sub_classical() {
 fn chain_delivery_rate_matches_success_probability() {
     // End-to-end delivery over a lossy 3-hop chain: the single-draw
     // sampler must hit ∏ survival · success² exactly.
-    let spec = ChainSpec::new(
-        vec![HOP_VISIBILITY; 3],
-        vec![0.9, 0.8, 0.85],
-        swap(),
-    )
-    .unwrap();
+    let spec = ChainSpec::new(vec![HOP_VISIBILITY; 3], vec![0.9, 0.8, 0.85], swap()).unwrap();
     let mut rng = StdRng::seed_from_u64(1_200);
-    let hits = (0..ROUNDS).filter(|_| spec.sample_attempt(&mut rng)).count() as u64;
+    let hits = (0..ROUNDS)
+        .filter(|_| spec.sample_attempt(&mut rng))
+        .count() as u64;
     assert_prob_in!(hits, ROUNDS, spec.success_probability(), conf = CONF);
 }

@@ -139,10 +139,8 @@ mod tests {
             let theta = k as f64 * 0.3;
             for _ in 0..50 {
                 let mut s = psi_minus();
-                let a = crate::measure::measure_in_angle_basis(&mut s, 0, theta, &mut rng)
-                    .unwrap();
-                let b = crate::measure::measure_in_angle_basis(&mut s, 1, theta, &mut rng)
-                    .unwrap();
+                let a = crate::measure::measure_in_angle_basis(&mut s, 0, theta, &mut rng).unwrap();
+                let b = crate::measure::measure_in_angle_basis(&mut s, 1, theta, &mut rng).unwrap();
                 assert_ne!(a, b, "theta = {theta}");
             }
         }

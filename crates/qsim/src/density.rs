@@ -149,8 +149,7 @@ impl DensityMatrix {
                 n_qubits: self.n_qubits,
             });
         }
-        let u = CMatrix::from_vec(2, 2, vec![g[0][0], g[0][1], g[1][0], g[1][1]])
-            .expect("2x2");
+        let u = CMatrix::from_vec(2, 2, vec![g[0][0], g[0][1], g[1][0], g[1][1]]).expect("2x2");
         let left = CMatrix::identity(1 << qubit);
         let right = CMatrix::identity(1 << (self.n_qubits - 1 - qubit));
         Ok(left.kron(&u).kron(&right))
@@ -441,12 +440,8 @@ mod tests {
     fn apply_unitary_rejects_bad_input() {
         let mut rho = DensityMatrix::maximally_mixed(1);
         assert!(rho.apply_unitary(&CMatrix::identity(4)).is_err());
-        let not_unitary = CMatrix::from_vec(
-            2,
-            2,
-            vec![C64::ONE, C64::ONE, C64::ZERO, C64::ONE],
-        )
-        .unwrap();
+        let not_unitary =
+            CMatrix::from_vec(2, 2, vec![C64::ONE, C64::ONE, C64::ZERO, C64::ONE]).unwrap();
         assert!(matches!(
             rho.apply_unitary(&not_unitary),
             Err(SimError::NotUnitary)

@@ -60,7 +60,10 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::QubitOutOfRange { qubit, n_qubits } => {
-                write!(f, "qubit {qubit} out of range for {n_qubits}-qubit register")
+                write!(
+                    f,
+                    "qubit {qubit} out of range for {n_qubits}-qubit register"
+                )
             }
             SimError::DuplicateQubit { qubit } => {
                 write!(f, "operands must be distinct qubits, both were {qubit}")
@@ -73,10 +76,16 @@ impl fmt::Display for SimError {
             }
             SimError::NotUnitary => write!(f, "matrix is not unitary"),
             SimError::NotTracePreserving { deviation } => {
-                write!(f, "Kraus set is not trace preserving (deviation {deviation})")
+                write!(
+                    f,
+                    "Kraus set is not trace preserving (deviation {deviation})"
+                )
             }
             SimError::AlreadyMeasured { party } => {
-                write!(f, "{party}'s qubit was already measured (measurement is destructive)")
+                write!(
+                    f,
+                    "{party}'s qubit was already measured (measurement is destructive)"
+                )
             }
             SimError::BadProbability { value } => {
                 write!(f, "probability {value} outside [0, 1]")
@@ -96,7 +105,10 @@ mod tests {
 
     #[test]
     fn display_mentions_fields() {
-        let e = SimError::QubitOutOfRange { qubit: 5, n_qubits: 3 };
+        let e = SimError::QubitOutOfRange {
+            qubit: 5,
+            n_qubits: 3,
+        };
         assert!(e.to_string().contains('5'));
         assert!(e.to_string().contains('3'));
         let e = SimError::AlreadyMeasured { party: "Alice" };

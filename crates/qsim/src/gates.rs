@@ -47,7 +47,10 @@ pub fn s() -> Gate1 {
 
 /// T gate = diag(1, e^{iπ/4}).
 pub fn t() -> Gate1 {
-    [[C64::ONE, C64::ZERO], [C64::ZERO, C64::cis(std::f64::consts::FRAC_PI_4)]]
+    [
+        [C64::ONE, C64::ZERO],
+        [C64::ZERO, C64::cis(std::f64::consts::FRAC_PI_4)],
+    ]
 }
 
 /// Rotation about X: `Rx(θ) = exp(-iθX/2)`.
@@ -90,12 +93,7 @@ pub fn plane_rotation(theta: f64) -> Gate1 {
 pub fn cnot() -> Gate2 {
     let o = C64::ONE;
     let n = C64::ZERO;
-    [
-        [o, n, n, n],
-        [n, o, n, n],
-        [n, n, n, o],
-        [n, n, o, n],
-    ]
+    [[o, n, n, n], [n, o, n, n], [n, n, n, o], [n, n, o, n]]
 }
 
 /// 2×2 matrix product of gates (for building composite gates in tests).

@@ -382,7 +382,13 @@ mod tests {
             for _ in 0..20 {
                 let y_mask = rng.next_u64() & ((1 << n) - 1);
                 let phases: Vec<f64> = (0..n)
-                    .map(|j| if (y_mask >> j) & 1 == 1 { FRAC_PI_2 } else { 0.0 })
+                    .map(|j| {
+                        if (y_mask >> j) & 1 == 1 {
+                            FRAC_PI_2
+                        } else {
+                            0.0
+                        }
+                    })
                     .collect();
                 assert!(
                     (ghz.correlation_xy(y_mask) - ghz.correlation(&phases)).abs() < 1e-12,
@@ -400,8 +406,7 @@ mod tests {
                 let retentions = (0..n).map(|_| rng.gen::<f64>()).collect();
                 let ghz = NoisyGhz::with_dephasing(rng.gen::<f64>(), retentions).unwrap();
                 let phases = random_phases(n, &mut rng);
-                let bases: Vec<Basis1> =
-                    phases.iter().map(|&phi| equatorial_basis(phi)).collect();
+                let bases: Vec<Basis1> = phases.iter().map(|&phi| equatorial_basis(phi)).collect();
                 let rho = ghz.oracle_density().unwrap();
                 for a in 0..(1u64 << n) {
                     let kernel = ghz.joint_prob(&phases, a);

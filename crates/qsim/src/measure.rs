@@ -136,8 +136,8 @@ mod tests {
         for _ in 0..50 {
             let mut s = StateVector::zero(1);
             s.apply_gate1(0, &gates::h()).unwrap();
-            let o = measure_in_angle_basis(&mut s, 0, std::f64::consts::FRAC_PI_4, &mut rng)
-                .unwrap();
+            let o =
+                measure_in_angle_basis(&mut s, 0, std::f64::consts::FRAC_PI_4, &mut rng).unwrap();
             assert_eq!(o, 0);
         }
     }
@@ -212,10 +212,7 @@ mod tests {
     fn basis_validation_rejects_non_orthonormal() {
         let bad = Basis1::new([C64::ONE, C64::ZERO], [C64::ONE, C64::ZERO]);
         assert!(matches!(bad, Err(SimError::NotUnitary)));
-        let unnorm = Basis1::new(
-            [C64::real(2.0), C64::ZERO],
-            [C64::ZERO, C64::ONE],
-        );
+        let unnorm = Basis1::new([C64::real(2.0), C64::ZERO], [C64::ZERO, C64::ONE]);
         assert!(unnorm.is_err());
     }
 

@@ -71,8 +71,7 @@ impl KrausChannel {
         let k0 = CMatrix::identity(2).scaled(C64::real((1.0 - 3.0 * p / 4.0).sqrt()));
         let sx = pauli(&[[0., 1.], [1., 0.]]);
         let sz = pauli(&[[1., 0.], [0., -1.]]);
-        let sy = CMatrix::from_vec(2, 2, vec![C64::ZERO, -C64::I, C64::I, C64::ZERO])
-            .expect("2x2");
+        let sy = CMatrix::from_vec(2, 2, vec![C64::ZERO, -C64::I, C64::I, C64::ZERO]).expect("2x2");
         let w = (p / 4.0).sqrt();
         KrausChannel::new(vec![
             k0,
@@ -247,11 +246,7 @@ pub fn apply_stochastic<R: rand::Rng + ?Sized>(
         if r < p || p == total {
             // Renormalize the chosen branch.
             let scale = 1.0 / p.sqrt();
-            let amps: Vec<C64> = branch
-                .amplitudes()
-                .iter()
-                .map(|a| *a * scale)
-                .collect();
+            let amps: Vec<C64> = branch.amplitudes().iter().map(|a| *a * scale).collect();
             branch = StateVector::from_amplitudes(amps)?;
             *state = branch;
             return Ok(());
@@ -317,7 +312,10 @@ mod tests {
         let mut plus = StateVector::zero(1);
         plus.apply_gate1(0, &crate::gates::h()).unwrap();
         let rho = DensityMatrix::from_pure(&plus);
-        let out = KrausChannel::dephasing(0.5).unwrap().apply(&rho, 0).unwrap();
+        let out = KrausChannel::dephasing(0.5)
+            .unwrap()
+            .apply(&rho, 0)
+            .unwrap();
         // Fully dephased at p = 0.5: off-diagonals vanish.
         assert!(out.matrix()[(0, 1)].abs() < 1e-9);
         assert!((out.matrix()[(0, 0)].re - 0.5).abs() < 1e-9);
@@ -374,7 +372,10 @@ mod tests {
         // with visibility (1 − p).
         let p = 0.4;
         let rho = DensityMatrix::from_pure(&bell::phi_plus());
-        let out = KrausChannel::depolarizing(p).unwrap().apply(&rho, 1).unwrap();
+        let out = KrausChannel::depolarizing(p)
+            .unwrap()
+            .apply(&rho, 1)
+            .unwrap();
         let expect = werner(1.0 - p).unwrap();
         assert!(out.matrix().max_abs_diff(expect.matrix()) < 1e-9);
     }

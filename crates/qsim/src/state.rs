@@ -546,8 +546,12 @@ mod tests {
         // A generic 3-qubit state with no special structure.
         let mut base_state = StateVector::zero(3);
         for q in 0..3 {
-            base_state.apply_gate1(q, &gates::ry(0.3 + q as f64)).unwrap();
-            base_state.apply_gate1(q, &gates::rz(1.1 * (q + 1) as f64)).unwrap();
+            base_state
+                .apply_gate1(q, &gates::ry(0.3 + q as f64))
+                .unwrap();
+            base_state
+                .apply_gate1(q, &gates::rz(1.1 * (q + 1) as f64))
+                .unwrap();
         }
         base_state.apply_controlled(0, 2, &gates::x()).unwrap();
 

@@ -53,21 +53,13 @@ impl PauliSetting {
     /// The Pauli matrix.
     pub fn matrix(self) -> CMatrix {
         match self {
-            PauliSetting::X => CMatrix::from_vec(
-                2,
-                2,
-                vec![C64::ZERO, C64::ONE, C64::ONE, C64::ZERO],
-            ),
-            PauliSetting::Y => CMatrix::from_vec(
-                2,
-                2,
-                vec![C64::ZERO, -C64::I, C64::I, C64::ZERO],
-            ),
-            PauliSetting::Z => CMatrix::from_vec(
-                2,
-                2,
-                vec![C64::ONE, C64::ZERO, C64::ZERO, C64::real(-1.0)],
-            ),
+            PauliSetting::X => {
+                CMatrix::from_vec(2, 2, vec![C64::ZERO, C64::ONE, C64::ONE, C64::ZERO])
+            }
+            PauliSetting::Y => CMatrix::from_vec(2, 2, vec![C64::ZERO, -C64::I, C64::I, C64::ZERO]),
+            PauliSetting::Z => {
+                CMatrix::from_vec(2, 2, vec![C64::ONE, C64::ZERO, C64::ZERO, C64::real(-1.0)])
+            }
         }
         .expect("2x2")
     }
@@ -94,11 +86,7 @@ pub struct TomographyData {
 ///
 /// # Errors
 /// Propagates measurement errors (impossible for well-formed pairs).
-pub fn collect<F, R>(
-    mut source: F,
-    shots: usize,
-    rng: &mut R,
-) -> Result<TomographyData, SimError>
+pub fn collect<F, R>(mut source: F, shots: usize, rng: &mut R) -> Result<TomographyData, SimError>
 where
     F: FnMut() -> SharedPair,
     R: Rng + ?Sized,
@@ -247,18 +235,8 @@ mod tests {
     fn calibration_detects_useless_hardware() {
         // The operational question: is v above the CHSH threshold?
         let mut rng = StdRng::seed_from_u64(3);
-        let good = collect(
-            || SharedPair::werner(0.95).expect("valid"),
-            2_000,
-            &mut rng,
-        )
-        .unwrap();
-        let bad = collect(
-            || SharedPair::werner(0.5).expect("valid"),
-            2_000,
-            &mut rng,
-        )
-        .unwrap();
+        let good = collect(|| SharedPair::werner(0.95).expect("valid"), 2_000, &mut rng).unwrap();
+        let bad = collect(|| SharedPair::werner(0.5).expect("valid"), 2_000, &mut rng).unwrap();
         let v_good = werner_visibility(&good.reconstruct().unwrap()).unwrap();
         let v_bad = werner_visibility(&bad.reconstruct().unwrap()).unwrap();
         assert!(v_good > noise::WERNER_CHSH_THRESHOLD);

@@ -223,12 +223,9 @@ mod tests {
     fn probabilities_are_normalized_with_uniform_marginals() {
         let mut rng = StdRng::seed_from_u64(0xA11CE);
         for _ in 0..200 {
-            let pair = WernerPair::with_dephasing(
-                rng.gen::<f64>(),
-                rng.gen::<f64>(),
-                rng.gen::<f64>(),
-            )
-            .unwrap();
+            let pair =
+                WernerPair::with_dephasing(rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>())
+                    .unwrap();
             let (ta, tb) = (rng.gen::<f64>() * PI, rng.gen::<f64>() * PI);
             let p = pair.joint_probs(ta, tb);
             assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-12);
@@ -266,12 +263,9 @@ mod tests {
         // retentions, and angles.
         let mut rng = StdRng::seed_from_u64(0x04AC1E);
         for case in 0..40 {
-            let pair = WernerPair::with_dephasing(
-                rng.gen::<f64>(),
-                rng.gen::<f64>(),
-                rng.gen::<f64>(),
-            )
-            .unwrap();
+            let pair =
+                WernerPair::with_dephasing(rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>())
+                    .unwrap();
             let (ta, tb) = (rng.gen::<f64>() * PI, rng.gen::<f64>() * PI);
             let kernel = pair.joint_probs(ta, tb);
             let rho = pair.oracle_density().unwrap();

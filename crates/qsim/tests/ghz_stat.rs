@@ -86,7 +86,11 @@ fn xy_settings_agree_between_kernel_and_oracle() {
         let mut kernel_even = 0u64;
         let mut oracle_even = 0u64;
         for _ in 0..N {
-            kernel_even += u64::from(ghz.sample_xy(y_mask, &mut rng).count_ones().is_multiple_of(2));
+            kernel_even += u64::from(
+                ghz.sample_xy(y_mask, &mut rng)
+                    .count_ones()
+                    .is_multiple_of(2),
+            );
             oracle_even += u64::from(
                 ghz.oracle_sample_xy(y_mask, &mut rng)
                     .unwrap()

@@ -111,7 +111,12 @@ pub fn fallback_rng(endpoint_seed: u64) -> SplitMix64 {
 /// Draws a quantum-tier slot from a consumed pair: one candidate draw
 /// plus one flipped-CHSH round ([`pairing::werner_bits`]) per input
 /// combination (6 RNG draws total, all from the slot's own sub-stream).
-pub fn draw_quantum(seq: u64, n_servers: u32, pair: &WernerPair, rng: &mut SplitMix64) -> DecisionSlot {
+pub fn draw_quantum(
+    seq: u64,
+    n_servers: u32,
+    pair: &WernerPair,
+    rng: &mut SplitMix64,
+) -> DecisionSlot {
     let (s0, s1) = pairing::candidates(n_servers as usize, rng);
     let mut outcomes = [0u8; 4];
     for x in 0..2usize {

@@ -270,7 +270,12 @@ impl DecisionEndpoint {
     /// Builds the endpoint over `consumer`. `endpoint_seed` must be the
     /// same family seed the feed uses, so the inline-fallback stream
     /// stays disjoint from every slot sub-stream.
-    pub fn new(id: u32, consumer: Consumer<DecisionSlot>, endpoint_seed: u64, n_servers: u32) -> Self {
+    pub fn new(
+        id: u32,
+        consumer: Consumer<DecisionSlot>,
+        endpoint_seed: u64,
+        n_servers: u32,
+    ) -> Self {
         DecisionEndpoint {
             id,
             consumer,
@@ -327,9 +332,8 @@ impl DecisionEndpoint {
     pub fn flush_obs(&mut self) {
         let now = self.stats();
         SERVE_DECISIONS.add(now.decisions - self.flushed.decisions);
-        SERVE_TIER_QUANTUM.add(
-            now.by_tier[TIER_QUANTUM as usize] - self.flushed.by_tier[TIER_QUANTUM as usize],
-        );
+        SERVE_TIER_QUANTUM
+            .add(now.by_tier[TIER_QUANTUM as usize] - self.flushed.by_tier[TIER_QUANTUM as usize]);
         SERVE_TIER_CLASSICAL.add(
             now.by_tier[TIER_CLASSICAL as usize] - self.flushed.by_tier[TIER_CLASSICAL as usize],
         );

@@ -86,7 +86,9 @@ pub fn spsc<T: Copy + Default>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         capacity.is_power_of_two(),
         "ring capacity must be a power of two, got {capacity}"
     );
-    let buf: Box<[UnsafeCell<T>]> = (0..capacity).map(|_| UnsafeCell::new(T::default())).collect();
+    let buf: Box<[UnsafeCell<T>]> = (0..capacity)
+        .map(|_| UnsafeCell::new(T::default()))
+        .collect();
     let shared = Arc::new(Shared {
         buf,
         mask: capacity as u64 - 1,

@@ -171,10 +171,7 @@ impl ServiceCore {
     /// Fills every ring to capacity (ignoring low-water marks); returns
     /// total slots published.
     pub fn fill_all(&mut self) -> usize {
-        self.feeds
-            .iter_mut()
-            .map(|f| f.fill(usize::MAX))
-            .sum()
+        self.feeds.iter_mut().map(|f| f.fill(usize::MAX)).sum()
     }
 
     /// Answers one placement query on `endpoint`.

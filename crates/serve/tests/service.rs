@@ -90,7 +90,9 @@ fn socket_round_trip_matches_in_process_decisions() {
         }
     });
     for i in 0..100u64 {
-        let p = client.decide(0, false, i % 2 == 0).expect("socket decision");
+        let p = client
+            .decide(0, false, i % 2 == 0)
+            .expect("socket decision");
         assert!(p.first < 32 && p.second < 32);
     }
     other.join().unwrap();

@@ -101,7 +101,10 @@ pub fn chrome_trace(log: &TraceLog) -> Json {
             seen.push((pid, tid, e.track));
         }
     }
-    for (pid, name) in [(PID_WALL, "runtime (wall clock)"), (PID_SIM, "simulation (sim ns)")] {
+    for (pid, name) in [
+        (PID_WALL, "runtime (wall clock)"),
+        (PID_SIM, "simulation (sim ns)"),
+    ] {
         if seen.iter().any(|&(p, _, _)| p == pid) {
             out.push(Json::obj([
                 ("name", Json::str("process_name")),
@@ -278,8 +281,14 @@ mod tests {
         assert_eq!(pair_events.len(), 2);
         for e in &pair_events {
             assert_eq!(e.get("pid").unwrap().as_i64(), Some(PID_SIM as i64));
-            assert_eq!(e.get("args").unwrap().get("pair").unwrap().as_i64(), Some(9));
-            assert_eq!(e.get("args").unwrap().get("lane").unwrap().as_i64(), Some(0));
+            assert_eq!(
+                e.get("args").unwrap().get("pair").unwrap().as_i64(),
+                Some(9)
+            );
+            assert_eq!(
+                e.get("args").unwrap().get("lane").unwrap().as_i64(),
+                Some(0)
+            );
         }
         // Delivery latency is derivable: consumed.ts − emitted.ts.
         let ts = |name: &str| {
@@ -310,7 +319,10 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
         let header = Json::parse(lines[0]).unwrap();
-        assert_eq!(header.get("schema").unwrap().as_str(), Some("qnlg.trace.v1"));
+        assert_eq!(
+            header.get("schema").unwrap().as_str(),
+            Some("qnlg.trace.v1")
+        );
         assert_eq!(header.get("dropped").unwrap().as_i64(), Some(3));
         for line in &lines[1..] {
             let e = Json::parse(line).expect("valid event line");

@@ -129,7 +129,10 @@ fn record(ev: Event) {
         let stale = !matches!(&*slot, Some((g, _)) if *g == gen);
         if stale {
             let ring = Arc::new(Ring::new(capacity()));
-            REGISTRY.lock().expect("trace registry").push(Arc::clone(&ring));
+            REGISTRY
+                .lock()
+                .expect("trace registry")
+                .push(Arc::clone(&ring));
             *slot = Some((gen, ring));
         }
         let (_, ring) = slot.as_ref().expect("registered above");

@@ -43,7 +43,9 @@ impl Ring {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring needs at least one slot");
         Ring {
-            slots: (0..capacity).map(|_| UnsafeCell::new(Event::default())).collect(),
+            slots: (0..capacity)
+                .map(|_| UnsafeCell::new(Event::default()))
+                .collect(),
             head: AtomicU64::new(0),
         }
     }

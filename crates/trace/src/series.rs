@@ -282,7 +282,12 @@ mod tests {
         let windows = doc.get("windows").unwrap().as_arr().unwrap();
         assert_eq!(windows.len(), 1);
         assert_eq!(
-            windows[0].get("counters").unwrap().get("a.b").unwrap().as_i64(),
+            windows[0]
+                .get("counters")
+                .unwrap()
+                .get("a.b")
+                .unwrap()
+                .as_i64(),
             Some(3)
         );
     }

@@ -10,9 +10,7 @@
 
 use qnlg::ecmp::model::run_rounds;
 use qnlg::ecmp::search::{exhaustive_quantum_search, pigeonhole_lower_bound};
-use qnlg::ecmp::strategy::{
-    EntangledStateKind, GlobalEntangled, IidRandom, SharedPermutation,
-};
+use qnlg::ecmp::strategy::{EntangledStateKind, GlobalEntangled, IidRandom, SharedPermutation};
 use qnlg::ecmp::{reduction_deviation, EcmpScenario};
 use qnlg::qsim::bell;
 use qnlg::qsim::measure::Basis1;
@@ -55,14 +53,19 @@ fn main() {
     let s1 = run_rounds(scenario, &mut iid, rounds, &mut rng);
     let mut perm = SharedPermutation::new(3, 2, &mut rng);
     let s2 = run_rounds(scenario, &mut perm, rounds, &mut rng);
-    let mut ghz_spread =
-        GlobalEntangled::new(EntangledStateKind::Ghz, vec![0.0, 2.094, 4.189]);
+    let mut ghz_spread = GlobalEntangled::new(EntangledStateKind::Ghz, vec![0.0, 2.094, 4.189]);
     let s3 = run_rounds(scenario, &mut ghz_spread, rounds, &mut rng);
 
     println!("  {:<24}{:>12}", "strategy", "P(collision)");
     println!("  {:<24}{:>12.4}", "iid-random", s1.collision_probability);
-    println!("  {:<24}{:>12.4}", "shared-permutation", s2.collision_probability);
-    println!("  {:<24}{:>12.4}", "ghz-entangled (spread)", s3.collision_probability);
+    println!(
+        "  {:<24}{:>12.4}",
+        "shared-permutation", s2.collision_probability
+    );
+    println!(
+        "  {:<24}{:>12.4}",
+        "ghz-entangled (spread)", s3.collision_probability
+    );
     println!(
         "  {:<24}{:>12.4}  ← provable floor for ANY strategy",
         "pigeonhole bound",

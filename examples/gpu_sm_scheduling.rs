@@ -53,7 +53,11 @@ fn main() {
     println!("  quantum value  : {:.4}", coordinator.quantum_value);
     println!(
         "  quantum advantage: {}\n",
-        if coordinator.has_quantum_advantage() { "YES" } else { "no" }
+        if coordinator.has_quantum_advantage() {
+            "YES"
+        } else {
+            "no"
+        }
     );
     assert!(coordinator.has_quantum_advantage());
 
@@ -108,7 +112,10 @@ fn main() {
                 batch.win_rate()
             );
             if v == 1.0 {
-                assert_eq!(batch.wins, batch.rounds, "ideal GHZ coordination is perfect");
+                assert_eq!(
+                    batch.wins, batch.rounds,
+                    "ideal GHZ coordination is perfect"
+                );
             }
             if v > crossover + 0.05 {
                 assert!(

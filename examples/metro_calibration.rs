@@ -30,9 +30,7 @@ fn main() {
     let seg = werner(segment_visibility).expect("valid visibility");
     let sample = entanglement_swap(&seg, &seg, &mut rng).expect("2-qubit pairs");
     let v_expected = segment_visibility * segment_visibility;
-    println!(
-        "After one swap, expected end-to-end visibility: {v_expected:.4} (v₁·v₂)"
-    );
+    println!("After one swap, expected end-to-end visibility: {v_expected:.4} (v₁·v₂)");
 
     // Calibration: tomography on 9 × 2000 sampled pairs.
     println!("\nRunning Pauli tomography on 18,000 delivered pairs…");

@@ -27,8 +27,16 @@ fn main() {
 
     for _ in 0..rounds {
         // Inputs arrive independently at each balancer.
-        let task_a = if rng.gen() { TaskClass::Colocate } else { TaskClass::Exclusive };
-        let task_b = if rng.gen() { TaskClass::Colocate } else { TaskClass::Exclusive };
+        let task_a = if rng.gen() {
+            TaskClass::Colocate
+        } else {
+            TaskClass::Exclusive
+        };
+        let task_b = if rng.gen() {
+            TaskClass::Colocate
+        } else {
+            TaskClass::Exclusive
+        };
 
         // Each endpoint decides LOCALLY — zero network latency, no
         // knowledge of the peer's input.
@@ -39,28 +47,34 @@ fn main() {
         let want_same = task_a == TaskClass::Colocate && task_b == TaskClass::Colocate;
         let ok = (a == b) == want_same;
         correct += usize::from(ok);
-        let case = (task_a == TaskClass::Colocate) as usize * 2
-            + (task_b == TaskClass::Colocate) as usize;
+        let case =
+            (task_a == TaskClass::Colocate) as usize * 2 + (task_b == TaskClass::Colocate) as usize;
         per_case[case][usize::from(ok)] += 1;
     }
 
     let rate = correct as f64 / rounds as f64;
     println!("  overall success rate: {rate:.4}");
-    println!("  quantum optimum     : {:.4}  (cos²(π/8))", qnlg::games::chsh_quantum_value());
-    println!("  classical optimum   : {:.4}  (provable ceiling without communication)\n", 0.75);
+    println!(
+        "  quantum optimum     : {:.4}  (cos²(π/8))",
+        qnlg::games::chsh_quantum_value()
+    );
+    println!(
+        "  classical optimum   : {:.4}  (provable ceiling without communication)\n",
+        0.75
+    );
 
     let labels = ["E,E", "E,C", "C,E", "C,C"];
     println!("  per-case success (goal: C,C → same server; otherwise different):");
     for (i, label) in labels.iter().enumerate() {
         let total = per_case[i][0] + per_case[i][1];
         if total > 0 {
-            println!(
-                "    {label}: {:.4}",
-                per_case[i][1] as f64 / total as f64
-            );
+            println!("    {label}: {:.4}", per_case[i][1] as f64 / total as f64);
         }
     }
 
-    assert!(rate > 0.8, "quantum coordination should beat the classical 0.75");
+    assert!(
+        rate > 0.8,
+        "quantum coordination should beat the classical 0.75"
+    );
     println!("\n✓ beat the classical ceiling without exchanging a single message");
 }

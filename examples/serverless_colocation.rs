@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example serverless_colocation`
 
-use qnlg::loadbalance::{run_simulation, SimConfig, Strategy};
 use qnlg::loadbalance::task::BernoulliWorkload;
+use qnlg::loadbalance::{run_simulation, SimConfig, Strategy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

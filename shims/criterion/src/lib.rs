@@ -66,8 +66,8 @@ impl Bencher {
             n = if elapsed.is_zero() {
                 n * 64
             } else {
-                let scale = Duration::from_millis(12).as_nanos() as f64
-                    / elapsed.as_nanos().max(1) as f64;
+                let scale =
+                    Duration::from_millis(12).as_nanos() as f64 / elapsed.as_nanos().max(1) as f64;
                 ((n as f64 * scale) as u64).max(n + 1)
             };
         }
@@ -124,12 +124,7 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    pub fn bench_with_input<I, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
+    pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
     {

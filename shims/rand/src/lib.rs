@@ -198,10 +198,7 @@ pub mod rngs {
 
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
-            let result = s[0]
-                .wrapping_add(s[3])
-                .rotate_left(23)
-                .wrapping_add(s[0]);
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
             let t = s[1] << 17;
             s[2] ^= s[0];
             s[3] ^= s[1];
@@ -312,10 +309,7 @@ mod tests {
             counts[rng.gen_range(0..7usize)] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
-            assert!(
-                (c as f64 - 10_000.0).abs() < 1_000.0,
-                "bucket {i}: {c}"
-            );
+            assert!((c as f64 - 10_000.0).abs() < 1_000.0, "bucket {i}: {c}");
         }
     }
 

@@ -19,10 +19,14 @@ fn endpoints_work_across_threads() {
     let rounds = 3_000;
 
     let handle_a = thread::spawn(move || {
-        (0..rounds).map(|_| alice.decide(TaskClass::Colocate)).collect::<Vec<bool>>()
+        (0..rounds)
+            .map(|_| alice.decide(TaskClass::Colocate))
+            .collect::<Vec<bool>>()
     });
     let handle_b = thread::spawn(move || {
-        (0..rounds).map(|_| bob.decide(TaskClass::Colocate)).collect::<Vec<bool>>()
+        (0..rounds)
+            .map(|_| bob.decide(TaskClass::Colocate))
+            .collect::<Vec<bool>>()
     });
     let a = handle_a.join().expect("alice thread");
     let b = handle_b.join().expect("bob thread");
@@ -95,7 +99,10 @@ fn error_paths_are_reported() {
     let (a, _b) = coord.endpoints();
     assert!(matches!(
         a.decide(7),
-        Err(CoreError::UnknownTaskClass { vertex: 7, n_classes: 3 })
+        Err(CoreError::UnknownTaskClass {
+            vertex: 7,
+            n_classes: 3
+        })
     ));
 }
 

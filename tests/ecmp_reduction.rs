@@ -81,13 +81,7 @@ fn four_party_ghz_two_inactive_parties_are_irrelevant() {
 /// Projects parties 2 and 3 onto outcomes (oc, od) in angle bases
 /// (tc, td); returns the normalized conditional state and the branch
 /// probability.
-fn project_two(
-    rho: &DensityMatrix,
-    tc: f64,
-    oc: u8,
-    td: f64,
-    od: u8,
-) -> (DensityMatrix, f64) {
+fn project_two(rho: &DensityMatrix, tc: f64, oc: u8, td: f64, od: u8) -> (DensityMatrix, f64) {
     let proj1 = |theta: f64, outcome: u8| -> CMatrix {
         let basis = Basis1::angle(theta);
         let phi = if outcome == 1 { basis.phi1 } else { basis.phi0 };

@@ -8,7 +8,9 @@
 
 use qnlg::games::chsh::{alice_angle, bob_angle, ChshGame};
 use qnlg::games::TwoPlayerGame;
-use qnlg::qnet::{ConsumePolicy, DistributorConfig, EntanglementDistributor, EprSource, FiberLink, SimTime};
+use qnlg::qnet::{
+    ConsumePolicy, DistributorConfig, EntanglementDistributor, EprSource, FiberLink, SimTime,
+};
 use qnlg::qsim::Party;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,11 +40,11 @@ fn pipeline_chsh(config: DistributorConfig, rounds: usize, seed: u64) -> (f64, f
         played += 1;
         wins += usize::from(game.wins(x, y, a == 1, b == 1));
     }
-    assert!(played > 100, "too few rounds played for statistics: {played}/{rounds}");
-    (
-        wins as f64 / played as f64,
-        dist.stats().availability(),
-    )
+    assert!(
+        played > 100,
+        "too few rounds played for statistics: {played}/{rounds}"
+    );
+    (wins as f64 / played as f64, dist.stats().availability())
 }
 
 #[test]
