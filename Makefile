@@ -1,12 +1,22 @@
-# Local mirror of .github/workflows/ci.yml — `make ci` is the gate a
-# change must pass before it lands. It runs every Rust-side CI step; the
-# inline Python asserts on the artifacts run in CI only.
+# The gate, defined once: every step of .github/workflows/ci.yml after
+# checkout, toolchain and cache is one target here, and `make ci` runs
+# exactly those targets, the test job's and then the repro job's. (CI
+# also pins QNLG_THREADS=2; no result depends on it.) Every assertion on
+# results lives in Rust: the experiments' own checks (`repro-quick`),
+# the `check-artifacts` validator and tier-1 (`test`).
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-release clippy bench-compile perfbench-build bench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+# `perf-diff` and `trace-quick` read or rewrite what `repro-quick` left
+# in artifacts/, so targets run in the order given.
+.NOTPARALLEL:
 
-ci: build test test-release clippy bench-compile perfbench-build bench-smoke test-stat repro-quick perf-diff trace-quick
+.PHONY: ci fmt-check build test test-release clippy bench-compile perfbench-build bench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+
+ci: fmt-check build test test-release clippy bench-compile perfbench-build bench-smoke test-stat repro-quick perf-diff trace-quick
+
+fmt-check:
+	$(CARGO) fmt --all -- --check
 
 build:
 	$(CARGO) build --release
@@ -104,16 +114,18 @@ serve-soak:
 
 # Quick-budget chaos run with the event timeline on: writes
 # artifacts/TRACE_fig4-faults.json (Chrome trace_event — load in
-# Perfetto or chrome://tracing) next to the BENCH artifact.
+# Perfetto or chrome://tracing) next to the BENCH artifact, for CI to
+# upload. Tier-1 checks the trace's pair lifecycle on the raw log.
 trace-quick:
 	$(CARGO) run --release -p qnlg-bench --bin repro -- fig4-faults --quick --trace --out artifacts/
 
-# Perf-regression gate: freshly regenerated quick artifacts vs the
+# Perf-regression gate: the quick artifacts `repro-quick` wrote vs the
 # checked-in full-budget ones. Budgets differ, so elapsed time is skipped
 # and every per-unit-of-work metric is compared; 5x absorbs
 # machine-to-machine noise while still catching order-of-magnitude
-# collapses.
-perf-diff: repro-quick
+# collapses. A metric the checked-in artifact has and the new one lacks
+# fails.
+perf-diff:
 	$(CARGO) run --release -p qnlg-bench --bin repro -- perf-diff . artifacts/ --tolerance 5.0
 
 # Statistical acceptance tests with their sample-size/confidence
@@ -133,8 +145,11 @@ test-topology:
 	$(CARGO) test -p qnlg-bench --lib topology
 	$(CARGO) test -p qnlg-bench --test determinism topology
 
-# CI-budget reproduction of every experiment, with schema-validated
-# JSON-lines artifacts in artifacts/. Fails if any acceptance check fails.
+# CI-budget reproduction of every experiment, with JSON-lines artifacts
+# in artifacts/. Fails if any acceptance check fails, or if
+# `check-artifacts` rejects an artifact: schema, positive perf metrics
+# and elapsed time, a populated series with windows, and the decision
+# p99 under its 20 us cliff guard.
 repro-quick:
 	$(CARGO) run --release -p qnlg-bench --bin repro -- all --quick --json --out artifacts/
 	$(CARGO) run --release -p qnlg-bench --bin repro -- check-artifacts artifacts/

@@ -28,7 +28,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loadbalance::aos::run_simulation_aos;
 use loadbalance::server::Discipline;
-use loadbalance::shard::{default_shards, run_scaled, ScaleConfig, ScaleStrategy};
+use loadbalance::shard::{default_shards, run_scaled, ScaleConfig};
 use loadbalance::sim::{run_simulation, SimConfig};
 use loadbalance::strategy::Strategy;
 use loadbalance::task::{ArrivalModel, BernoulliWorkload};
@@ -85,11 +85,11 @@ fn bench_scale(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("soa_single", n), &n, |b, &n| {
             let cfg = scale_config(n, 1);
-            b.iter(|| black_box(run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 1).unwrap()))
+            b.iter(|| black_box(run_scaled(&cfg, Strategy::quantum_ideal(), 1).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("soa_sharded", n), &n, |b, &n| {
             let cfg = scale_config(n, default_shards(n).max(4));
-            b.iter(|| black_box(run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 1).unwrap()))
+            b.iter(|| black_box(run_scaled(&cfg, Strategy::quantum_ideal(), 1).unwrap()))
         });
     }
 
@@ -100,11 +100,11 @@ fn bench_scale(c: &mut Criterion) {
     let cfg = scale_config(100_000, default_shards(100_000));
     group.bench_function("soa_obs_on", |b| {
         obs::set_enabled(true);
-        b.iter(|| black_box(run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 2).unwrap()));
+        b.iter(|| black_box(run_scaled(&cfg, Strategy::quantum_ideal(), 2).unwrap()));
     });
     group.bench_function("soa_obs_off", |b| {
         obs::set_enabled(false);
-        b.iter(|| black_box(run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 2).unwrap()));
+        b.iter(|| black_box(run_scaled(&cfg, Strategy::quantum_ideal(), 2).unwrap()));
         obs::set_enabled(true);
     });
 

@@ -13,7 +13,7 @@
 //! stdout instead of the text tables; `--out <dir>` additionally writes
 //! one `BENCH_<experiment>.json` artifact per experiment (text output
 //! stays on stdout unless `--json` is also given). `check-artifacts`
-//! re-validates previously written artifacts against the schema.
+//! re-validates previously written artifacts (`report::check_repro_artifact`).
 //!
 //! `--soak` (serve only) replaces the serve experiment's bounded
 //! wall-clock arms with an open-ended soak that runs until SIGINT; the
@@ -62,7 +62,7 @@
 //! | topology         | E10: metro repeater chains + contention routing  |
 //! | serve            | E11: qnlg-serve sub-µs decision service          |
 
-use qnlg_bench::report::{validate_artifact_line, write_artifact, PerfStats, RunContext};
+use qnlg_bench::report::{check_repro_artifact, write_artifact, PerfStats, RunContext};
 use qnlg_bench::{experiments, perfdiff, Report, Table};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -342,21 +342,8 @@ fn check_artifacts(dir: &Path) -> ExitCode {
             }
         };
         for (i, line) in content.lines().filter(|l| !l.trim().is_empty()).enumerate() {
-            match validate_artifact_line(line) {
-                Ok(doc) => {
-                    let passed = doc.get("passed").and_then(|p| p.as_bool()) == Some(true);
-                    let exp = doc
-                        .get("experiment")
-                        .and_then(|e| e.as_str())
-                        .unwrap_or("?")
-                        .to_string();
-                    if passed {
-                        println!("OK   {} ({exp})", path.display());
-                    } else {
-                        eprintln!("FAIL {} ({exp}): acceptance checks failed", path.display());
-                        ok = false;
-                    }
-                }
+            match check_repro_artifact(line) {
+                Ok(exp) => println!("OK   {} ({exp})", path.display()),
                 Err(e) => {
                     eprintln!("FAIL {} line {}: {e}", path.display(), i + 1);
                     ok = false;

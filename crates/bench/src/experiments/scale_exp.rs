@@ -21,8 +21,9 @@ use crate::report::{sim_result_to_json, Better, Metric, PerfStats, Report};
 use crate::table::{f2, Table};
 use loadbalance::metrics::SimResult;
 use loadbalance::server::Discipline;
-use loadbalance::shard::{default_shards, run_scaled, ScaleConfig, ScaleStrategy};
+use loadbalance::shard::{default_shards, run_scaled, ScaleConfig};
 use loadbalance::sim::SimConfig;
+use loadbalance::strategy::Strategy;
 use loadbalance::task::ArrivalModel;
 use obs::json::Json;
 
@@ -60,7 +61,7 @@ fn scale_config(
 fn sim_point(
     n_servers: usize,
     workload: ArrivalModel,
-    strategy: ScaleStrategy,
+    strategy: Strategy,
     steps: u64,
     threads: usize,
     seed: u64,
@@ -124,8 +125,8 @@ pub fn run_full(threads: usize, quick: bool, with_perf: bool) -> Report {
         (&[1_000, 100_000, 1_000_000], 400)
     };
     let arms = [
-        ("classical", ScaleStrategy::UniformRandom),
-        ("quantum", ScaleStrategy::quantum_ideal()),
+        ("classical", Strategy::UniformRandom),
+        ("quantum", Strategy::quantum_ideal()),
     ];
 
     let mut report = Report::new("fig4-scale", 43);

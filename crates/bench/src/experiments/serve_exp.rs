@@ -219,15 +219,16 @@ fn run_with_stop(quick: bool, stop: Option<&AtomicBool>) -> Report {
     report.scalar("faulted.transitions", transitions as f64);
     report.check(
         "faulted-governor-trips-and-recovers",
-        faulted.iter().all(|s| s.transitions >= 2),
+        !faulted.is_empty() && faulted.iter().all(|s| s.transitions >= 2),
         format!("every endpoint saw >= 2 mode transitions ({transitions} total)"),
     );
     report.check(
         "faulted-serves-degraded-tiers",
-        faulted.iter().all(|s| {
-            s.by_tier[TIER_CLASSICAL as usize] + s.by_tier[TIER_INDEPENDENT as usize] > 0
-                && s.by_tier[TIER_QUANTUM as usize] > 0
-        }),
+        !faulted.is_empty()
+            && faulted.iter().all(|s| {
+                s.by_tier[TIER_CLASSICAL as usize] + s.by_tier[TIER_INDEPENDENT as usize] > 0
+                    && s.by_tier[TIER_QUANTUM as usize] > 0
+            }),
         "outage windows degrade, healthy windows stay quantum",
     );
     report.check(
@@ -271,9 +272,10 @@ fn run_with_stop(quick: bool, stop: Option<&AtomicBool>) -> Report {
     );
     report.check(
         "starved-degrades-inline",
-        starved
-            .iter()
-            .all(|s| s.exhausted == s.decisions && s.decisions == starved_per_endpoint),
+        !starved.is_empty()
+            && starved
+                .iter()
+                .all(|s| s.exhausted == s.decisions && s.decisions == starved_per_endpoint),
         "every empty-ring decision answered from the inline fallback",
     );
     report.check(

@@ -457,7 +457,7 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
     let rate_falls = star_rows.windows(2).all(|w| w[1].2 < w[0].2); // per-pair granted falls with fanout
     report.check(
         "star-contention-splits-rate",
-        split_exact && rate_falls,
+        star_rows.len() >= 2 && split_exact && rate_falls,
         format!(
             "per-pair grants even to ±1 and fall with fanout: {:?}",
             star_rows

@@ -315,21 +315,22 @@ impl PerfStats {
     /// Parses a `perf` object written by [`PerfStats::to_json`].
     ///
     /// # Errors
-    /// A message naming the first missing or mistyped field, or a metric
-    /// name that appears twice.
+    /// A message naming the first missing, mistyped or non-positive
+    /// field, or a metric name that appears twice.
     pub fn from_json(perf: &Json) -> Result<Self, String> {
         let elapsed_ns = perf
             .get("elapsed_ns")
             .and_then(Json::as_i64)
             .and_then(|v| u64::try_from(v).ok())
-            .ok_or("'perf.elapsed_ns' is not a non-negative integer")?;
+            .filter(|&v| v > 0)
+            .ok_or("'perf.elapsed_ns' is not a positive integer")?;
         let items = perf
             .get("metrics")
             .and_then(Json::as_arr)
             .ok_or("'perf.metrics' is not an array")?;
         let mut metrics: Vec<Metric> = Vec::with_capacity(items.len());
         for (i, m) in items.iter().enumerate() {
-            let bad = |key: &str| format!("'perf.metrics[{i}].{key}' is missing or mistyped");
+            let bad = |key: &str| format!("'perf.metrics[{i}].{key}' is missing or invalid");
             let text = |key: &str| m.get(key).and_then(Json::as_str).ok_or_else(|| bad(key));
             let better = match m.get("better").and_then(Json::as_str) {
                 Some("higher") => Better::Higher,
@@ -343,6 +344,7 @@ impl PerfStats {
                 value: m
                     .get("value")
                     .and_then(Json::as_f64)
+                    .filter(|&v| v > 0.0)
                     .ok_or_else(|| bad("value"))?,
             };
             if metrics.iter().any(|prev| prev.name == metric.name) {
@@ -596,16 +598,54 @@ pub fn validate_artifact_line(line: &str) -> Result<Json, String> {
         PerfStats::of(point).map_err(|e| format!("points[{i}]: {e}"))?;
     }
     // `series` must be present; when populated (not the determinism-pinned
-    // null) it needs a window width and a windows array.
+    // null) it needs a positive window width and at least one window.
     if let Some(series) = doc.get("series").filter(|s| !matches!(s, Json::Null)) {
-        if series.get("window_ns").and_then(Json::as_i64).is_none() {
-            return Err("'series.window_ns' is not an integer".into());
+        let width = series.get("window_ns").and_then(Json::as_i64);
+        if width.is_none_or(|w| w <= 0) {
+            return Err("'series.window_ns' is not a positive integer".into());
         }
-        if series.get("windows").and_then(Json::as_arr).is_none() {
-            return Err("'series.windows' is not an array".into());
+        let windows = series.get("windows").and_then(Json::as_arr);
+        if windows.is_none_or(|w| w.is_empty()) {
+            return Err("'series.windows' is not a non-empty array".into());
         }
     }
     Ok(doc)
+}
+
+/// The quick-budget cliff guard for `decision_p99_ns` (the served path
+/// decides in well under 1 µs): the gate's one absolute wall-clock bound.
+const DECISION_P99_CEILING_NS: f64 = 20_000.0;
+
+/// Every rule `repro check-artifacts` applies to an artifact line: it
+/// passes [`validate_artifact_line`] and its acceptance checks, `perf` and
+/// `series` (which `repro` always writes) and every point's `perf` are not
+/// null, and `decision_p99_ns` is under the 20 µs cliff guard. Returns
+/// the experiment's name.
+///
+/// # Errors
+/// A message naming the first failed rule.
+pub fn check_repro_artifact(line: &str) -> Result<String, String> {
+    let doc = validate_artifact_line(line)?;
+    let exp = doc.get("experiment").and_then(Json::as_str).unwrap_or("?");
+    if doc.get("passed").and_then(Json::as_bool) != Some(true) {
+        return Err(format!("{exp}: acceptance checks failed"));
+    }
+    let perf = PerfStats::of(&doc)?.ok_or("'perf' is null")?;
+    if matches!(doc.get("series"), Some(Json::Null)) {
+        return Err("'series' is null".into());
+    }
+    let points = doc.get("points").and_then(Json::as_arr).unwrap_or(&[]);
+    if let Some(i) = points
+        .iter()
+        .position(|p| p.get("perf") == Some(&Json::Null))
+    {
+        return Err(format!("points[{i}]: 'perf' is null"));
+    }
+    let p99 = perf.metric("decision_p99_ns").map_or(0.0, |m| m.value);
+    if p99 >= DECISION_P99_CEILING_NS {
+        return Err(format!("decision_p99_ns {p99} ns is not under 20 µs"));
+    }
+    Ok(exp.to_string())
 }
 
 /// Writes one artifact file into `dir`, creating the directory (and any
@@ -646,6 +686,18 @@ mod tests {
                 metric("hot_decisions_per_sec", "1/s", Better::Higher, 8.25e6),
                 metric("decision_p99_ns", "ns", Better::Lower, 511.0),
             ],
+        }
+    }
+
+    /// A recorded series: 1 µs windows, one of which saw a counter move.
+    fn sample_series() -> trace::series::SeriesSnapshot {
+        trace::series::SeriesSnapshot {
+            window_ns: 1_000,
+            dropped_windows: 0,
+            windows: vec![trace::series::SeriesWindow {
+                t_ns: 5_000,
+                counters: vec![("qnet.epr.emitted".into(), 3)],
+            }],
         }
     }
 
@@ -748,6 +800,9 @@ mod tests {
             "elapsed_ns",
         );
         rejects(r#""metrics":["#, r#""metrics":{},"x":["#, "metrics");
+        rejects(r#""elapsed_ns":1500000"#, r#""elapsed_ns":0"#, "elapsed_ns");
+        rejects(r#""value":2000000"#, r#""value":0"#, "value");
+        rejects(r#""value":2000000"#, r#""value":-2000000"#, "value");
 
         // An empty list is a run in which no measured subsystem ran.
         let empty = line.replacen(
@@ -769,6 +824,35 @@ mod tests {
         let bad = good.replacen(r#""better":"lower""#, r#""better":"down""#, 1);
         let err = validate_artifact_line(&bad).expect_err("bad per-point better");
         assert!(err.contains("points[0]"), "got: {err}");
+        let bad = good.replacen(r#""value":511"#, r#""value":0"#, 1);
+        let err = validate_artifact_line(&bad).expect_err("zero per-point metric");
+        assert!(err.contains("points[0]"), "got: {err}");
+
+        // `repro` always writes perf, so check-artifacts also fails a null
+        // perf or per-point perf, and a p99 at the cliff-guard ceiling.
+        let check = check_repro_artifact;
+        let written = RunContext {
+            series: Some(sample_series()),
+            ..ctx
+        };
+        let line = r.to_json(&written).render();
+        assert_eq!(check(&line), Ok("sample".to_string()));
+        let failed = line.replacen(r#""passed":true"#, r#""passed":false"#, 1);
+        assert!(check(&failed)
+            .unwrap_err()
+            .contains("acceptance checks failed"));
+        let perf_json = sample_perf().to_json().render();
+        let null_perf = line.replacen(&perf_json, "null", 1);
+        assert!(check(&null_perf).unwrap_err().contains("'perf' is null"));
+        let good = point.to_json(&written).render();
+        check(&good).expect("per-point perf passes");
+        // The point's perf renders before the top-level one.
+        let null_point = good.replacen(&perf_json, "null", 1);
+        let err = check(&null_point).unwrap_err();
+        assert!(err.contains("points[0]: 'perf' is null"), "got: {err}");
+        check(&line.replacen(r#""value":511"#, r#""value":19999"#, 1)).expect("under the ceiling");
+        let slow = line.replacen(r#""value":511"#, r#""value":20000"#, 1);
+        assert!(check(&slow).unwrap_err().contains("decision_p99_ns"));
     }
 
     #[test]
@@ -788,14 +872,13 @@ mod tests {
         assert!(matches!(doc.get("series"), Some(Json::Null)));
 
         // A populated series round-trips with its windows intact.
-        trace::series::start(1_000);
-        trace::series::tick(5_000);
-        ctx.series = Some(trace::series::finish());
+        ctx.series = Some(sample_series());
         let populated = r.to_json(&ctx).render();
         let doc = validate_artifact_line(&populated).expect("populated series is valid");
         let series = doc.get("series").unwrap();
         assert_eq!(series.get("window_ns").unwrap().as_i64(), Some(1_000));
         assert!(series.get("windows").unwrap().as_arr().is_some());
+        assert_eq!(series.get("windows").unwrap().as_arr().unwrap().len(), 1);
 
         // A malformed series (windows not an array) is rejected.
         let bad = line.replace(
@@ -804,6 +887,28 @@ mod tests {
         );
         assert_ne!(bad, line, "replacement must hit the null series");
         assert!(validate_artifact_line(&bad).is_err());
+        // So are a zero window width and a series without windows.
+        let window = r#"{"t_ns":0,"counters":{"x":1}}"#;
+        for (series, needle) in [
+            (
+                format!(r#"{{"window_ns":0,"windows":[{window}]}}"#),
+                "window_ns",
+            ),
+            (r#"{"window_ns":1000,"windows":[]}"#.to_string(), "windows"),
+        ] {
+            let bad = line.replace(r#""series":null"#, &format!(r#""series":{series}"#));
+            let err = validate_artifact_line(&bad).expect_err(&series);
+            assert!(err.contains(needle), "{series}: got {err}");
+        }
+
+        // `repro` always writes a series, so check-artifacts fails a null
+        // one.
+        ctx.perf = Some(sample_perf());
+        let written = r.to_json(&ctx).render();
+        check_repro_artifact(&written).expect("populated series");
+        ctx.series = None;
+        let err = check_repro_artifact(&r.to_json(&ctx).render()).unwrap_err();
+        assert!(err.contains("'series' is null"), "got: {err}");
     }
 
     #[test]

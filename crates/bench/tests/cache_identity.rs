@@ -3,7 +3,8 @@
 //! starts cold or warm.
 //!
 //! This lives in its own integration-test binary (its own process) so
-//! clearing the process-global cache cannot race other tests.
+//! clearing the process-global cache, and counting its hits in the
+//! process-global obs registry, cannot race other tests.
 
 use games::cache::ValueCache;
 use games::graph::sample_games;
@@ -53,11 +54,19 @@ fn memo_hits_return_the_bits_a_cold_solve_computes() {
 #[test]
 fn fig3_quick_is_identical_on_a_cold_and_a_warm_cache() {
     games::cache::global().clear();
+    obs::reset();
+    obs::set_enabled(true);
     let cold = qnlg_bench::experiments::fig3::run_with_threads(2, true);
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
     assert!(
         !games::cache::global().is_empty(),
         "the run must populate the global cache"
     );
+    // fig3's games repeat orbits, so even a cold cache must hit: zero
+    // hits means the lookup was wired out of the solve path.
+    let hits = snap.counter("games.xor.cache.hits").unwrap_or(0);
+    assert!(hits > 0, "expected games.xor.cache.hits > 0, got {hits}");
     let warm = qnlg_bench::experiments::fig3::run_with_threads(2, true);
 
     assert_eq!(

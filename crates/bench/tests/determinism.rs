@@ -196,16 +196,19 @@ fn fig4_faults_chaos_run_is_deterministic() {
 /// Tracing must observe, never perturb: the chaos artifact — the run
 /// with the most trace coverage (per-pair lifecycle, clamp evictions,
 /// governor transitions) — is byte-identical with the event timeline
-/// recording, at both a deliberately tiny ring (constant drop-oldest
-/// wrapping) and a roomy one. Trace toggling happens inside this one
-/// test; events never feed the canonical payload, so parallel tests
-/// cannot observe it.
+/// recording, at a deliberately tiny ring (constant drop-oldest
+/// wrapping), a roomy one and the default `repro --trace` records with.
+/// At the default, the log keeps every pair stage and the governor's
+/// evaluations, and each consumed pair whose emission is still in the
+/// log was consumed after it was emitted. Trace toggling happens inside
+/// this one test; events never feed the canonical payload, so parallel
+/// tests cannot observe it.
 #[test]
 fn trace_on_off_and_ring_capacity_leave_artifacts_identical() {
     let reference = canonical_json(&qnlg_bench::experiments::faults_exp::run_with_threads(
         2, true,
     ));
-    for capacity in [256, 4096] {
+    for capacity in [256, 4096, trace::DEFAULT_CAPACITY] {
         trace::reset();
         trace::set_capacity(capacity);
         trace::set_enabled(true);
@@ -222,7 +225,54 @@ fn trace_on_off_and_ring_capacity_leave_artifacts_identical() {
             !log.events.is_empty(),
             "traced chaos run must record events at capacity {capacity}"
         );
+        if capacity == trace::DEFAULT_CAPACITY {
+            assert_pair_lifecycle(&log);
+        }
     }
+}
+
+/// The chaos trace's pair lifecycle: emitted, stored and consumed pairs
+/// and governor evaluations are all recorded, and at least one consumed
+/// pair is matched to its emission by (lane, pair id), every match with
+/// a positive emitted → consumed latency.
+fn assert_pair_lifecycle(log: &trace::TraceLog) {
+    use trace::{EventKind, PairStage, Track};
+    let lane = |track: Track| match track {
+        Track::Source(l) | Track::Qnic { lane: l, .. } => Some(l),
+        _ => None,
+    };
+    let pairs = || {
+        log.events.iter().filter_map(|e| match e.kind {
+            EventKind::Pair { stage, id } => Some((stage, (lane(e.track), id), e.t_ns)),
+            _ => None,
+        })
+    };
+    for stage in [PairStage::Emitted, PairStage::Stored, PairStage::Consumed] {
+        assert!(
+            pairs().any(|(s, _, _)| s == stage),
+            "chaos trace has no pair.{} events",
+            stage.name()
+        );
+    }
+    assert!(
+        log.events
+            .iter()
+            .any(|e| e.kind == EventKind::Instant("governor.eval")),
+        "chaos trace has no governor.eval events"
+    );
+    let emitted: std::collections::HashMap<_, u64> = pairs()
+        .filter(|&(s, _, _)| s == PairStage::Emitted)
+        .map(|(_, key, t)| (key, t))
+        .collect();
+    let latencies: Vec<i128> = pairs()
+        .filter(|&(s, _, _)| s == PairStage::Consumed)
+        .filter_map(|(_, key, t)| Some(i128::from(t) - i128::from(*emitted.get(&key)?)))
+        .collect();
+    assert!(
+        !latencies.is_empty() && latencies.iter().all(|&l| l > 0),
+        "no positive delivery latencies among {} consumed pairs matched to their emission",
+        latencies.len()
+    );
 }
 
 /// The batched entanglement data plane end-to-end: the E8
@@ -285,8 +335,9 @@ fn fig4_scale_quick_artifact_is_shard_thread_and_obs_invariant() {
     // Raw engine: shard-count sweep at several worker counts, plus obs
     // toggling, all compared against the single-shard sequential run.
     use loadbalance::server::Discipline;
-    use loadbalance::shard::{run_scaled, ScaleConfig, ScaleStrategy};
+    use loadbalance::shard::{run_scaled, ScaleConfig};
     use loadbalance::sim::SimConfig;
+    use loadbalance::strategy::Strategy;
     use loadbalance::task::ArrivalModel;
     let mut cfg = ScaleConfig::new(
         SimConfig {
@@ -302,7 +353,7 @@ fn fig4_scale_quick_artifact_is_shard_thread_and_obs_invariant() {
     cfg.threads = 1;
     let reference = format!(
         "{:?}",
-        run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 0xfa57).unwrap()
+        run_scaled(&cfg, Strategy::quantum_ideal(), 0xfa57).unwrap()
     );
     for shards in [1, 4, 16] {
         for threads in [1, 2, 4] {
@@ -310,7 +361,7 @@ fn fig4_scale_quick_artifact_is_shard_thread_and_obs_invariant() {
             cfg.threads = threads;
             let r = format!(
                 "{:?}",
-                run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 0xfa57).unwrap()
+                run_scaled(&cfg, Strategy::quantum_ideal(), 0xfa57).unwrap()
             );
             assert_eq!(r, reference, "shards={shards} threads={threads} diverged");
         }
@@ -321,7 +372,7 @@ fn fig4_scale_quick_artifact_is_shard_thread_and_obs_invariant() {
     cfg.threads = 2;
     let observed = format!(
         "{:?}",
-        run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 0xfa57).unwrap()
+        run_scaled(&cfg, Strategy::quantum_ideal(), 0xfa57).unwrap()
     );
     let snap = obs::snapshot();
     obs::set_enabled(false);

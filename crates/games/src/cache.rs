@@ -32,8 +32,8 @@
 //! is still sound, just not guaranteed to merge every orbit.
 //!
 //! Counters `games.xor.cache.hits` / `games.xor.cache.misses` land in the
-//! obs snapshot of every artifact; the repro CI job asserts hits > 0 on
-//! the fig3 quick run.
+//! obs snapshot of every artifact; `bench/tests/cache_identity.rs` asserts
+//! hits > 0 on a fig3 quick run that starts from a cold cache.
 
 use crate::error::GameError;
 use crate::xor::{classical_bias_flat, solve_quantum_flat, SolverOpts, XorGame};

@@ -94,15 +94,6 @@ impl PairRule {
             }
         }
     }
-
-    /// Label for report tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PairRule::AlwaysSplit => "paired-always-split",
-            PairRule::MatchTypes => "paired-match-types",
-            PairRule::Quantum { .. } => "paired-quantum",
-        }
-    }
 }
 
 /// One flipped-CHSH round on a Werner pair: both halves measured at the

@@ -79,7 +79,7 @@ impl CoordinationMode {
     }
 
     /// Trace instant name for a transition *into* this mode.
-    fn trace_name(self) -> &'static str {
+    pub fn trace_name(self) -> &'static str {
         match self {
             CoordinationMode::Quantum => "mode.quantum",
             CoordinationMode::ClassicalShared => "mode.classical-shared",

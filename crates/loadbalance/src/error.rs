@@ -46,6 +46,11 @@ pub enum SimError {
         /// Label of the offending discipline.
         discipline: &'static str,
     },
+    /// A strategy the sharded backend does not implement.
+    UnsupportedStrategy {
+        /// Label of the offending strategy.
+        strategy: &'static str,
+    },
     /// `shards == 0`: state must live somewhere.
     NoShards,
     /// `epoch_len == 0`: the batch advance would never make progress.
@@ -74,6 +79,10 @@ impl fmt::Display for SimError {
                 f,
                 "discipline {discipline:?} is not representable in the lane-split \
                  shard backend; use the compatibility path (run_simulation)"
+            ),
+            SimError::UnsupportedStrategy { strategy } => write!(
+                f,
+                "strategy {strategy:?} has no shard kernel; use run_simulation"
             ),
             SimError::NoShards => write!(f, "need at least one shard"),
             SimError::EmptyEpoch => write!(f, "epoch length must be at least one step"),

@@ -59,7 +59,7 @@ pub use error::SimError;
 pub use metrics::{SimResult, WaitReservoir};
 pub use pipeline::PipelinePairedQuantum;
 pub use server::{Discipline, Server};
-pub use shard::{run_scaled, ScaleConfig, ScaleStrategy};
+pub use shard::{run_scaled, ScaleConfig};
 pub use sim::{
     run_simulation, run_simulation_with, try_run_simulation, try_run_simulation_with, SimConfig,
 };

@@ -50,6 +50,7 @@ use crate::sim::{
     SimConfig, CC_COLOCATED, CC_ROUNDS, OTHER_ROUNDS, OTHER_SPLIT, QUEUE_SERIES_WINDOWS,
     QUEUE_TOTAL, SIM_RUNS, SIM_STEPS, TASKS_ASSIGNED,
 };
+use crate::strategy::Strategy;
 use crate::task::ArrivalModel;
 use games::pairing::{self, PairRule};
 use runtime::{par_map_mut_threads, stream_seed, SplitMix64};
@@ -129,72 +130,6 @@ pub fn default_shards(n_servers: usize) -> usize {
     (n_servers / 65_536).clamp(1, 16).max(1)
 }
 
-/// Assignment kernels of the sharded engine.
-///
-/// These are closed-form re-implementations of the [`crate::strategy`]
-/// menu entries that scale runs sweep; labels match so downstream tables
-/// and checks treat both engines uniformly. Stateful strategies (round
-/// robin, pipeline, degradation governor) stay on the compatibility
-/// path, which accepts any `dyn AssignmentStrategy`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScaleStrategy {
-    /// Each balancer picks a uniformly random server.
-    UniformRandom,
-    /// Probe two random servers, pick the shorter queue (epoch-stale).
-    PowerOfTwoChoices,
-    /// Paired, always split.
-    PairedAlwaysSplit,
-    /// Paired, match types (`a = x, b = y`).
-    PairedMatchTypes,
-    /// Paired, flipped-CHSH quantum box
-    /// ([`games::CorrelationBox::flipped_chsh`]): P(same server) = (1 ± v/√2)/2,
-    /// + exactly when both tasks are type-C.
-    PairedQuantum {
-        /// Probability a fresh pair is available (misses split).
-        availability: f64,
-        /// Bell-pair visibility (Werner scaling of the correlation).
-        visibility: f64,
-    },
-}
-
-impl ScaleStrategy {
-    /// The ideal quantum strategy.
-    pub fn quantum_ideal() -> Self {
-        ScaleStrategy::PairedQuantum {
-            availability: 1.0,
-            visibility: 1.0,
-        }
-    }
-
-    /// Label for report tables (matches the [`crate::strategy`] names).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ScaleStrategy::UniformRandom => "uniform-random",
-            ScaleStrategy::PowerOfTwoChoices => "power-of-two",
-            ScaleStrategy::PairedAlwaysSplit => "paired-always-split",
-            ScaleStrategy::PairedMatchTypes => "paired-match-types",
-            ScaleStrategy::PairedQuantum { .. } => "paired-quantum",
-        }
-    }
-
-    /// The pairing rule of a paired strategy; `None` for the others.
-    fn pair_rule(&self) -> Option<PairRule> {
-        match *self {
-            ScaleStrategy::PairedAlwaysSplit => Some(PairRule::AlwaysSplit),
-            ScaleStrategy::PairedMatchTypes => Some(PairRule::MatchTypes),
-            ScaleStrategy::PairedQuantum {
-                availability,
-                visibility,
-            } => Some(PairRule::quantum(visibility, availability)),
-            _ => None,
-        }
-    }
-
-    fn needs_queue_lens(&self) -> bool {
-        matches!(self, ScaleStrategy::PowerOfTwoChoices)
-    }
-}
-
 /// Contiguous partition range `i` of `n` items over `shards` parts.
 #[inline]
 fn part(i: usize, n: usize, shards: usize) -> (usize, usize) {
@@ -245,7 +180,7 @@ impl PairShard {
         e0: u64,
         e1: u64,
         cfg: &ScaleConfig,
-        strategy: ScaleStrategy,
+        strategy: Strategy,
         rule: Option<&PairRule>,
         n_balancers: usize,
         n_servers: u32,
@@ -287,10 +222,10 @@ impl PairShard {
                 // Assignment draws.
                 let (sl, sr) = if full {
                     match strategy {
-                        ScaleStrategy::UniformRandom => {
+                        Strategy::UniformRandom => {
                             (rng.gen_range(n_servers), Some(rng.gen_range(n_servers)))
                         }
-                        ScaleStrategy::PowerOfTwoChoices => {
+                        Strategy::PowerOfTwoChoices => {
                             let l = probe_two(&mut rng, n_servers, queue_lens);
                             let r = probe_two(&mut rng, n_servers, queue_lens);
                             (l, Some(r))
@@ -307,9 +242,7 @@ impl PairShard {
                     // Odd balancer out: uniform for paired strategies
                     // (the legacy fallback); native kernel otherwise.
                     let s = match strategy {
-                        ScaleStrategy::PowerOfTwoChoices => {
-                            probe_two(&mut rng, n_servers, queue_lens)
-                        }
+                        Strategy::PowerOfTwoChoices => probe_two(&mut rng, n_servers, queue_lens),
                         _ => rng.gen_range(n_servers),
                     };
                     (s, None)
@@ -544,10 +477,11 @@ impl ServerShard {
 ///
 /// The result is byte-identical for any `cfg.shards` and `cfg.threads`;
 /// informed strategies additionally depend on `cfg.epoch_len` (snapshot
-/// staleness), all others do not.
+/// staleness), all others do not. Round robin and dedicated servers stay
+/// on the compatibility path ([`SimError::UnsupportedStrategy`]).
 pub fn run_scaled(
     cfg: &ScaleConfig,
-    strategy: ScaleStrategy,
+    strategy: Strategy,
     master_seed: u64,
 ) -> Result<SimResult, SimError> {
     cfg.validate()?;
@@ -558,6 +492,10 @@ pub fn run_scaled(
             });
         }
         _ => {}
+    }
+    if let Strategy::RoundRobin | Strategy::DedicatedServers { .. } = strategy {
+        let strategy = strategy.name();
+        return Err(SimError::UnsupportedStrategy { strategy });
     }
     let rule = strategy.pair_rule();
     if rule.is_some() && cfg.sim.n_servers < 2 {
@@ -608,7 +546,7 @@ pub fn run_scaled(
         })
         .collect();
 
-    let needs_lens = strategy.needs_queue_lens();
+    let needs_lens = strategy == Strategy::PowerOfTwoChoices;
     let mut queue_lens: Vec<u32> = vec![0; if needs_lens { n_servers } else { 0 }];
 
     let mut e0 = 0u64;
@@ -762,10 +700,10 @@ mod tests {
     #[test]
     fn results_are_shard_and_thread_count_invariant() {
         for strategy in [
-            ScaleStrategy::quantum_ideal(),
-            ScaleStrategy::UniformRandom,
-            ScaleStrategy::PowerOfTwoChoices,
-            ScaleStrategy::PairedMatchTypes,
+            Strategy::quantum_ideal(),
+            Strategy::UniformRandom,
+            Strategy::PowerOfTwoChoices,
+            Strategy::PairedMatchTypes,
         ] {
             let mut cfg = quick(1.2, 61); // odd: exercises the half pair
             let reference = {
@@ -792,10 +730,10 @@ mod tests {
         // Only informed strategies may see epoch boundaries (snapshot
         // staleness); everything else must be epoch-length invariant.
         let mut cfg = quick(1.2, 60);
-        let reference = key(&run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 9).unwrap());
+        let reference = key(&run_scaled(&cfg, Strategy::quantum_ideal(), 9).unwrap());
         for epoch_len in [1, 7, 100, 10_000] {
             cfg.epoch_len = epoch_len;
-            let r = key(&run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 9).unwrap());
+            let r = key(&run_scaled(&cfg, Strategy::quantum_ideal(), 9).unwrap());
             assert_eq!(r, reference, "epoch_len={epoch_len} diverged");
         }
     }
@@ -803,8 +741,8 @@ mod tests {
     #[test]
     fn quantum_beats_classical_at_the_knee() {
         let cfg = quick(1.2, 200);
-        let classical = run_scaled(&cfg, ScaleStrategy::UniformRandom, 7).unwrap();
-        let quantum = run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 7).unwrap();
+        let classical = run_scaled(&cfg, Strategy::UniformRandom, 7).unwrap();
+        let quantum = run_scaled(&cfg, Strategy::quantum_ideal(), 7).unwrap();
         assert!(
             quantum.avg_queue_len < classical.avg_queue_len,
             "quantum {} vs classical {}",
@@ -817,7 +755,7 @@ mod tests {
     fn pair_stats_match_chsh_rates() {
         let mut cfg = quick(1.0, 400);
         cfg.sim.timesteps = 600;
-        let r = run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 11).unwrap();
+        let r = run_scaled(&cfg, Strategy::quantum_ideal(), 11).unwrap();
         let expect = games::chsh_quantum_value();
         assert!(
             (r.cc_colocation_rate - expect).abs() < 0.02,
@@ -840,7 +778,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let cfg = quick(1.0, 120);
-        let scaled = run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 5).unwrap();
+        let scaled = run_scaled(&cfg, Strategy::quantum_ideal(), 5).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let legacy = crate::sim::run_simulation(
             cfg.sim,
@@ -873,7 +811,7 @@ mod tests {
         ] {
             let mut cfg = quick(0.9, 120);
             cfg.sim.discipline = discipline;
-            let scaled = run_scaled(&cfg, ScaleStrategy::UniformRandom, 3).unwrap();
+            let scaled = run_scaled(&cfg, Strategy::UniformRandom, 3).unwrap();
             let mut rng = StdRng::seed_from_u64(3);
             let legacy = crate::sim::run_simulation(
                 cfg.sim,
@@ -908,14 +846,14 @@ mod tests {
         ] {
             let mut cfg = quick(0.8, 80);
             cfg.workload = workload;
-            let r = run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 13).unwrap();
+            let r = run_scaled(&cfg, Strategy::quantum_ideal(), 13).unwrap();
             assert!(r.avg_queue_len.is_finite() && r.avg_queue_len >= 0.0);
             assert!(r.served > 0, "{}: no tasks served", workload.label());
             // Still byte-stable across shard counts with phase state.
             let mut cfg16 = cfg;
             cfg16.shards = 16;
             cfg16.threads = 3;
-            let r16 = run_scaled(&cfg16, ScaleStrategy::quantum_ideal(), 13).unwrap();
+            let r16 = run_scaled(&cfg16, Strategy::quantum_ideal(), 13).unwrap();
             assert_eq!(key(&r), key(&r16), "{}", workload.label());
         }
     }
@@ -925,7 +863,7 @@ mod tests {
         let mut cfg = quick(1.0, 40);
         cfg.sim.discipline = Discipline::SingleSlot;
         assert_eq!(
-            run_scaled(&cfg, ScaleStrategy::UniformRandom, 1).unwrap_err(),
+            run_scaled(&cfg, Strategy::UniformRandom, 1).unwrap_err(),
             SimError::UnsupportedDiscipline {
                 discipline: "single-slot"
             }
@@ -933,25 +871,32 @@ mod tests {
         let mut cfg = quick(1.0, 40);
         cfg.shards = 0;
         assert_eq!(
-            run_scaled(&cfg, ScaleStrategy::UniformRandom, 1).unwrap_err(),
+            run_scaled(&cfg, Strategy::UniformRandom, 1).unwrap_err(),
             SimError::NoShards
         );
         let mut cfg = quick(1.0, 40);
         cfg.epoch_len = 0;
         assert_eq!(
-            run_scaled(&cfg, ScaleStrategy::UniformRandom, 1).unwrap_err(),
+            run_scaled(&cfg, Strategy::UniformRandom, 1).unwrap_err(),
             SimError::EmptyEpoch
         );
         let mut cfg = quick(1.0, 40);
         cfg.workload = ArrivalModel::Bernoulli { p_c: 2.0 };
         assert_eq!(
-            run_scaled(&cfg, ScaleStrategy::UniformRandom, 1).unwrap_err(),
+            run_scaled(&cfg, Strategy::UniformRandom, 1).unwrap_err(),
             SimError::BadArrivalModel { model: "bernoulli" }
+        );
+        let cfg = quick(1.0, 40);
+        assert_eq!(
+            run_scaled(&cfg, Strategy::RoundRobin, 1).unwrap_err(),
+            SimError::UnsupportedStrategy {
+                strategy: "round-robin"
+            }
         );
         let mut cfg = quick(1.0, 40);
         cfg.sim.n_servers = 1;
         assert_eq!(
-            run_scaled(&cfg, ScaleStrategy::quantum_ideal(), 1).unwrap_err(),
+            run_scaled(&cfg, Strategy::quantum_ideal(), 1).unwrap_err(),
             SimError::TooFewServers {
                 n_servers: 1,
                 min: 2

@@ -82,6 +82,33 @@ impl Strategy {
         }
     }
 
+    /// Label for report tables; every strategy [`Strategy::build`] makes
+    /// reports it as its `name()`.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Strategy::UniformRandom => "uniform-random",
+            Strategy::RoundRobin => "round-robin",
+            Strategy::PowerOfTwoChoices => "power-of-two",
+            Strategy::DedicatedServers { .. } => "dedicated-servers",
+            Strategy::PairedAlwaysSplit => "paired-always-split",
+            Strategy::PairedMatchTypes => "paired-match-types",
+            Strategy::PairedQuantum { .. } => "paired-quantum",
+        }
+    }
+
+    /// The pairing rule of a paired strategy; `None` for the others.
+    pub(crate) fn pair_rule(&self) -> Option<PairRule> {
+        match *self {
+            Strategy::PairedAlwaysSplit => Some(PairRule::AlwaysSplit),
+            Strategy::PairedMatchTypes => Some(PairRule::MatchTypes),
+            Strategy::PairedQuantum {
+                availability,
+                visibility,
+            } => Some(PairRule::quantum(visibility, availability)),
+            _ => None,
+        }
+    }
+
     /// Instantiates the runnable strategy state.
     pub fn build(self, n_servers: usize) -> Box<dyn AssignmentStrategy> {
         assert!(n_servers >= 2, "need at least two servers");
@@ -92,20 +119,12 @@ impl Strategy {
                 offsets: Vec::new(),
             }),
             Strategy::PowerOfTwoChoices => Box::new(PowerOfTwo { n_servers }),
-            Strategy::PairedAlwaysSplit => Box::new(Paired {
+            Strategy::PairedAlwaysSplit
+            | Strategy::PairedMatchTypes
+            | Strategy::PairedQuantum { .. } => Box::new(Paired {
                 n_servers,
-                rule: PairRule::AlwaysSplit,
-            }),
-            Strategy::PairedMatchTypes => Box::new(Paired {
-                n_servers,
-                rule: PairRule::MatchTypes,
-            }),
-            Strategy::PairedQuantum {
-                availability,
-                visibility,
-            } => Box::new(Paired {
-                n_servers,
-                rule: PairRule::quantum(visibility, availability),
+                rule: self.pair_rule().expect("paired strategy"),
+                name: self.name(),
             }),
             Strategy::DedicatedServers { dedicated_fraction } => {
                 assert!(
@@ -170,7 +189,7 @@ impl AssignmentStrategy for UniformRandom {
     }
 
     fn name(&self) -> &'static str {
-        "uniform-random"
+        Strategy::UniformRandom.name()
     }
 }
 
@@ -201,7 +220,7 @@ impl AssignmentStrategy for RoundRobin {
     }
 
     fn name(&self) -> &'static str {
-        "round-robin"
+        Strategy::RoundRobin.name()
     }
 }
 
@@ -233,13 +252,14 @@ impl AssignmentStrategy for PowerOfTwo {
     }
 
     fn name(&self) -> &'static str {
-        "power-of-two"
+        Strategy::PowerOfTwoChoices.name()
     }
 }
 
 struct Paired {
     n_servers: usize,
     rule: PairRule,
+    name: &'static str,
 }
 
 impl AssignmentStrategy for Paired {
@@ -255,7 +275,7 @@ impl AssignmentStrategy for Paired {
     }
 
     fn name(&self) -> &'static str {
-        self.rule.label()
+        self.name
     }
 }
 
@@ -284,7 +304,10 @@ impl AssignmentStrategy for Dedicated {
     }
 
     fn name(&self) -> &'static str {
-        "dedicated-servers"
+        Strategy::DedicatedServers {
+            dedicated_fraction: 0.0,
+        }
+        .name()
     }
 }
 
@@ -314,6 +337,23 @@ mod tests {
         for c in counts {
             let f = c as f64 / 10_000.0;
             assert!((f - 0.1).abs() < 0.02, "server load {f}");
+        }
+    }
+
+    #[test]
+    fn built_strategies_report_the_menu_label() {
+        for strategy in [
+            Strategy::UniformRandom,
+            Strategy::RoundRobin,
+            Strategy::PowerOfTwoChoices,
+            Strategy::PairedAlwaysSplit,
+            Strategy::PairedMatchTypes,
+            Strategy::quantum_ideal(),
+            Strategy::DedicatedServers {
+                dedicated_fraction: 0.25,
+            },
+        ] {
+            assert_eq!(strategy.build(8).name(), strategy.name());
         }
     }
 

@@ -194,12 +194,7 @@ impl EndpointFeed {
         if trace::enabled() {
             let mode_after = self.governor.mode();
             if mode_after != mode_before {
-                let name = match mode_after {
-                    CoordinationMode::Quantum => "mode.quantum",
-                    CoordinationMode::ClassicalShared => "mode.classical-shared",
-                    CoordinationMode::IndependentRandom => "mode.independent-random",
-                };
-                trace::instant_sim(self.track, name, now.as_nanos());
+                trace::instant_sim(self.track, mode_after.trace_name(), now.as_nanos());
             }
         }
         slot
