@@ -11,9 +11,9 @@ CARGO ?= cargo
 # in artifacts/, so targets run in the order given.
 .NOTPARALLEL:
 
-.PHONY: ci fmt-check build test test-release clippy bench-compile perfbench-build bench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+.PHONY: ci fmt-check build test test-release clippy doc bench-compile perfbench-build bench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
 
-ci: fmt-check build test test-release clippy bench-compile perfbench-build bench-smoke test-stat repro-quick perf-diff trace-quick
+ci: fmt-check build test test-release clippy doc bench-compile perfbench-build bench-smoke test-stat repro-quick perf-diff trace-quick
 
 fmt-check:
 	$(CARGO) fmt --all -- --check
@@ -34,6 +34,11 @@ test-release:
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# The API docs build without a warning: no broken, private or
+# ambiguous intra-doc link.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
 # All bench harnesses must keep building even when not run.
 bench-compile:

@@ -218,7 +218,7 @@ impl MagicSquare {
 
     /// Exact win probability on question `(row, col)` by enumerating the
     /// 16 Pauli-twirl error pairs — the non-statistical oracle for
-    /// [`play_round`], pinned to the closed form in the tests.
+    /// [`Self::play_round`], pinned to the closed form in the tests.
     pub fn exact_cell_win(&self, row: usize, col: usize) -> f64 {
         assert!(row < 3 && col < 3, "magic square is 3×3");
         let p_id = 0.25 * (1.0 + 3.0 * self.visibility);

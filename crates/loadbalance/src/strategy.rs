@@ -4,7 +4,7 @@
 //! two choices, and the best *classical pairing* strategies. The quantum
 //! strategy pairs balancers and plays the flipped CHSH game per round.
 //! Every paired strategy, here and in [`crate::pipeline`] and
-//! [`crate::degrade`], runs [`assign_pairs`] over [`games::pairing`].
+//! [`crate::degrade`], runs `assign_pairs` over [`games::pairing`].
 //!
 //! ## Locality discipline
 //!

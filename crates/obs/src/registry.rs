@@ -130,7 +130,7 @@ impl Gauge {
     }
 }
 
-/// A log-bucketed histogram handle (see [`crate::hist`]).
+/// A log-bucketed histogram handle (see [`mod@crate::hist`]).
 #[derive(Clone)]
 pub struct Hist(Arc<HistInner>);
 

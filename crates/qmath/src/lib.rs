@@ -7,7 +7,7 @@
 //! - [`eigen`]: Jacobi eigendecomposition for real-symmetric and Hermitian
 //!   matrices (the workhorse behind PSD projection and density-matrix
 //!   spectral analysis).
-//! - [`cholesky`]: Cholesky factorization and PSD checks.
+//! - [`mod@cholesky`]: Cholesky factorization and PSD checks.
 //! - [`psd`]: projection onto the positive-semidefinite cone and onto the
 //!   elliptope (unit-diagonal PSD matrices), used by the XOR-game SDP solver.
 //! - [`vecops`]: free functions over `&[f64]` vectors (dot, norm, axpy, ...).

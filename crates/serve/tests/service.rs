@@ -144,6 +144,62 @@ fn stop_returns_while_a_client_has_stopped_reading() {
     assert!(!path.exists(), "socket file must be removed on stop");
 }
 
+#[cfg(unix)]
+#[test]
+fn torn_requests_are_answered_and_a_lone_bad_prefix_closes_at_once() {
+    use serve::socket::SocketServer;
+    use std::io::{Read, Write};
+    use std::net::Shutdown;
+    use std::os::unix::net::UnixStream;
+
+    let service = Arc::new(Service::start(&base_config(66)));
+    let path = std::env::temp_dir().join(format!("qnlg-serve-torn-{}.sock", std::process::id()));
+    let mut server = SocketServer::start(&path, service).expect("bind socket");
+    // A healthy exchange takes well under a millisecond.
+    let connect = || {
+        let conn = UnixStream::connect(&path).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn
+    };
+    let mut request = [0u8; 10];
+    request[..4].copy_from_slice(&6u32.to_le_bytes());
+    request[4..8].copy_from_slice(&1u32.to_le_bytes());
+    request[8] = 1;
+
+    // The prefix, then the payload; and the prefix itself split 2 + 2.
+    // Each piece is written 20 ms after the last, so the server reads
+    // it on its own.
+    for cuts in [&[4, 10][..], &[2, 4, 10]] {
+        let mut conn = connect();
+        let mut start = 0;
+        for &end in cuts {
+            std::thread::sleep(Duration::from_millis(20));
+            conn.write_all(&request[start..end]).unwrap();
+            start = end;
+        }
+        conn.shutdown(Shutdown::Write).unwrap();
+        let mut answers = Vec::new();
+        conn.read_to_end(&mut answers)
+            .expect("an answer and a close within the deadline");
+        assert_eq!(answers.len(), 21, "one answer to {cuts:?}");
+        assert_eq!(answers[..4], 17u32.to_le_bytes());
+        let word = |i: usize| u32::from_le_bytes(answers[i..i + 4].try_into().unwrap());
+        assert!(word(4) < 32 && word(8) < 32, "servers out of range");
+        assert!(answers[20] <= 2, "tier byte {}", answers[20]);
+    }
+
+    // A bad prefix alone, with the write side left open: the server
+    // must close on the prefix, not wait for a whole request's bytes.
+    let mut conn = connect();
+    conn.write_all(&7u32.to_le_bytes()).unwrap();
+    let mut rest = Vec::new();
+    conn.read_to_end(&mut rest)
+        .expect("a close within the deadline");
+    assert!(rest.is_empty(), "no answer to a bad prefix");
+    server.stop();
+}
+
 #[test]
 fn healthy_plane_serves_quantum_overwhelmingly() {
     let mut core = ServiceCore::new(&base_config(55));

@@ -161,7 +161,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open
+    /// Length specification for [`vec()`]: a fixed size or a half-open
     /// range of sizes (mirrors proptest's `SizeRange` conversions).
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
