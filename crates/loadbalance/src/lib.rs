@@ -13,14 +13,15 @@
 //!
 //! ## Modules
 //!
-//! - [`task`]: task types and workload generators (Bernoulli C/E as in the
-//!   paper, plus multi-subtype and bursty generators for the caveat
-//!   ablations).
+//! - [`task`]: task types, workload generators (Bernoulli C/E as in the
+//!   paper, plus multi-subtype, bursty and diurnal generators for the
+//!   caveat ablations) and the arrival law both engines draw through.
 //! - [`server`]: server queue disciplines — the paper's
 //!   ("two type-C simultaneously first, then type-E one at a time") and
 //!   alternates for the footnote-2 robustness claim — over per-class
 //!   FIFO lanes (one type-E lane, one lane per type-C subtype), so a
-//!   step compares lane heads instead of scanning the queue.
+//!   step compares lane heads instead of scanning the queue. The serve
+//!   rule, [`Discipline`]'s two answers, is shared with [`shard`].
 //! - [`strategy`]: assignment strategies — uniform random, round-robin,
 //!   power-of-two-choices, classical pairings, dedicated-server hybrid,
 //!   and the quantum CHSH pairing (the flipped-CHSH
@@ -29,13 +30,16 @@
 //! - [`sim`]: the timestep loop of Figure 4 (compatibility path: any
 //!   strategy, caller-supplied RNG, bit-stable historical trajectories,
 //!   one run-wide wait reservoir shared by every server).
+//! - [`pipeline`]: the quantum strategy driven by a live simulated
+//!   entanglement-distribution pipeline, one per balancer pair.
 //! - [`shard`]: the sharded, structure-of-arrays, batch-advanced engine
 //!   for production-scale runs (1e6 servers), byte-identical at any
 //!   worker/shard count.
 //! - [`aos`]: the frozen pre-shard array-of-structs loop over the seed's
 //!   queue-scanning server, kept as the determinism oracle for [`sim`]
 //!   and [`server`] and the ablation baseline for `benches/scale.rs`.
-//! - [`metrics`]: queue-length and waiting-time statistics, including the
+//! - [`metrics`]: queue-length and waiting-time statistics: the run
+//!   tally both engines fill and finish into a [`SimResult`], and the
 //!   bounded deterministic wait reservoir.
 //! - [`error`]: typed configuration/engine errors.
 //! - [`degrade`]: graceful degradation — a hysteretic governor that

@@ -1,7 +1,26 @@
 //! Simulation metrics.
 
+use crate::sim::{SimConfig, QUEUE_SERIES_WINDOWS};
 use runtime::mix64;
 use std::collections::BinaryHeap;
+
+/// Simulation runs completed.
+static SIM_RUNS: obs::LazyCounter = obs::LazyCounter::new("lb.sim.runs");
+/// Timesteps simulated (warmup included).
+static SIM_STEPS: obs::LazyCounter = obs::LazyCounter::new("lb.sim.steps");
+/// Tasks routed to servers, across all runs — the numerator of the
+/// artifact's `tasks_per_sec` perf metric.
+static TASKS_ASSIGNED: obs::LazyCounter = obs::LazyCounter::new("lb.tasks.assigned");
+/// Total queue length across servers, one sample per series window, so
+/// the hot loop carries no obs traffic. The histogram *sum* is unchanged
+/// from the historical per-step recording: total queue·steps.
+static QUEUE_TOTAL: obs::LazyHist = obs::LazyHist::new("lb.queue.total");
+/// CC pair-rounds that co-located / all CC pair-rounds.
+static CC_COLOCATED: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.cc_colocated");
+static CC_ROUNDS: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.cc_rounds");
+/// Non-CC pair-rounds that split / all non-CC pair-rounds.
+static OTHER_SPLIT: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.other_split");
+static OTHER_ROUNDS: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.other_rounds");
 
 /// Default capacity of [`WaitReservoir`]: enough for exact percentiles on
 /// every unit-test-sized run, and a 256 KiB ceiling per simulation at
@@ -60,13 +79,15 @@ impl WaitReservoir {
         Self::with_capacity(seed, WAIT_RESERVOIR_CAP)
     }
 
-    /// Reservoir with an explicit capacity (tests use tiny ones).
+    /// Reservoir with an explicit capacity (tests use tiny ones). The
+    /// heap grows as samples arrive, so an unused reservoir allocates
+    /// nothing.
     pub fn with_capacity(seed: u64, cap: usize) -> Self {
         assert!(cap > 0, "reservoir capacity must be positive");
         WaitReservoir {
             seed,
             cap,
-            heap: BinaryHeap::with_capacity(cap + 1),
+            heap: BinaryHeap::new(),
             seen: 0,
         }
     }
@@ -196,6 +217,152 @@ impl SimResult {
     /// detection.
     pub fn is_saturated(&self) -> bool {
         self.served + 2 * self.generated / 100 < self.generated
+    }
+}
+
+/// The measured-window totals of one Figure 4 run, or of one shard of
+/// it: the queue-length sums and their [`QUEUE_SERIES_WINDOWS`]-window
+/// series, the tasks served and their waits, and the four pair-round
+/// counters. `sim` fills one; `shard` fills one per pair shard and per
+/// server shard and merges them in shard-index order. [`RunTally::finish`]
+/// turns the total into the run's [`SimResult`].
+#[derive(Debug, Clone)]
+pub(crate) struct RunTally {
+    /// Measured timesteps, which the series windows split.
+    timesteps: u64,
+    /// Σ over measured steps of the total queue length.
+    queue_len_sum: u64,
+    max_queue: usize,
+    /// Tasks served in the window and the sum of their waits.
+    pub(crate) served: u64,
+    pub(crate) total_wait: u64,
+    /// The waits of tasks served in the window.
+    pub(crate) waits: WaitReservoir,
+    /// Per series window: Σ total queue length, Σ servers sampled.
+    win_queue_sum: Vec<u64>,
+    win_samples: Vec<u64>,
+    cc_rounds: u64,
+    cc_colocated: u64,
+    other_rounds: u64,
+    other_split: u64,
+}
+
+impl RunTally {
+    /// An empty tally for a run of `timesteps` measured steps whose wait
+    /// reservoir is seeded with `resv_seed`.
+    pub(crate) fn new(timesteps: u64, resv_seed: u64) -> Self {
+        let windows = QUEUE_SERIES_WINDOWS.min(timesteps as usize);
+        RunTally {
+            timesteps,
+            queue_len_sum: 0,
+            max_queue: 0,
+            served: 0,
+            total_wait: 0,
+            waits: WaitReservoir::new(resv_seed),
+            win_queue_sum: vec![0; windows],
+            win_samples: vec![0; windows],
+            cc_rounds: 0,
+            cc_colocated: 0,
+            other_rounds: 0,
+            other_split: 0,
+        }
+    }
+
+    /// Records the queues of `servers` servers after measured step `k`
+    /// (counted from the end of warmup): their `total` length and the
+    /// `longest` one.
+    #[inline]
+    pub(crate) fn record_queues(&mut self, k: u64, total: u64, servers: usize, longest: usize) {
+        self.queue_len_sum += total;
+        self.max_queue = self.max_queue.max(longest);
+        let w = (k as usize * self.win_queue_sum.len()) / self.timesteps as usize;
+        self.win_queue_sum[w] += total;
+        self.win_samples[w] += servers as u64;
+    }
+
+    /// Records one measured pair-round: whether both tasks were type-C,
+    /// and whether the pair sent them to the same server.
+    #[inline]
+    pub(crate) fn record_pair(&mut self, both_c: bool, same: bool) {
+        if both_c {
+            self.cc_rounds += 1;
+            self.cc_colocated += u64::from(same);
+        } else {
+            self.other_rounds += 1;
+            self.other_split += u64::from(!same);
+        }
+    }
+
+    /// Adds `other`'s totals to this tally's.
+    pub(crate) fn merge(&mut self, other: &RunTally) {
+        self.queue_len_sum += other.queue_len_sum;
+        self.max_queue = self.max_queue.max(other.max_queue);
+        self.served += other.served;
+        self.total_wait += other.total_wait;
+        self.waits.merge(&other.waits);
+        for (acc, &v) in self.win_queue_sum.iter_mut().zip(&other.win_queue_sum) {
+            *acc += v;
+        }
+        for (acc, &v) in self.win_samples.iter_mut().zip(&other.win_samples) {
+            *acc += v;
+        }
+        self.cc_rounds += other.cc_rounds;
+        self.cc_colocated += other.cc_colocated;
+        self.other_rounds += other.other_rounds;
+        self.other_split += other.other_split;
+    }
+
+    /// The run's result under `strategy` on `config`. Flushes the run's
+    /// obs counters, once per run and never on the step path, and the
+    /// queue histogram once per series window.
+    pub(crate) fn finish(self, strategy: &'static str, config: &SimConfig) -> SimResult {
+        let total_steps = config.warmup + config.timesteps;
+        SIM_RUNS.inc();
+        SIM_STEPS.add(total_steps);
+        TASKS_ASSIGNED.add(config.n_balancers as u64 * total_steps);
+        for &w in &self.win_queue_sum {
+            QUEUE_TOTAL.record(w);
+        }
+        CC_ROUNDS.add(self.cc_rounds);
+        CC_COLOCATED.add(self.cc_colocated);
+        OTHER_ROUNDS.add(self.other_rounds);
+        OTHER_SPLIT.add(self.other_split);
+
+        let ratio = |num: u64, den: u64| {
+            if den > 0 {
+                num as f64 / den as f64
+            } else {
+                f64::NAN
+            }
+        };
+        let wait_samples = self.waits.sorted_waits();
+        SimResult {
+            strategy,
+            load: config.load(),
+            avg_queue_len: ratio(
+                self.queue_len_sum,
+                config.timesteps * config.n_servers as u64,
+            ),
+            avg_wait: ratio(self.total_wait, self.served),
+            p50_wait: percentile(&wait_samples, 0.5),
+            p99_wait: percentile(&wait_samples, 0.99),
+            max_queue_len: self.max_queue,
+            served: self.served,
+            generated: config.n_balancers as u64 * config.timesteps,
+            cc_colocation_rate: ratio(self.cc_colocated, self.cc_rounds),
+            split_rate: ratio(self.other_split, self.other_rounds),
+            cc_rounds: self.cc_rounds,
+            cc_colocated: self.cc_colocated,
+            other_rounds: self.other_rounds,
+            other_split: self.other_split,
+            queue_len_series: self
+                .win_queue_sum
+                .iter()
+                .zip(&self.win_samples)
+                .filter(|(_, &n)| n > 0)
+                .map(|(&s, &n)| s as f64 / n as f64)
+                .collect(),
+        }
     }
 }
 

@@ -44,6 +44,28 @@ impl Discipline {
             Discipline::SingleSlot => "single-slot",
         }
     }
+
+    /// When both kinds of task are queued, whether the server serves its
+    /// type-E head: `Some` for a fixed priority, `None` when the older of
+    /// the two heads goes first, which needs their arrival order.
+    #[inline]
+    pub(crate) fn serves_exclusive(self) -> Option<bool> {
+        match self {
+            Discipline::PaperPairedC | Discipline::CPrioritySingle => Some(false),
+            Discipline::ExclusiveFirst => Some(true),
+            Discipline::FifoPairedC | Discipline::SingleSlot => None,
+        }
+    }
+
+    /// Whether a type-C service takes a second queued type-C task of the
+    /// same subtype.
+    #[inline]
+    pub(crate) fn pairs_colocate(self) -> bool {
+        matches!(
+            self,
+            Discipline::PaperPairedC | Discipline::FifoPairedC | Discipline::ExclusiveFirst
+        )
+    }
 }
 
 /// A queued task: its arrival order on this server, which orders the
@@ -132,11 +154,10 @@ impl Server {
         let serve_e = match (self.exclusive.front(), oldest_c) {
             (None, _) => false,
             (Some(_), None) => true,
-            (Some(e), Some((_, c_order))) => match self.discipline {
-                Discipline::PaperPairedC | Discipline::CPrioritySingle => false,
-                Discipline::ExclusiveFirst => true,
-                Discipline::FifoPairedC | Discipline::SingleSlot => e.order < c_order,
-            },
+            (Some(e), Some((_, c_order))) => self
+                .discipline
+                .serves_exclusive()
+                .unwrap_or(e.order < c_order),
         };
         if serve_e {
             let e = self.exclusive.pop_front().expect("type-E head checked");
@@ -146,10 +167,7 @@ impl Server {
         let Some((lane, _)) = oldest_c else {
             return 0;
         };
-        let pairs = matches!(
-            self.discipline,
-            Discipline::PaperPairedC | Discipline::FifoPairedC | Discipline::ExclusiveFirst
-        );
+        let pairs = self.discipline.pairs_colocate();
         let lane = &mut self.colocate[lane];
         let first = lane.pop_front().expect("type-C head checked");
         let partner = if pairs { lane.pop_front() } else { None };

@@ -8,17 +8,24 @@
 //! everything. This module is the scale path. Same model, different
 //! shape:
 //!
+//! - **One model.** Both engines run the same three decisions of the
+//!   Figure 4 model, written once: the serve rule (the two questions
+//!   [`crate::server::Discipline`] answers, which
+//!   [`crate::server::Server::step`] asks too), the arrival law
+//!   ([`ArrivalModel`], which `BurstyWorkload` and `DiurnalWorkload`
+//!   draw through) and the run tally in [`crate::metrics`] that becomes
+//!   the [`SimResult`] and the obs counters. `tests/parity.rs` holds
+//!   `sim`'s use of them to the frozen [`crate::aos`] loop.
 //! - **Structure of arrays.** A server is a row across flat arrays —
-//!   queue counts (`q_len`), in-service slots (`in_service`), wait
-//!   accumulators (`served`/`total_wait`), and two FIFO *lanes* of `u32`
-//!   arrival steps (type-C and type-E). Lanes are exact for the
-//!   disciplines whose serve choice depends only on (lane, age) — the
-//!   paper's rule, C-priority-single, and exclusive-first — because with
-//!   a single C subtype "the first type-C and the next of the same
-//!   subtype" is just the two oldest entries of the C lane.
-//!   Order-sensitive disciplines (FIFO-paired-C, single-slot) interleave
-//!   lanes within a step and stay on the compatibility path
-//!   ([`SimError::UnsupportedDiscipline`]).
+//!   queue counts (`q_len`), completion counters (`served_seq`), and two
+//!   FIFO *lanes* of `u32` arrival steps (type-C and type-E). Lanes are
+//!   exact for the disciplines whose serve choice depends only on the
+//!   lane — the paper's rule, C-priority-single, and exclusive-first —
+//!   because with a single C subtype "the first type-C and the next of
+//!   the same subtype" is just the two oldest entries of the C lane.
+//!   Order-sensitive disciplines (FIFO-paired-C, single-slot) compare the
+//!   heads' arrival order, which the lanes do not keep, and stay on the
+//!   compatibility path ([`SimError::UnsupportedDiscipline`]).
 //! - **Sharding.** Servers are partitioned into contiguous shards, and
 //!   balancer *pairs* into pair-shards, advanced by [`runtime`] workers.
 //!   Each epoch runs two lock-free phases: pair-shards draw arrivals and
@@ -32,8 +39,9 @@
 //!   pair owns the [`runtime::SplitMix64`] sub-stream
 //!   `stream_seed(master, pair)` — a shard owns the streams of its pair
 //!   range, so every draw is a pure function of `(master, pair, step)`
-//!   and the partition only decides *who computes it*. Shard-local stats
-//!   merge in shard-index order; wait percentiles come from the
+//!   and the partition only decides *who computes it*. Each pair shard
+//!   and server shard keeps its own tally, and they merge in shard-index
+//!   order; wait percentiles come from the
 //!   order-invariant bottom-R reservoir ([`crate::metrics::WaitReservoir`]),
 //!   seeded from the reserved stream index past the pair range. Results
 //!   are byte-identical across `QNLG_THREADS` and shard counts.
@@ -44,12 +52,8 @@
 //! has at this scale. Epoch length 1 recovers per-step freshness.
 
 use crate::error::SimError;
-use crate::metrics::{SimResult, WaitReservoir};
-use crate::server::Discipline;
-use crate::sim::{
-    SimConfig, CC_COLOCATED, CC_ROUNDS, OTHER_ROUNDS, OTHER_SPLIT, QUEUE_SERIES_WINDOWS,
-    QUEUE_TOTAL, SIM_RUNS, SIM_STEPS, TASKS_ASSIGNED,
-};
+use crate::metrics::{RunTally, SimResult};
+use crate::sim::SimConfig;
 use crate::strategy::Strategy;
 use crate::task::ArrivalModel;
 use games::pairing::{self, PairRule};
@@ -72,8 +76,8 @@ pub struct ScaleConfig {
     /// Arrival model (the engine keeps per-balancer phase state itself).
     pub workload: ArrivalModel,
     /// Server/pair shard count. Results are byte-identical for any value;
-    /// it only controls parallel grain. Clamped to at least 1 by
-    /// [`ScaleConfig::validate`] callers via error, not silently.
+    /// it only controls parallel grain. It must be at least 1:
+    /// [`ScaleConfig::validate`] rejects 0 with [`SimError::NoShards`].
     pub shards: usize,
     /// Steps per epoch (mailbox batch size), capped at 65535.
     pub epoch_len: u64,
@@ -163,10 +167,8 @@ struct PairShard {
     /// Packed task handoffs, one outbox per server shard, refilled each
     /// epoch (allocation-free at steady state).
     outbox: Vec<Vec<u64>>,
-    cc_rounds: u64,
-    cc_colocated: u64,
-    other_rounds: u64,
-    other_split: u64,
+    /// The owned pairs' measured pair-rounds.
+    tally: RunTally,
 }
 
 impl PairShard {
@@ -208,12 +210,12 @@ impl PairShard {
                 if switch > 0.0 && rng.next_f64() < switch {
                     hot ^= 1;
                 }
-                let x_c = rng.next_f64() < model.p_colocate(t, hot & 1 != 0);
+                let x_c = model.draw(t, hot & 1 != 0, &mut rng).is_colocate();
                 let y_c = if full {
                     if switch > 0.0 && rng.next_f64() < switch {
                         hot ^= 2;
                     }
-                    rng.next_f64() < model.p_colocate(t, hot & 2 != 0)
+                    model.draw(t, hot & 2 != 0, &mut rng).is_colocate()
                 } else {
                     false
                 };
@@ -256,14 +258,7 @@ impl PairShard {
                     self.outbox[shard_of(sr)].push(pack(off, sr, y_c));
                     assigned += 1;
                     if paired && t >= warmup {
-                        let same = sl == sr;
-                        if x_c && y_c {
-                            self.cc_rounds += 1;
-                            self.cc_colocated += u64::from(same);
-                        } else {
-                            self.other_rounds += 1;
-                            self.other_split += u64::from(!same);
-                        }
+                        self.tally.record_pair(x_c && y_c, sl == sr);
                     }
                 }
             }
@@ -292,8 +287,6 @@ struct ServerShard {
     e_lane: Vec<VecDeque<u32>>,
     /// Queue length per local server (`c + e`), the probe snapshot source.
     q_len: Vec<u32>,
-    /// Service slots filled in the server's latest step (0, 1, or 2).
-    in_service: Vec<u8>,
     /// Per-server completion counter — the reservoir sample sequence.
     served_seq: Vec<u32>,
     /// Dense list of local indices with non-empty queues; only these are
@@ -304,19 +297,12 @@ struct ServerShard {
     q_total: u64,
     /// Inbox read cursors, one per pair shard, reset each epoch.
     cursor: Vec<usize>,
-    // Window statistics (merged in shard-index order at the end).
-    queue_len_sum: u64,
-    max_q: u32,
-    served: u64,
-    total_wait: u64,
-    dual_serves: u64,
-    waits: WaitReservoir,
-    win_queue_sum: Vec<u64>,
-    win_samples: Vec<u64>,
+    /// The shard's measured queues and services.
+    tally: RunTally,
 }
 
 impl ServerShard {
-    fn new(s0: usize, s1: usize, pair_shards: usize, windows: usize, resv_seed: u64) -> Self {
+    fn new(s0: usize, s1: usize, pair_shards: usize, tally: RunTally) -> Self {
         let n = s1 - s0;
         ServerShard {
             s0,
@@ -324,36 +310,30 @@ impl ServerShard {
             c_lane: (0..n).map(|_| VecDeque::new()).collect(),
             e_lane: (0..n).map(|_| VecDeque::new()).collect(),
             q_len: vec![0; n],
-            in_service: vec![0; n],
             served_seq: vec![0; n],
             active: Vec::new(),
             in_active: vec![false; n],
             q_total: 0,
             cursor: vec![0; pair_shards],
-            queue_len_sum: 0,
-            max_q: 0,
-            served: 0,
-            total_wait: 0,
-            dual_serves: 0,
-            waits: WaitReservoir::new(resv_seed),
-            win_queue_sum: vec![0; windows],
-            win_samples: vec![0; windows],
+            tally,
         }
     }
 
     /// Phase B for steps `[e0, e1)`: per step, drain every pair shard's
     /// handoffs for this step (in pair-shard order — global balancer
     /// order, matching the one-shard run exactly), then serve the active
-    /// servers and accumulate window statistics.
+    /// servers by the discipline's rule and tally the measured steps.
     fn run_epoch(&mut self, e0: u64, e1: u64, inboxes: &[&Vec<u64>], cfg: &ScaleConfig) {
         debug_assert_eq!(inboxes.len(), self.cursor.len());
         for c in self.cursor.iter_mut() {
             *c = 0;
         }
         let discipline = cfg.sim.discipline;
+        let serves_e = discipline
+            .serves_exclusive()
+            .expect("run_scaled rejects order-sensitive disciplines");
+        let pairs = discipline.pairs_colocate();
         let warmup = cfg.sim.warmup;
-        let timesteps = cfg.sim.timesteps;
-        let windows = self.win_queue_sum.len();
         for t in e0..e1 {
             let off = t - e0;
             // Deliver this step's arrivals.
@@ -383,77 +363,32 @@ impl ServerShard {
             // Serve. Every non-empty server is active; empty servers have
             // nothing to do, so skipping them is exact.
             let measured = t >= warmup;
+            let mut longest = 0u32;
             let mut i = 0;
             while i < self.active.len() {
                 let li = self.active[i] as usize;
-                let mut slots = 0u8;
-                let mut wait_sum = 0u64;
-                let mut w0 = 0u64;
-                let mut w1 = 0u64;
-                match discipline {
-                    Discipline::PaperPairedC => {
-                        if let Some(at) = self.c_lane[li].pop_front() {
-                            w0 = t - u64::from(at);
-                            slots = 1;
-                            if let Some(at2) = self.c_lane[li].pop_front() {
-                                w1 = t - u64::from(at2);
-                                slots = 2;
-                            }
-                        } else if let Some(at) = self.e_lane[li].pop_front() {
-                            w0 = t - u64::from(at);
-                            slots = 1;
-                        }
-                    }
-                    Discipline::CPrioritySingle => {
-                        if let Some(at) = self.c_lane[li].pop_front() {
-                            w0 = t - u64::from(at);
-                            slots = 1;
-                        } else if let Some(at) = self.e_lane[li].pop_front() {
-                            w0 = t - u64::from(at);
-                            slots = 1;
-                        }
-                    }
-                    Discipline::ExclusiveFirst => {
-                        if let Some(at) = self.e_lane[li].pop_front() {
-                            w0 = t - u64::from(at);
-                            slots = 1;
-                        } else if let Some(at) = self.c_lane[li].pop_front() {
-                            w0 = t - u64::from(at);
-                            slots = 1;
-                            if let Some(at2) = self.c_lane[li].pop_front() {
-                                w1 = t - u64::from(at2);
-                                slots = 2;
-                            }
-                        }
-                    }
-                    Discipline::FifoPairedC | Discipline::SingleSlot => {
-                        unreachable!("rejected by run_scaled validation")
-                    }
-                }
-                self.in_service[li] = slots;
-                if slots > 0 {
-                    wait_sum += w0;
-                    if slots == 2 {
-                        wait_sum += w1;
-                        self.dual_serves += 1;
-                    }
-                    self.q_len[li] -= u32::from(slots);
-                    self.q_total -= u64::from(slots);
-                    if measured {
-                        self.served += u64::from(slots);
-                        self.total_wait += wait_sum;
-                        let sid = (self.s0 + li) as u64;
-                        let seq = &mut self.served_seq[li];
-                        self.waits.offer(sid, u64::from(*seq), w0);
-                        *seq += 1;
-                        if slots == 2 {
-                            self.waits.offer(sid, u64::from(*seq), w1);
-                            *seq += 1;
-                        }
-                    }
-                }
+                let (c, e) = (&mut self.c_lane[li], &mut self.e_lane[li]);
+                let (lane, takes_two) = if !e.is_empty() && (c.is_empty() || serves_e) {
+                    (e, false)
+                } else {
+                    (c, pairs)
+                };
+                let first = lane.pop_front().expect("an active server has a task");
+                let second = if takes_two { lane.pop_front() } else { None };
+                let slots = 1 + u32::from(second.is_some());
+                self.q_len[li] -= slots;
+                self.q_total -= u64::from(slots);
                 if measured {
-                    self.max_q = self.max_q.max(self.q_len[li]);
+                    let sid = (self.s0 + li) as u64;
+                    let seq = &mut self.served_seq[li];
+                    for at in std::iter::once(first).chain(second) {
+                        let wait = t - u64::from(at);
+                        self.tally.served += 1;
+                        self.tally.total_wait += wait;
+                        self.tally.waits.offer(sid, u64::from(*seq), wait);
+                        *seq += 1;
+                    }
+                    longest = longest.max(self.q_len[li]);
                 }
                 if self.q_len[li] == 0 {
                     self.in_active[li] = false;
@@ -463,10 +398,9 @@ impl ServerShard {
                 }
             }
             if measured {
-                self.queue_len_sum += self.q_total;
-                let w = ((t - warmup) as usize * windows) / timesteps as usize;
-                self.win_queue_sum[w] += self.q_total;
-                self.win_samples[w] += (self.s1 - self.s0) as u64;
+                let (servers, longest) = (self.s1 - self.s0, longest as usize);
+                self.tally
+                    .record_queues(t - warmup, self.q_total, servers, longest);
             }
         }
     }
@@ -485,13 +419,10 @@ pub fn run_scaled(
     master_seed: u64,
 ) -> Result<SimResult, SimError> {
     cfg.validate()?;
-    match cfg.sim.discipline {
-        Discipline::FifoPairedC | Discipline::SingleSlot => {
-            return Err(SimError::UnsupportedDiscipline {
-                discipline: cfg.sim.discipline.label(),
-            });
-        }
-        _ => {}
+    if cfg.sim.discipline.serves_exclusive().is_none() {
+        return Err(SimError::UnsupportedDiscipline {
+            discipline: cfg.sim.discipline.label(),
+        });
     }
     if let Strategy::RoundRobin | Strategy::DedicatedServers { .. } = strategy {
         let strategy = strategy.name();
@@ -516,10 +447,10 @@ pub fn run_scaled(
     };
     let epoch_len = cfg.epoch_len.min(MAX_EPOCH_LEN);
     let total_steps = cfg.sim.warmup + cfg.sim.timesteps;
-    let windows = QUEUE_SERIES_WINDOWS.min(cfg.sim.timesteps as usize);
     // Reserved stream index past the pair range: the reservoir seed is
     // drawn from the run's master stream without touching any pair's.
     let resv_seed = stream_seed(master_seed, n_groups as u64);
+    let mut tally = RunTally::new(cfg.sim.timesteps, resv_seed);
 
     let mut pair_shards: Vec<PairShard> = (0..shards)
         .map(|a| {
@@ -532,17 +463,14 @@ pub fn run_scaled(
                     .collect(),
                 hot: vec![0b11; g1 - g0],
                 outbox: (0..shards).map(|_| Vec::new()).collect(),
-                cc_rounds: 0,
-                cc_colocated: 0,
-                other_rounds: 0,
-                other_split: 0,
+                tally: tally.clone(),
             }
         })
         .collect();
     let mut server_shards: Vec<ServerShard> = (0..shards)
         .map(|b| {
             let (s0, s1) = part(b, n_servers, shards);
-            ServerShard::new(s0, s1, shards, windows, resv_seed)
+            ServerShard::new(s0, s1, shards, tally.clone())
         })
         .collect();
 
@@ -582,96 +510,18 @@ pub fn run_scaled(
         e0 = e1;
     }
 
-    // Merge shard-local statistics in shard-index order.
-    let mut queue_len_sum = 0u64;
-    let mut max_queue = 0u32;
-    let mut served = 0u64;
-    let mut total_wait = 0u64;
-    let mut win_queue_sum = vec![0u64; windows];
-    let mut win_samples = vec![0u64; windows];
-    let mut waits = WaitReservoir::new(resv_seed);
-    for ss in &server_shards {
-        queue_len_sum += ss.queue_len_sum;
-        max_queue = max_queue.max(ss.max_q);
-        served += ss.served;
-        total_wait += ss.total_wait;
-        for (acc, &v) in win_queue_sum.iter_mut().zip(&ss.win_queue_sum) {
-            *acc += v;
-        }
-        for (acc, &v) in win_samples.iter_mut().zip(&ss.win_samples) {
-            *acc += v;
-        }
-        waits.merge(&ss.waits);
+    // Merge the shard tallies in shard-index order.
+    let pair_tallies = pair_shards.iter().map(|ps| &ps.tally);
+    for shard_tally in pair_tallies.chain(server_shards.iter().map(|ss| &ss.tally)) {
+        tally.merge(shard_tally);
     }
-    let mut cc_rounds = 0u64;
-    let mut cc_colocated = 0u64;
-    let mut other_rounds = 0u64;
-    let mut other_split = 0u64;
-    for ps in &pair_shards {
-        cc_rounds += ps.cc_rounds;
-        cc_colocated += ps.cc_colocated;
-        other_rounds += ps.other_rounds;
-        other_split += ps.other_split;
-    }
-
-    let generated = n_balancers as u64 * cfg.sim.timesteps;
-    let samples = cfg.sim.timesteps * n_servers as u64;
-    let wait_samples = waits.sorted_waits();
-
-    // Obs flushes: once per run, never on the step path.
-    SIM_RUNS.inc();
-    SIM_STEPS.add(total_steps);
-    TASKS_ASSIGNED.add(n_balancers as u64 * total_steps);
-    for &w in &win_queue_sum {
-        QUEUE_TOTAL.record(w);
-    }
-    CC_ROUNDS.add(cc_rounds);
-    CC_COLOCATED.add(cc_colocated);
-    OTHER_ROUNDS.add(other_rounds);
-    OTHER_SPLIT.add(other_split);
-
-    let queue_len_series: Vec<f64> = win_queue_sum
-        .iter()
-        .zip(&win_samples)
-        .filter(|(_, &n)| n > 0)
-        .map(|(&s, &n)| s as f64 / n as f64)
-        .collect();
-
-    Ok(SimResult {
-        strategy: strategy.name(),
-        load: cfg.sim.load(),
-        avg_queue_len: queue_len_sum as f64 / samples as f64,
-        avg_wait: if served > 0 {
-            total_wait as f64 / served as f64
-        } else {
-            f64::NAN
-        },
-        p50_wait: crate::metrics::percentile(&wait_samples, 0.5),
-        p99_wait: crate::metrics::percentile(&wait_samples, 0.99),
-        max_queue_len: max_queue as usize,
-        served,
-        generated,
-        cc_colocation_rate: if cc_rounds > 0 {
-            cc_colocated as f64 / cc_rounds as f64
-        } else {
-            f64::NAN
-        },
-        split_rate: if other_rounds > 0 {
-            other_split as f64 / other_rounds as f64
-        } else {
-            f64::NAN
-        },
-        cc_rounds,
-        cc_colocated,
-        other_rounds,
-        other_split,
-        queue_len_series,
-    })
+    Ok(tally.finish(strategy.name(), &cfg.sim))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Discipline;
     use crate::task::ArrivalModel;
 
     fn quick(load: f64, n_balancers: usize) -> ScaleConfig {

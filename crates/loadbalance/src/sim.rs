@@ -8,7 +8,7 @@
 //! function of system load, quantified by the ratio N/M."
 
 use crate::error::SimError;
-use crate::metrics::{SimResult, WaitReservoir, WAIT_RESERVOIR_SEED};
+use crate::metrics::{RunTally, SimResult, WAIT_RESERVOIR_SEED};
 use crate::server::{Discipline, Server};
 use crate::strategy::Strategy;
 use crate::task::{Task, TaskType, Workload};
@@ -17,26 +17,6 @@ use rand::Rng;
 /// Maximum length of [`SimResult::queue_len_series`]: the measurement
 /// period is split into this many equal windows.
 pub const QUEUE_SERIES_WINDOWS: usize = 32;
-
-/// Simulation runs completed.
-pub(crate) static SIM_RUNS: obs::LazyCounter = obs::LazyCounter::new("lb.sim.runs");
-/// Timesteps simulated (warmup included).
-pub(crate) static SIM_STEPS: obs::LazyCounter = obs::LazyCounter::new("lb.sim.steps");
-/// Tasks routed through a strategy's `assign_all`, across all runs —
-/// the numerator of the artifact's `tasks_per_sec` perf metric.
-/// Flushed once per run (hoisted out of the step loop).
-pub(crate) static TASKS_ASSIGNED: obs::LazyCounter = obs::LazyCounter::new("lb.tasks.assigned");
-/// Total queue length across servers, accumulated per measured timestep
-/// but flushed per measurement window (one sample per series window), so
-/// the hot loop carries no obs traffic. The histogram *sum* is unchanged
-/// from the historical per-step recording: total queue·steps.
-pub(crate) static QUEUE_TOTAL: obs::LazyHist = obs::LazyHist::new("lb.queue.total");
-/// CC pair-rounds that co-located / all CC pair-rounds.
-pub(crate) static CC_COLOCATED: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.cc_colocated");
-pub(crate) static CC_ROUNDS: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.cc_rounds");
-/// Non-CC pair-rounds that split / all non-CC pair-rounds.
-pub(crate) static OTHER_SPLIT: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.other_split");
-pub(crate) static OTHER_ROUNDS: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.other_rounds");
 
 /// Configuration of one simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -239,38 +219,22 @@ where
     let mut servers: Vec<Server> = (0..config.n_servers)
         .map(|i| Server::with_id(config.discipline, i as u64))
         .collect();
-    // One reservoir for every server's waits. Its survivors depend on
-    // neither insertion order nor partition, so it holds exactly what the
-    // oracle's merge of per-server reservoirs (`aos`) holds.
-    let mut waits = WaitReservoir::new(WAIT_RESERVOIR_SEED);
+    // One reservoir, the tally's, for every server's waits. Its survivors
+    // depend on neither insertion order nor partition, so it holds
+    // exactly what the oracle's merge of per-server reservoirs (`aos`)
+    // holds.
+    let mut tally = RunTally::new(config.timesteps, WAIT_RESERVOIR_SEED);
     let paired = strat.name().starts_with("paired");
-
-    let total_steps = config.warmup + config.timesteps;
-    let mut queue_len_sum = 0u64;
-    let mut max_queue = 0usize;
-    let mut generated = 0u64;
     let mut served_before_window = 0u64;
     let mut wait_before_window = 0u64;
-
-    // Pair-level coordination stats.
-    let mut cc_rounds = 0u64;
-    let mut cc_colocated = 0u64;
-    let mut other_rounds = 0u64;
-    let mut other_split = 0u64;
-
     let mut tasks: Vec<TaskType> = Vec::with_capacity(config.n_balancers);
     let mut queue_lens: Vec<usize> = vec![0; config.n_servers];
 
-    // Per-window queue-length accumulators for the time series.
-    let windows = QUEUE_SERIES_WINDOWS.min(config.timesteps as usize);
-    let mut win_queue_sum = vec![0u64; windows];
-    let mut win_samples = vec![0u64; windows];
-
-    for t in 0..total_steps {
+    for t in 0..config.warmup + config.timesteps {
         if t == config.warmup {
             served_before_window = servers.iter().map(|s| s.served).sum();
             wait_before_window = servers.iter().map(|s| s.total_wait).sum();
-            waits.clear();
+            tally.waits.clear();
         }
         workload.on_step(t);
         tasks.clear();
@@ -290,95 +254,28 @@ where
             });
         }
         for s in servers.iter_mut() {
-            s.step(t, &mut waits);
+            s.step(t, &mut tally.waits);
         }
 
         if t >= config.warmup {
-            generated += config.n_balancers as u64;
-            let mut step_total = 0u64;
+            let (mut total, mut longest) = (0u64, 0usize);
             for s in &servers {
                 let q = s.queue_len();
-                queue_len_sum += q as u64;
-                step_total += q as u64;
-                max_queue = max_queue.max(q);
+                total += q as u64;
+                longest = longest.max(q);
             }
-            let w = ((t - config.warmup) as usize * windows) / config.timesteps as usize;
-            win_queue_sum[w] += step_total;
-            win_samples[w] += config.n_servers as u64;
+            tally.record_queues(t - config.warmup, total, config.n_servers, longest);
             if paired {
-                let mut i = 0;
-                while i + 1 < tasks.len() {
-                    let both_c = tasks[i].is_colocate() && tasks[i + 1].is_colocate();
-                    let same = assignment[i] == assignment[i + 1];
-                    if both_c {
-                        cc_rounds += 1;
-                        cc_colocated += u64::from(same);
-                    } else {
-                        other_rounds += 1;
-                        other_split += u64::from(!same);
-                    }
-                    i += 2;
+                for (ty, srv) in tasks.chunks_exact(2).zip(assignment.chunks_exact(2)) {
+                    tally.record_pair(ty[0].is_colocate() && ty[1].is_colocate(), srv[0] == srv[1]);
                 }
             }
         }
     }
 
-    let wait_samples = waits.sorted_waits();
-    let served: u64 = servers.iter().map(|s| s.served).sum::<u64>() - served_before_window;
-    let total_wait: u64 = servers.iter().map(|s| s.total_wait).sum::<u64>() - wait_before_window;
-    let samples = config.timesteps * config.n_servers as u64;
-
-    // Obs flushes, hoisted out of the step loop: counters once per run,
-    // the queue histogram once per series window (sum unchanged from the
-    // historical per-step recording).
-    SIM_RUNS.inc();
-    SIM_STEPS.add(total_steps);
-    TASKS_ASSIGNED.add(config.n_balancers as u64 * total_steps);
-    for &w in &win_queue_sum {
-        QUEUE_TOTAL.record(w);
-    }
-    CC_ROUNDS.add(cc_rounds);
-    CC_COLOCATED.add(cc_colocated);
-    OTHER_ROUNDS.add(other_rounds);
-    OTHER_SPLIT.add(other_split);
-
-    let queue_len_series: Vec<f64> = win_queue_sum
-        .iter()
-        .zip(&win_samples)
-        .filter(|(_, &n)| n > 0)
-        .map(|(&s, &n)| s as f64 / n as f64)
-        .collect();
-
-    Ok(SimResult {
-        strategy: strat.name(),
-        load: config.load(),
-        avg_queue_len: queue_len_sum as f64 / samples as f64,
-        avg_wait: if served > 0 {
-            total_wait as f64 / served as f64
-        } else {
-            f64::NAN
-        },
-        p50_wait: crate::metrics::percentile(&wait_samples, 0.5),
-        p99_wait: crate::metrics::percentile(&wait_samples, 0.99),
-        max_queue_len: max_queue,
-        served,
-        generated,
-        cc_colocation_rate: if cc_rounds > 0 {
-            cc_colocated as f64 / cc_rounds as f64
-        } else {
-            f64::NAN
-        },
-        split_rate: if other_rounds > 0 {
-            other_split as f64 / other_rounds as f64
-        } else {
-            f64::NAN
-        },
-        cc_rounds,
-        cc_colocated,
-        other_rounds,
-        other_split,
-        queue_len_series,
-    })
+    tally.served = servers.iter().map(|s| s.served).sum::<u64>() - served_before_window;
+    tally.total_wait = servers.iter().map(|s| s.total_wait).sum::<u64>() - wait_before_window;
+    Ok(tally.finish(strat.name(), &config))
 }
 
 /// Sweeps the load axis of Figure 4 for one strategy, returning

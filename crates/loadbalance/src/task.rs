@@ -102,15 +102,12 @@ impl Workload for BernoulliWorkload {
 
 /// A two-state Markov-modulated workload: alternates between a C-heavy
 /// and an E-heavy phase, producing the bursty arrival correlation real
-/// request streams show (§4.1 caveats discussion).
+/// request streams show (§4.1 caveats discussion). It draws through an
+/// [`ArrivalModel::Mmpp`], one phase shared by every balancer.
 #[derive(Debug, Clone, Copy)]
 pub struct BurstyWorkload {
-    /// P(type-C) in the C-heavy phase.
-    p_c_hot: f64,
-    /// P(type-C) in the E-heavy phase.
-    p_c_cold: f64,
-    /// Per-draw probability of switching phase.
-    switch_prob: f64,
+    model: ArrivalModel,
+    /// In the C-heavy phase.
     hot: bool,
 }
 
@@ -121,33 +118,23 @@ impl BurstyWorkload {
     /// # Panics
     /// Panics on out-of-range probabilities.
     pub fn new(p_c_hot: f64, p_c_cold: f64, switch_prob: f64) -> Self {
-        for p in [p_c_hot, p_c_cold, switch_prob] {
-            assert!((0.0..=1.0).contains(&p), "bad probability {p}");
-        }
-        BurstyWorkload {
+        let model = ArrivalModel::Mmpp {
             p_c_hot,
             p_c_cold,
             switch_prob,
-            hot: true,
-        }
+        };
+        assert!(model.is_valid(), "bad arrival model {model:?}");
+        BurstyWorkload { model, hot: true }
     }
 }
 
 impl Workload for BurstyWorkload {
     fn next_task<R: Rng + ?Sized>(&mut self, rng: &mut R) -> TaskType {
-        if rng.gen::<f64>() < self.switch_prob {
+        // The switch coin is drawn for every task, even at probability 0.
+        if rng.gen::<f64>() < self.model.switch_prob() {
             self.hot = !self.hot;
         }
-        let p = if self.hot {
-            self.p_c_hot
-        } else {
-            self.p_c_cold
-        };
-        if rng.gen::<f64>() < p {
-            TaskType::Colocate(0)
-        } else {
-            TaskType::Exclusive
-        }
+        self.model.draw(0, self.hot, rng)
     }
 
     fn name(&self) -> &'static str {
@@ -157,13 +144,11 @@ impl Workload for BurstyWorkload {
 
 /// A diurnal workload: P(type-C) follows a sinusoid over the day,
 /// modelling the interactive-vs-batch mix shift of real request streams.
-///
-/// `p_c(t) = clamp(mean + amplitude · sin(2π t / period), 0, 1)`
+/// It draws through an [`ArrivalModel::Diurnal`] at the step
+/// [`Workload::on_step`] last announced.
 #[derive(Debug, Clone, Copy)]
 pub struct DiurnalWorkload {
-    mean: f64,
-    amplitude: f64,
-    period: u64,
+    model: ArrivalModel,
     t: u64,
 }
 
@@ -174,31 +159,24 @@ impl DiurnalWorkload {
     /// # Panics
     /// Panics if `mean ∉ [0,1]`, `amplitude < 0`, or `period == 0`.
     pub fn new(mean: f64, amplitude: f64, period: u64) -> Self {
-        assert!((0.0..=1.0).contains(&mean), "bad probability {mean}");
-        assert!(amplitude >= 0.0, "negative amplitude");
-        assert!(period > 0, "need a positive period");
-        DiurnalWorkload {
+        let model = ArrivalModel::Diurnal {
             mean,
             amplitude,
             period,
-            t: 0,
-        }
+        };
+        assert!(model.is_valid(), "bad arrival model {model:?}");
+        DiurnalWorkload { model, t: 0 }
     }
 
     /// P(type-C) at step `t`.
     pub fn p_colocate_at(&self, t: u64) -> f64 {
-        let phase = (t % self.period) as f64 / self.period as f64;
-        (self.mean + self.amplitude * (std::f64::consts::TAU * phase).sin()).clamp(0.0, 1.0)
+        self.model.p_colocate(t, true)
     }
 }
 
 impl Workload for DiurnalWorkload {
     fn next_task<R: Rng + ?Sized>(&mut self, rng: &mut R) -> TaskType {
-        if rng.gen::<f64>() < self.p_colocate_at(self.t) {
-            TaskType::Colocate(0)
-        } else {
-            TaskType::Exclusive
-        }
+        self.model.draw(self.t, true, rng)
     }
 
     fn on_step(&mut self, t: u64) {
@@ -210,16 +188,19 @@ impl Workload for DiurnalWorkload {
     }
 }
 
-/// Arrival-model *specification* for the sharded engine
-/// ([`crate::shard`]).
+/// The arrival law of the Figure 4 model: P(type-C) per step and phase,
+/// and the per-draw phase switch.
 ///
 /// A [`Workload`] implementor is one mutable generator shared by every
 /// balancer, which ties arrivals to a single global draw order — exactly
 /// what a sharded simulator cannot have. An `ArrivalModel` is instead a
-/// pure description: the engine keeps any per-balancer phase state in its
-/// own flat arrays and draws from per-pair RNG sub-streams, so arrivals
-/// are a pure function of `(master seed, balancer, step)` at any shard or
-/// worker count.
+/// pure description: [`BurstyWorkload`] and [`DiurnalWorkload`] keep
+/// one phase for the compatibility loop, while the sharded engine
+/// ([`crate::shard`]) keeps per-balancer phase state in its own flat
+/// arrays and draws from per-pair RNG sub-streams, so arrivals are a pure
+/// function of `(master seed, balancer, step)` at any shard or worker
+/// count. Every one of them draws a task through the model, with one
+/// uniform draw against [`ArrivalModel::p_colocate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {
     /// i.i.d. Bernoulli: type-C with probability `p_c` each step (the
@@ -230,7 +211,7 @@ pub enum ArrivalModel {
     },
     /// Two-state MMPP (Markov-modulated): each balancer carries a
     /// hot/cold phase bit and flips it with `switch_prob` per draw —
-    /// the sharded counterpart of [`BurstyWorkload`].
+    /// the law of [`BurstyWorkload`].
     Mmpp {
         /// P(type-C) in the C-heavy phase.
         p_c_hot: f64,
@@ -239,8 +220,9 @@ pub enum ArrivalModel {
         /// Per-draw probability of switching phase.
         switch_prob: f64,
     },
-    /// Sinusoidal daily cycle — the sharded counterpart of
-    /// [`DiurnalWorkload`].
+    /// Sinusoidal daily cycle,
+    /// `p_c(t) = clamp(mean + amplitude · sin(2π t / period), 0, 1)` —
+    /// the law of [`DiurnalWorkload`].
     Diurnal {
         /// Mean P(type-C).
         mean: f64,
@@ -290,6 +272,18 @@ impl ArrivalModel {
         match *self {
             ArrivalModel::Mmpp { switch_prob, .. } => switch_prob,
             _ => 0.0,
+        }
+    }
+
+    /// Draws one balancer's task at step `t` in phase `hot` with one
+    /// uniform draw on `rng`: type-C (subtype 0) with probability
+    /// [`ArrivalModel::p_colocate`], else type-E.
+    #[inline]
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, t: u64, hot: bool, rng: &mut R) -> TaskType {
+        if rng.gen::<f64>() < self.p_colocate(t, hot) {
+            TaskType::Colocate(0)
+        } else {
+            TaskType::Exclusive
         }
     }
 
@@ -427,6 +421,39 @@ mod tests {
         }
         assert_eq!(d.switch_prob(), 0.0);
         assert_eq!(ArrivalModel::paper().p_colocate(7, false), 0.5);
+    }
+
+    /// FNV-1a digest of the first 10 000 task types `w` draws from a
+    /// fixed `StdRng`, with `on_step(t)` called before every 100th draw.
+    fn stream_digest(w: &mut impl Workload) -> u64 {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut rng = StdRng::seed_from_u64(0xa771_7a15);
+        (0..10_000u64).fold(FNV_OFFSET, |h, i| {
+            if i % 100 == 0 {
+                w.on_step(i / 100);
+            }
+            let b = match w.next_task(&mut rng) {
+                TaskType::Colocate(s) => 1 + s,
+                TaskType::Exclusive => 0,
+            };
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        })
+    }
+
+    /// Pins the two phase-carrying generators' draws across commits, as
+    /// `QUICK_DIGESTS` pins the experiments'. A refactor leaves both
+    /// digests unchanged; a change that means to alter the streams
+    /// updates them from the failure message.
+    #[test]
+    fn bursty_and_diurnal_streams_match_their_digests() {
+        let bursty = stream_digest(&mut BurstyWorkload::new(0.9, 0.1, 0.05));
+        let diurnal = stream_digest(&mut DiurnalWorkload::new(0.5, 0.4, 50));
+        assert_eq!(
+            (bursty, diurnal),
+            (0xc855_1a0a_c2b3_a3b0, 0xf4cb_d3da_4a61_8466),
+            "arrival stream digests drifted: bursty {bursty:#018x}, diurnal {diurnal:#018x}"
+        );
     }
 
     #[test]

@@ -24,12 +24,16 @@
 //!
 //! The server is a thin shell over [`Service`]: an accept loop plus one
 //! handler thread per connection, each pinned to the endpoint named in
-//! its requests. The accept loop owns its open connections and releases
-//! each one once its handler exits. Shutdown drains gracefully — the
-//! accept loop closes first, then each open connection's *read* side is
-//! shut down, so a response in flight is still written before the
-//! handler exits. A response write that makes no progress for one
-//! second (a client that stopped reading) fails and closes that
+//! its requests. The accept loop blocks in `accept`, so a connection is
+//! taken the moment it arrives; it owns its open connections and
+//! releases each one once its handler exits. Shutdown drains gracefully.
+//! The accept loop closes first: [`SocketServer::stop`] shuts down the
+//! listening socket through a clone of it, and on Linux the blocked
+//! `accept` then fails, a connection already queued is still accepted
+//! once, and later connects are refused. Then each open connection's
+//! *read* side is shut down, so a response in flight is still written
+//! before the handler exits. A response write that makes no progress for
+//! one second (a client that stopped reading) fails and closes that
 //! connection, so shutdown never waits on such a client longer than that.
 
 #![cfg(unix)]
@@ -37,9 +41,11 @@
 use crate::decision::Placement;
 use crate::service::Service;
 use std::io::{self, Read, Write};
+use std::net::Shutdown;
+use std::os::fd::OwnedFd;
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,7 +128,7 @@ struct ShutdownOnDrop(UnixStream);
 
 impl Drop for ShutdownOnDrop {
     fn drop(&mut self) {
-        let _ = self.0.shutdown(std::net::Shutdown::Both);
+        let _ = self.0.shutdown(Shutdown::Both);
     }
 }
 
@@ -133,28 +139,31 @@ type Connection = (UnixStream, std::thread::JoinHandle<()>);
 /// A serving Unix socket bound to a [`Service`].
 pub struct SocketServer {
     path: PathBuf,
-    stop: Arc<AtomicBool>,
+    /// The listening socket, cloned: shutting it down wakes the accept
+    /// loop.
+    listener: UnixStream,
     /// The accept loop; it returns the connections still open when it
     /// exits.
     accept: Option<std::thread::JoinHandle<Vec<Connection>>>,
 }
 
 impl SocketServer {
-    /// Binds `path` (replacing any stale socket file) and starts the
-    /// accept loop over `service`.
+    /// Binds `path` and starts the accept loop over `service`. A stale
+    /// socket file at `path` is replaced; any other file there is left
+    /// alone, and the bind fails on it.
     pub fn start(path: impl AsRef<Path>, service: Arc<Service>) -> io::Result<Self> {
         let path = path.as_ref().to_path_buf();
-        let _ = std::fs::remove_file(&path);
+        if std::fs::symlink_metadata(&path).is_ok_and(|m| m.file_type().is_socket()) {
+            let _ = std::fs::remove_file(&path);
+        }
         let listener = UnixListener::bind(&path)?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = Arc::clone(&stop);
+        let clone = UnixStream::from(OwnedFd::from(listener.try_clone()?));
         let accept = std::thread::Builder::new()
             .name("qnlg-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_stop, &service))?;
+            .spawn(move || accept_loop(&listener, &service))?;
         Ok(SocketServer {
             path,
-            stop,
+            listener: clone,
             accept: Some(accept),
         })
     }
@@ -170,13 +179,13 @@ impl SocketServer {
     /// stuck writing to a client that stopped reading exits within
     /// `WRITE_TIMEOUT`. Idempotent.
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        let _ = self.listener.shutdown(Shutdown::Both);
         // Joined first, the accept loop can take no connection after the
         // ones it hands back here.
         if let Some(accept) = self.accept.take() {
             let open = accept.join().unwrap_or_default();
             for (stream, _) in &open {
-                let _ = stream.shutdown(std::net::Shutdown::Read);
+                let _ = stream.shutdown(Shutdown::Read);
             }
             for (_, handler) in open {
                 let _ = handler.join();
@@ -186,46 +195,35 @@ impl SocketServer {
     }
 }
 
-/// Accepts connections until `stop` is set, serving each on a handler
-/// thread of its own, and returns the connections still open.
-fn accept_loop(
-    listener: &UnixListener,
-    stop: &AtomicBool,
-    service: &Arc<Service>,
-) -> Vec<Connection> {
+/// Accepts connections until `accept` fails, as it does once
+/// [`SocketServer::stop`] shuts the listening socket down, serving each
+/// on a handler thread of its own, and returns the connections still
+/// open.
+fn accept_loop(listener: &UnixListener, service: &Arc<Service>) -> Vec<Connection> {
     let mut open: Vec<Connection> = Vec::new();
-    while !stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Release the connections whose handlers have exited, so
-                // a long run holds one fd per open connection, not per
-                // connection ever accepted.
-                for (_, handler) in open.extract_if(.., |(_, h)| h.is_finished()) {
-                    let _ = handler.join();
-                }
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-                // A connection that stop could not shut down would hang
-                // it, so refuse it instead.
-                let Ok(tracked) = stream.try_clone() else {
-                    continue;
-                };
-                let service = Arc::clone(service);
-                let handler = std::thread::spawn(move || {
-                    // A protocol error, client disconnect or panic ends
-                    // this connection only, and the guard shuts it down:
-                    // the accept loop's clone would otherwise hold it
-                    // open until the loop next prunes.
-                    let mut stream = ShutdownOnDrop(stream);
-                    let _ = handle_connection(&service, &mut stream.0);
-                });
-                open.push((tracked, handler));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
+    while let Ok((stream, _)) = listener.accept() {
+        // Release the connections whose handlers have exited, so a long
+        // run holds one fd per open connection, not per connection ever
+        // accepted.
+        for (_, handler) in open.extract_if(.., |(_, h)| h.is_finished()) {
+            let _ = handler.join();
         }
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+        // A connection that stop could not shut down would hang it, so
+        // refuse it instead.
+        let Ok(tracked) = stream.try_clone() else {
+            continue;
+        };
+        let service = Arc::clone(service);
+        let handler = std::thread::spawn(move || {
+            // A protocol error, client disconnect or panic ends this
+            // connection only, and the guard shuts it down: the accept
+            // loop's clone would otherwise hold it open until the loop
+            // next prunes.
+            let mut stream = ShutdownOnDrop(stream);
+            let _ = handle_connection(&service, &mut stream.0);
+        });
+        open.push((tracked, handler));
     }
     open
 }

@@ -200,6 +200,36 @@ fn torn_requests_are_answered_and_a_lone_bad_prefix_closes_at_once() {
     server.stop();
 }
 
+#[cfg(unix)]
+#[test]
+fn start_replaces_a_stale_socket_but_no_other_file() {
+    use serve::socket::{Client, SocketServer};
+    use std::os::unix::net::UnixListener;
+
+    let service = Arc::new(Service::start(&base_config(45)));
+    let pid = std::process::id();
+    let file = std::env::temp_dir().join(format!("qnlg-serve-regular-{pid}.sock"));
+    std::fs::write(&file, b"not a socket").unwrap();
+    assert!(
+        SocketServer::start(&file, Arc::clone(&service)).is_err(),
+        "binding over a regular file must fail"
+    );
+    let kept = std::fs::read(&file).expect("the regular file is still there");
+    std::fs::remove_file(&file).unwrap();
+    assert_eq!(kept, b"not a socket", "the regular file was changed");
+
+    // A listener dropped without unlinking leaves its socket file behind.
+    let stale = std::env::temp_dir().join(format!("qnlg-serve-stale-{pid}.sock"));
+    let _ = std::fs::remove_file(&stale);
+    drop(UnixListener::bind(&stale).expect("bind the stale listener"));
+    assert!(stale.exists(), "the stale socket file is left behind");
+    let mut server = SocketServer::start(&stale, service).expect("replace the stale socket");
+    let mut client = Client::connect(&stale).expect("connect");
+    assert!(client.decide(1, true, true).expect("decide").first < 32);
+    server.stop();
+    assert!(!stale.exists(), "socket file must be removed on stop");
+}
+
 #[test]
 fn healthy_plane_serves_quantum_overwhelmingly() {
     let mut core = ServiceCore::new(&base_config(55));
