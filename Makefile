@@ -26,11 +26,12 @@ build:
 test:
 	timeout 1200 $(CARGO) test -q
 
-# The plane and serve crates again in release: optimised builds change
-# thread timing (a shared-obs race between serve tests showed up only
-# there).
+# The plane, serve, pool and load-balance crates again in release:
+# optimised builds change thread timing (a shared-obs race between serve
+# tests showed up only there), and the pool's claim loop and the wait
+# reservoir run at full speed.
 test-release:
-	timeout 1200 $(CARGO) test --release -q -p qnet -p qnlg-serve
+	timeout 1200 $(CARGO) test --release -q -p qnet -p qnlg-serve -p qnlg-runtime -p loadbalance
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings

@@ -349,7 +349,7 @@ mod tests {
                     lanes.enqueue(task);
                     oracle.enqueue(task);
                 }
-                let served = lanes.step(t, &mut lane_waits);
+                let served = lanes.step(t, Some(&mut lane_waits));
                 assert_eq!(served, oracle.step(t), "{label} at {t}");
                 assert_eq!(lanes.queue_len(), oracle.queue_len(), "{label} at {t}");
             }

@@ -151,6 +151,9 @@ impl HysteresisConfig {
 pub struct FallbackGovernor {
     config: HysteresisConfig,
     window: VecDeque<(u64, u64)>,
+    /// Σ delivered and Σ polled over `window`, updated as rounds enter
+    /// and leave it.
+    sums: (u64, u64),
     mode: CoordinationMode,
     dwell: u64,
     transitions: u64,
@@ -170,6 +173,7 @@ impl FallbackGovernor {
         FallbackGovernor {
             config,
             window: VecDeque::with_capacity(config.window),
+            sums: (0, 0),
             mode: CoordinationMode::Quantum,
             dwell: 0,
             transitions: 0,
@@ -206,10 +210,7 @@ impl FallbackGovernor {
         if self.window.len() < self.config.window {
             return None;
         }
-        let (delivered, polled) = self
-            .window
-            .iter()
-            .fold((0u64, 0u64), |(d, p), &(dd, pp)| (d + dd, p + pp));
+        let (delivered, polled) = self.sums;
         if polled == 0 {
             return None;
         }
@@ -231,9 +232,11 @@ impl FallbackGovernor {
         }
         self.rounds[self.mode.index()] += 1;
         if self.window.len() == self.config.window {
-            self.window.pop_front();
+            let (d, p) = self.window.pop_front().expect("a full window");
+            self.sums = (self.sums.0 - d, self.sums.1 - p);
         }
         self.window.push_back((delivered, polled));
+        self.sums = (self.sums.0 + delivered, self.sums.1 + polled);
         self.dwell += 1;
         if self.dwell < self.config.min_dwell {
             return self.mode;
@@ -503,6 +506,33 @@ mod tests {
             assert_eq!(g.observe_delivery(10, 10, 0.85), CoordinationMode::Quantum);
         }
         assert_eq!(g.transitions(), 0);
+    }
+
+    #[test]
+    fn window_rate_equals_the_fold_over_the_window() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(8);
+        for window in [1, 2, 8] {
+            let mut g = FallbackGovernor::new(HysteresisConfig {
+                window,
+                ..HysteresisConfig::default()
+            });
+            let mut rounds = Vec::new();
+            for _ in 0..2_000 {
+                let polled = rng.gen_range(0..4u64);
+                let delivered = rng.gen_range(0..polled + 1);
+                g.observe(delivered, polled);
+                rounds.push((delivered, polled));
+                let last = &rounds[rounds.len().saturating_sub(window)..];
+                let (d, p) = last
+                    .iter()
+                    .fold((0u64, 0u64), |(d, p), &(dd, pp)| (d + dd, p + pp));
+                let fold = (last.len() == window && p > 0).then(|| d as f64 / p as f64);
+                assert_eq!(g.window_rate(), fold, "window {window}");
+            }
+            assert!(g.transitions() > 0, "window {window}: no mode change");
+        }
     }
 
     #[test]

@@ -107,11 +107,20 @@ impl WaitReservoir {
             seq,
             wait,
         };
+        self.keep(entry);
+    }
+
+    /// Keeps `entry` if it is among the `cap` smallest so far: pushed
+    /// while there is room, else written over the root (the largest
+    /// survivor) when smaller, which costs one sift-down.
+    #[inline]
+    fn keep(&mut self, entry: ResEntry) {
         if self.heap.len() < self.cap {
             self.heap.push(entry);
-        } else if entry < *self.heap.peek().expect("non-empty at cap") {
-            self.heap.pop();
-            self.heap.push(entry);
+        } else if let Some(mut root) = self.heap.peek_mut() {
+            if entry < *root {
+                *root = entry;
+            }
         }
     }
 
@@ -122,12 +131,7 @@ impl WaitReservoir {
         assert_eq!(self.cap, other.cap, "reservoir capacities must match");
         self.seen += other.seen;
         for &entry in other.heap.iter() {
-            if self.heap.len() < self.cap {
-                self.heap.push(entry);
-            } else if entry < *self.heap.peek().expect("non-empty at cap") {
-                self.heap.pop();
-                self.heap.push(entry);
-            }
+            self.keep(entry);
         }
     }
 
@@ -459,6 +463,44 @@ mod tests {
         }
         assert_eq!(merged.sorted_waits(), global.sorted_waits());
         assert_eq!(merged.seen(), global.seen());
+    }
+
+    #[test]
+    fn reservoir_keeps_exactly_the_cap_smallest_priorities() {
+        // The oracle sorts every offer by (priority, server, seq) and
+        // takes the first `CAP`. Each offer's wait is its index, so equal
+        // waits mean equal survivors. Two shuffled offer orders, each
+        // through `offer` and through a merge of four shards.
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        const CAP: usize = 64;
+        let mut offers: Vec<(u64, u64, u64)> =
+            (0..12_000u64).map(|i| (i % 37, i / 37, i)).collect();
+        let key = WaitReservoir::with_capacity(11, CAP);
+        let mut by_priority = offers.clone();
+        by_priority.sort_unstable_by_key(|&(s, k, _)| (key.priority(s, k), s, k));
+        let mut want: Vec<u64> = by_priority[..CAP].iter().map(|&(_, _, w)| w).collect();
+        want.sort_unstable();
+        let mut rng = StdRng::seed_from_u64(25);
+        for order in 0..2 {
+            offers.shuffle(&mut rng);
+            let mut one = WaitReservoir::with_capacity(11, CAP);
+            let mut shards: Vec<WaitReservoir> = (0..4)
+                .map(|_| WaitReservoir::with_capacity(11, CAP))
+                .collect();
+            for (i, &(s, k, w)) in offers.iter().enumerate() {
+                one.offer(s, k, w);
+                shards[i % 4].offer(s, k, w);
+            }
+            let mut merged = WaitReservoir::with_capacity(11, CAP);
+            for shard in &shards {
+                merged.merge(shard);
+            }
+            assert_eq!(one.sorted_waits(), want, "offer, order {order}");
+            assert_eq!(merged.sorted_waits(), want, "merge, order {order}");
+            assert_eq!(merged.seen(), one.seen());
+        }
     }
 
     #[test]

@@ -147,9 +147,11 @@ impl Server {
     }
 
     /// Runs one service timestep at time `now`, serving tasks per the
-    /// discipline and offering each one's queueing delay to `waits`.
-    /// Returns how many tasks were served.
-    pub fn step(&mut self, now: u64, waits: &mut WaitReservoir) -> usize {
+    /// discipline and offering each one's queueing delay to `waits`, if
+    /// given (a run samples waits only in its measured window). Returns
+    /// how many tasks were served; `served` and `total_wait` count every
+    /// one either way.
+    pub fn step(&mut self, now: u64, mut waits: Option<&mut WaitReservoir>) -> usize {
         let oldest_c = self.oldest_colocate();
         let serve_e = match (self.exclusive.front(), oldest_c) {
             (None, _) => false,
@@ -175,7 +177,7 @@ impl Server {
             // The partner completes first: the seed removed a pair back
             // to front, and the completion count is the sample's
             // reservoir identity.
-            self.complete(partner, now, waits);
+            self.complete(partner, now, waits.as_deref_mut());
         }
         self.complete(first, now, waits);
         1 + usize::from(partner.is_some())
@@ -190,13 +192,15 @@ impl Server {
             .min_by_key(|&(_, order)| order)
     }
 
-    fn complete(&mut self, task: Entry, now: u64, waits: &mut WaitReservoir) {
+    fn complete(&mut self, task: Entry, now: u64, waits: Option<&mut WaitReservoir>) {
         let wait = now.saturating_sub(task.enqueued_at);
         self.total_wait += wait;
         // `served` doubles as the per-server completion sequence: it
-        // never resets, so sample identities stay unique even across a
-        // measurement-window `waits.clear()`.
-        waits.offer(self.id, self.served, wait);
+        // counts unsampled completions too, so a sample's identity does
+        // not depend on when sampling began.
+        if let Some(waits) = waits {
+            waits.offer(self.id, self.served, wait);
+        }
         self.served += 1;
     }
 }
@@ -224,7 +228,7 @@ mod tests {
     /// task that was served.
     fn served_waits(s: &mut Server, now: u64) -> Vec<u64> {
         let mut waits = WaitReservoir::new(WAIT_RESERVOIR_SEED);
-        let n = s.step(now, &mut waits);
+        let n = s.step(now, Some(&mut waits));
         assert_eq!(n, waits.len(), "step's count matches the waits offered");
         waits.sorted_waits()
     }
@@ -341,6 +345,71 @@ mod tests {
     }
 
     #[test]
+    fn each_discipline_serves_a_mixed_queue_in_its_own_order() {
+        // Arrivals 5 steps apart and steps 1 apart, so every wait names
+        // the one task that produced it: E@0, C0@5, C1@10, C0@15, E@20.
+        let expect: [(Discipline, [&[u64]; 5]); 5] = [
+            (
+                Discipline::PaperPairedC,
+                [&[15, 25], &[21], &[32], &[13], &[]],
+            ),
+            (
+                Discipline::FifoPairedC,
+                [&[30], &[16, 26], &[22], &[13], &[]],
+            ),
+            (
+                Discipline::ExclusiveFirst,
+                [&[30], &[11], &[17, 27], &[23], &[]],
+            ),
+            (
+                Discipline::CPrioritySingle,
+                [&[25], &[21], &[17], &[33], &[14]],
+            ),
+            (Discipline::SingleSlot, [&[30], &[26], &[22], &[18], &[14]]),
+        ];
+        for (d, steps) in expect {
+            let mut s = Server::new(d);
+            for task in [e(0), c(0, 5), c(1, 10), c(0, 15), e(20)] {
+                s.enqueue(task);
+            }
+            for (now, want) in (30..).zip(steps) {
+                assert_eq!(served_waits(&mut s, now), want, "{} at {now}", d.label());
+            }
+            assert_eq!(s.queue_len(), 0, "{}", d.label());
+        }
+    }
+
+    #[test]
+    fn unsampled_steps_count_and_keep_sample_identities() {
+        // A run offers no waits during warm-up. The counters must still
+        // advance, so the window's samples keep the identities they had
+        // when warm-up waits were offered and then cleared.
+        let mut offered = Server::with_id(Discipline::PaperPairedC, 7);
+        let mut unsampled = offered.clone();
+        let mut all = WaitReservoir::with_capacity(WAIT_RESERVOIR_SEED, 2);
+        let mut window = WaitReservoir::with_capacity(WAIT_RESERVOIR_SEED, 2);
+        for t in 0..40u64 {
+            let task = if t % 3 == 0 {
+                e(t)
+            } else {
+                c((t % 2) as u8, t)
+            };
+            offered.enqueue(task);
+            unsampled.enqueue(task);
+            if t == 20 {
+                all.clear();
+            }
+            offered.step(t, Some(&mut all));
+            unsampled.step(t, (t >= 20).then_some(&mut window));
+            assert_eq!(unsampled.served, offered.served, "at {t}");
+            assert_eq!(unsampled.total_wait, offered.total_wait, "at {t}");
+        }
+        assert!(window.seen() > 2, "the window must evict");
+        assert_eq!(window.seen(), all.seen());
+        assert_eq!(window.sorted_waits(), all.sorted_waits());
+    }
+
+    #[test]
     fn empty_server_serves_nothing() {
         for d in [
             Discipline::PaperPairedC,
@@ -362,18 +431,20 @@ mod c_priority_single_tests {
     #[test]
     fn serves_one_c_at_a_time_with_priority() {
         let mut s = Server::new(Discipline::CPrioritySingle);
-        let mut waits = WaitReservoir::new(0);
         let (c, e) = (TaskType::Colocate(0), TaskType::Exclusive);
-        for ty in [e, c, c] {
-            s.enqueue(Task { ty, enqueued_at: 0 });
+        // Distinct arrival times, so the wait a step offers names the
+        // task it served.
+        for (ty, enqueued_at) in [(e, 0), (c, 1), (c, 3)] {
+            s.enqueue(Task { ty, enqueued_at });
         }
-        assert_eq!(
-            s.step(1, &mut waits),
-            1,
-            "one C served, with priority over the E"
-        );
-        assert_eq!(s.step(2, &mut waits), 1, "second C");
-        assert_eq!(s.step(3, &mut waits), 1, "then the E");
+        let mut step = |now| {
+            let mut waits = WaitReservoir::new(0);
+            s.step(now, Some(&mut waits));
+            waits.sorted_waits()
+        };
+        assert_eq!(step(4), [3], "the older C alone, with priority over the E");
+        assert_eq!(step(5), [2], "then the second C");
+        assert_eq!(step(6), [6], "then the E");
         assert_eq!(s.served, 3);
     }
 }

@@ -219,10 +219,11 @@ where
     let mut servers: Vec<Server> = (0..config.n_servers)
         .map(|i| Server::with_id(config.discipline, i as u64))
         .collect();
-    // One reservoir, the tally's, for every server's waits. Its survivors
-    // depend on neither insertion order nor partition, so it holds
-    // exactly what the oracle's merge of per-server reservoirs (`aos`)
-    // holds.
+    // One reservoir, the tally's, for every server's waits in the
+    // measured window; warm-up completions are counted but not offered,
+    // as in `shard`. Its survivors depend on neither insertion order nor
+    // partition, so it holds exactly what the oracle's merge of
+    // per-server reservoirs, cleared at the window's start (`aos`), holds.
     let mut tally = RunTally::new(config.timesteps, WAIT_RESERVOIR_SEED);
     let paired = strat.name().starts_with("paired");
     let mut served_before_window = 0u64;
@@ -234,7 +235,6 @@ where
         if t == config.warmup {
             served_before_window = servers.iter().map(|s| s.served).sum();
             wait_before_window = servers.iter().map(|s| s.total_wait).sum();
-            tally.waits.clear();
         }
         workload.on_step(t);
         tasks.clear();
@@ -253,8 +253,9 @@ where
                 enqueued_at: t,
             });
         }
+        let mut waits = (t >= config.warmup).then_some(&mut tally.waits);
         for s in servers.iter_mut() {
-            s.step(t, &mut tally.waits);
+            s.step(t, waits.as_deref_mut());
         }
 
         if t >= config.warmup {

@@ -6,11 +6,14 @@
 //! contiguous index chunks behind a single mutex-guarded iterator; each
 //! worker claims the next chunk, releases the lock, maps the chunk, and
 //! claims again until none are left, so a slow chunk delays only the
-//! worker running it. No thread ever holds the lock while it maps, or
-//! waits on one lock while holding another. Outputs carry their chunk
+//! worker running it. Chunks are guided: each claim takes a fixed share
+//! of what is left, so they shrink as the sweep drains and it ends on
+//! single items. No thread ever holds the lock while it maps, or waits
+//! on one lock while holding another. Outputs carry their chunk's start
 //! index, so output order — and therefore every downstream table — is
 //! independent of scheduling.
 
+use std::ops::Range;
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
@@ -51,9 +54,22 @@ pub fn thread_count() -> usize {
         .unwrap_or(1)
 }
 
-/// Chunks per worker to create: more lets idle workers pick up the rest
-/// of a skewed sweep at finer granularity; fewer keeps claim traffic low.
-const CHUNKS_PER_WORKER: usize = 4;
+/// The guided claim plan over `len` items for `workers` workers: each
+/// claim takes `max(1, remaining / (2 · workers))` contiguous items.
+/// Early claims are large, which keeps claim traffic low; the last
+/// `2 · workers` items go one at a time, so workers run dry within one
+/// item of each other.
+fn guided(len: usize, workers: usize) -> impl Iterator<Item = Range<usize>> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let remaining = len - start;
+        (remaining > 0).then(|| {
+            let chunk = start..start + (remaining / (2 * workers)).max(1);
+            start = chunk.end;
+            chunk
+        })
+    })
+}
 
 /// Parallel indexed map over a slice with an explicit worker count.
 ///
@@ -77,9 +93,9 @@ where
         return out;
     }
     let workers = threads.min(len);
-    let chunk = len.div_ceil(workers * CHUNKS_PER_WORKER).max(1);
-    claim_loop(workers, items.chunks(chunk).enumerate(), |k, part| {
-        (k * chunk..).zip(part).map(|(i, t)| f(i, t)).collect()
+    let chunks = guided(len, workers).map(|r| (r.start, &items[r]));
+    claim_loop(workers, chunks, |start, part| {
+        (start..).zip(part).map(|(i, t)| f(i, t)).collect()
     })
 }
 
@@ -123,8 +139,9 @@ where
 }
 
 /// Runs `map(k, chunk)` for every `(k, chunk)` that `chunks` yields on
-/// `workers` scoped threads, and returns the outputs in chunk order.
-/// `map` returns one output per item of its chunk.
+/// `workers` scoped threads, and returns the outputs ordered by `k` (a
+/// chunk's index or its first item's). `map` returns one output per item
+/// of its chunk.
 fn claim_loop<I, C, R, M>(workers: usize, chunks: I, map: M) -> Vec<R>
 where
     I: Iterator<Item = (usize, C)> + Send,
@@ -268,6 +285,35 @@ mod tests {
         let chunks = snap.counter("pool.chunks").unwrap_or(0);
         assert!(chunks >= 1, "no chunks accounted");
         assert!(snap.hist("pool.chunk.items").is_some_and(|h| h.count >= 1));
+    }
+
+    #[test]
+    fn guided_plan_covers_every_item_once_in_shrinking_chunks() {
+        for len in [0, 1, 7, 60, 10_000] {
+            for workers in [2, 3, 8] {
+                let plan: Vec<Range<usize>> = guided(len, workers).collect();
+                let at = format!("len {len}, {workers} workers");
+                let mut next = 0;
+                for chunk in &plan {
+                    assert_eq!(chunk.start, next, "{at}: gap or overlap");
+                    assert!(!chunk.is_empty(), "{at}: empty chunk");
+                    next = chunk.end;
+                }
+                assert_eq!(next, len, "{at}: items left over");
+                assert!(
+                    plan.windows(2).all(|w| w[1].len() <= w[0].len()),
+                    "{at}: a chunk grew"
+                );
+                let tail = plan.len() - len.min(2 * workers);
+                assert!(
+                    plan[tail..].iter().all(|c| c.len() == 1),
+                    "{at}: the last items are not claimed one at a time"
+                );
+            }
+        }
+        // The 60-point Figure 4 grid on two workers.
+        let sizes: Vec<usize> = guided(60, 2).map(|r| r.len()).collect();
+        assert_eq!(sizes, [15, 11, 8, 6, 5, 3, 3, 2, 1, 1, 1, 1, 1, 1, 1]);
     }
 
     #[test]
