@@ -1,6 +1,8 @@
 //! Bench: the sharded SoA engine ablation (DESIGN.md §5).
 //!
-//! Four arms at 10⁴ and 10⁵ servers, load 1.2, quantum strategy:
+//! Four arms at 83, 10⁴ and 10⁵ servers, load 1.2, quantum strategy.
+//! 83 servers is the Figure 4 knee: 100 balancers, inside the 67–167
+//! servers of the Figure 4 grid, which runs on `compat`.
 //!
 //! - `aos`: the frozen pre-shard array-of-structs loop
 //!   (`aos::run_simulation_aos`) — the seed implementation's shape,
@@ -17,13 +19,12 @@
 //!
 //! The sharded engine's acceptance line is `soa_single ≥ 3× aos` in
 //! tasks/second at 10⁵ servers on one core; `compat` against `soa_single`
-//! is what porting the Figure 4 experiments onto the sharded engine would
-//! gain. A last pair of arms measures the obs overhead (hoisted per-run
-//! flushes must cost < 2%).
+//! at 83 servers is what porting the Figure 4 experiments onto the
+//! sharded engine would gain. A last pair of arms measures the obs
+//! overhead (hoisted per-run flushes must cost < 2%).
 //!
-//! Run with `make bench-scale`. The smaller 10⁴ AoS point keeps the
-//! default criterion budget tolerable; 10⁵ AoS is measured with a
-//! reduced sample count.
+//! Run with `make bench-scale`. Every arm takes 10 samples, so the 10⁵
+//! AoS point keeps the run to a few minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loadbalance::aos::run_simulation_aos;
@@ -60,7 +61,7 @@ fn bench_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("lb_scale_100_steps");
     group.sample_size(10);
 
-    for n in [10_000usize, 100_000] {
+    for n in [83usize, 10_000, 100_000] {
         group.bench_with_input(BenchmarkId::new("aos", n), &n, |b, &n| {
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| {

@@ -25,7 +25,7 @@
 //! actually exercised the state machine.
 
 use crate::pipeline::PipelinePairedQuantum;
-use crate::strategy::{assign_pairs, assign_uniform, AssignmentStrategy};
+use crate::strategy::{AssignmentStrategy, Placement, Strategy};
 use crate::task::TaskType;
 use obs::{LazyCounter, LazyGauge};
 use qnet::DistributorConfig;
@@ -305,7 +305,10 @@ impl FallbackGovernor {
 pub struct Degrading {
     inner: PipelinePairedQuantum,
     governor: FallbackGovernor,
-    n_servers: usize,
+    /// The classical-shared tier's placement: always-split.
+    split: Placement,
+    /// The independent tier's placement: uniform.
+    independent: Placement,
     pair_rounds: u64,
     /// Trace timeline for this governor's window evaluations and mode
     /// transitions.
@@ -330,7 +333,9 @@ impl Degrading {
         Degrading {
             inner: PipelinePairedQuantum::new(n_balancers, n_servers, pipeline, timestep, rng),
             governor: FallbackGovernor::new(hysteresis),
-            n_servers,
+            split: Placement::new(Strategy::PairedAlwaysSplit, n_servers).expect("not round robin"),
+            independent: Placement::new(Strategy::UniformRandom, n_servers)
+                .expect("not round robin"),
             pair_rounds: 0,
             track: trace::Track::Governor(trace::next_lane()),
         }
@@ -376,12 +381,12 @@ impl AssignmentStrategy for Degrading {
             }
             CoordinationMode::ClassicalShared => {
                 let (delivered, polled) = self.inner.poll_delivery();
-                let out = assign_pairs(tasks, self.n_servers, rng, |_, _, _| games::pairing::SPLIT);
+                let out = self.split.assign_all(tasks, queue_lens, rng);
                 (out, delivered, polled)
             }
             CoordinationMode::IndependentRandom => {
                 let (delivered, polled) = self.inner.poll_delivery();
-                let out = assign_uniform(tasks, self.n_servers, rng);
+                let out = self.independent.assign_all(tasks, queue_lens, rng);
                 (out, delivered, polled)
             }
         };

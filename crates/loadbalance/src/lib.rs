@@ -26,7 +26,9 @@
 //!   power-of-two-choices, classical pairings, dedicated-server hybrid,
 //!   and the quantum CHSH pairing (the flipped-CHSH
 //!   `games::CorrelationBox`, plus finite pair availability), all pairings
-//!   on the `games::pairing` kernel.
+//!   on the `games::pairing` kernel. Every strategy but round robin is
+//!   one placement kernel, shared with [`shard`], [`pipeline`] and
+//!   [`degrade`].
 //! - [`sim`]: the timestep loop of Figure 4 (compatibility path: any
 //!   strategy, caller-supplied RNG, bit-stable historical trajectories,
 //!   one run-wide wait reservoir shared by every server).
@@ -34,7 +36,7 @@
 //!   entanglement-distribution pipeline, one per balancer pair.
 //! - [`shard`]: the sharded, structure-of-arrays, batch-advanced engine
 //!   for production-scale runs (1e6 servers), byte-identical at any
-//!   worker/shard count.
+//!   worker/shard count; it runs every strategy but round robin.
 //! - [`aos`]: the frozen pre-shard array-of-structs loop over the seed's
 //!   queue-scanning server, kept as the determinism oracle for [`sim`]
 //!   and [`server`] and the ablation baseline for `benches/scale.rs`.

@@ -12,7 +12,7 @@
 //! This is experiment E8's engine: the end-to-end Figure 4 effect of real
 //! source rates and memory lifetimes.
 
-use crate::strategy::{assign_pairs, AssignmentStrategy};
+use crate::strategy::{AssignmentStrategy, Placement, Strategy};
 use crate::task::TaskType;
 use games::pairing;
 use qnet::{DistributorConfig, EntanglementDistributor, SimTime};
@@ -42,7 +42,9 @@ impl PipelineStats {
 /// A paired-CHSH strategy whose entanglement comes from per-pair
 /// simulated distribution pipelines.
 pub struct PipelinePairedQuantum {
-    n_servers: usize,
+    /// Always-split, the rule of a round without a pair: its paired
+    /// placement and odd-balancer rule place every round.
+    split: Placement,
     timestep: Duration,
     now: SimTime,
     distributors: Vec<EntanglementDistributor>,
@@ -73,7 +75,7 @@ impl PipelinePairedQuantum {
             .map(|_| EntanglementDistributor::new(pipeline.clone(), rng))
             .collect();
         PipelinePairedQuantum {
-            n_servers,
+            split: Placement::new(Strategy::PairedAlwaysSplit, n_servers).expect("not round robin"),
             timestep,
             now: SimTime::ZERO,
             distributors,
@@ -146,25 +148,28 @@ impl AssignmentStrategy for PipelinePairedQuantum {
     fn assign_all(
         &mut self,
         tasks: &[TaskType],
-        _queue_lens: &[usize],
+        queue_lens: &[usize],
         rng: &mut dyn rand::RngCore,
     ) -> Vec<usize> {
         self.now += self.timestep;
         let now = self.now;
         let stats = &mut self.stats;
         let mut pipelines = self.distributors.iter_mut();
-        assign_pairs(tasks, self.n_servers, rng, |x, y, rng| {
-            let pipeline = pipelines.next().expect("one pipeline per balancer pair");
-            match pipeline.take_werner(now) {
-                Some(pair) => {
-                    stats.quantum_rounds += 1;
-                    pairing::werner_bits(&pair, x, y, rng)
+        let split = &self.split;
+        split.place_all(tasks, queue_lens, rng, |x, y, rng| {
+            split.paired(x, y, rng, |x, y, rng| {
+                let pipeline = pipelines.next().expect("one pipeline per balancer pair");
+                match pipeline.take_werner(now) {
+                    Some(pair) => {
+                        stats.quantum_rounds += 1;
+                        pairing::werner_bits(&pair, x, y, rng)
+                    }
+                    None => {
+                        stats.fallback_rounds += 1;
+                        pairing::SPLIT
+                    }
                 }
-                None => {
-                    stats.fallback_rounds += 1;
-                    pairing::SPLIT
-                }
-            }
+            })
         })
     }
 

@@ -8,14 +8,19 @@
 //! everything. This module is the scale path. Same model, different
 //! shape:
 //!
-//! - **One model.** Both engines run the same three decisions of the
-//!   Figure 4 model, written once: the serve rule (the two questions
+//! - **One model.** Both engines run the same decisions of the Figure 4
+//!   model, written once: the placement of a balancer pair and of the
+//!   odd balancer out (`strategy::Placement`, behind every strategy
+//!   [`Strategy::build`] makes but round robin), the arrival law and its
+//!   MMPP phase step ([`ArrivalModel`], which `BurstyWorkload` and
+//!   `DiurnalWorkload` draw through), the serve rule (the two questions
 //!   [`crate::server::Discipline`] answers, which
-//!   [`crate::server::Server::step`] asks too), the arrival law
-//!   ([`ArrivalModel`], which `BurstyWorkload` and `DiurnalWorkload`
-//!   draw through) and the run tally in [`crate::metrics`] that becomes
-//!   the [`SimResult`] and the obs counters. `tests/parity.rs` holds
-//!   `sim`'s use of them to the frozen [`crate::aos`] loop.
+//!   [`crate::server::Server::step`] asks too) and the run tally in
+//!   [`crate::metrics`] that becomes the [`SimResult`] and the obs
+//!   counters. `tests/parity.rs` holds `sim`'s use of them to the frozen
+//!   [`crate::aos`] loop, so what this engine runs alone is its data
+//!   layout: the lanes, the packed mailboxes, the active list and the
+//!   reservoir's sample sequence.
 //! - **Structure of arrays.** A server is a row across flat arrays —
 //!   queue counts (`q_len`), completion counters (`served_seq`), and two
 //!   FIFO *lanes* of `u32` arrival steps (type-C and type-E). Lanes are
@@ -54,9 +59,8 @@
 use crate::error::SimError;
 use crate::metrics::{RunTally, SimResult};
 use crate::sim::SimConfig;
-use crate::strategy::Strategy;
+use crate::strategy::{Placement, Strategy};
 use crate::task::ArrivalModel;
-use games::pairing::{self, PairRule};
 use runtime::{par_map_mut_threads, stream_seed, SplitMix64};
 use std::collections::VecDeque;
 
@@ -155,15 +159,15 @@ fn pack(step_off: u64, server: u32, colocate: bool) -> u64 {
 }
 
 /// One shard of balancer pairs: the pair sub-streams it owns, the MMPP
-/// phase bits of its balancers, and one outbox per server shard.
+/// phases of its balancers, and one outbox per server shard.
 struct PairShard {
     g0: usize,
     g1: usize,
     /// Raw SplitMix64 state per owned pair (flat, resumable).
     rng: Vec<u64>,
-    /// MMPP phase per owned pair: bit 0 = left balancer hot, bit 1 =
-    /// right. Both start hot, like [`crate::task::BurstyWorkload`].
-    hot: Vec<u8>,
+    /// MMPP phase per owned pair, left balancer then right: hot or not.
+    /// Both start hot, like [`crate::task::BurstyWorkload`].
+    hot: Vec<[bool; 2]>,
     /// Packed task handoffs, one outbox per server shard, refilled each
     /// epoch (allocation-free at steady state).
     outbox: Vec<Vec<u64>>,
@@ -175,27 +179,22 @@ impl PairShard {
     /// Phase A for steps `[e0, e1)`: draw arrivals and assignments for
     /// every owned pair, appending handoffs in (step, pair) order — which
     /// is why server shards can drain inboxes sequentially per step with
-    /// no sort. `rule` is the run's pairing rule (paired strategies only).
-    #[allow(clippy::too_many_arguments)]
+    /// no sort.
     fn run_epoch(
         &mut self,
         e0: u64,
         e1: u64,
         cfg: &ScaleConfig,
-        strategy: Strategy,
-        rule: Option<&PairRule>,
-        n_balancers: usize,
-        n_servers: u32,
-        server_shards: usize,
+        placement: &Placement,
         queue_lens: &[u32],
     ) -> u64 {
         for b in self.outbox.iter_mut() {
             b.clear();
         }
         let model = cfg.workload;
-        let switch = model.switch_prob();
         let warmup = cfg.sim.warmup;
-        let paired = rule.is_some();
+        let paired = placement.pairs();
+        let (n_balancers, n_servers) = (cfg.sim.n_balancers, cfg.sim.n_servers);
         let mut assigned = 0u64;
         for t in e0..e1 {
             let off = t - e0;
@@ -204,58 +203,23 @@ impl PairShard {
                 let mut rng = SplitMix64::from_raw(self.rng[li]);
                 let full = 2 * g + 1 < n_balancers;
 
-                // Arrival draws, left then right (per-balancer MMPP
-                // phase chains flip before each type draw).
-                let mut hot = self.hot[li];
-                if switch > 0.0 && rng.next_f64() < switch {
-                    hot ^= 1;
-                }
-                let x_c = model.draw(t, hot & 1 != 0, &mut rng).is_colocate();
-                let y_c = if full {
-                    if switch > 0.0 && rng.next_f64() < switch {
-                        hot ^= 2;
-                    }
-                    model.draw(t, hot & 2 != 0, &mut rng).is_colocate()
-                } else {
-                    false
-                };
-                self.hot[li] = hot;
-
-                // Assignment draws.
+                // Arrival draws, left then right; then the assignment.
+                let [hot_x, hot_y] = &mut self.hot[li];
+                let x_c = model.step(t, hot_x, &mut rng).is_colocate();
+                let y_c = full && model.step(t, hot_y, &mut rng).is_colocate();
                 let (sl, sr) = if full {
-                    match strategy {
-                        Strategy::UniformRandom => {
-                            (rng.gen_range(n_servers), Some(rng.gen_range(n_servers)))
-                        }
-                        Strategy::PowerOfTwoChoices => {
-                            let l = probe_two(&mut rng, n_servers, queue_lens);
-                            let r = probe_two(&mut rng, n_servers, queue_lens);
-                            (l, Some(r))
-                        }
-                        _ => {
-                            let rule = rule.expect("paired runs build their rule");
-                            let servers = pairing::candidates(n_servers as usize, &mut rng);
-                            let bits = rule.bits(usize::from(x_c), usize::from(y_c), &mut rng);
-                            let (l, r) = pairing::place(servers, bits);
-                            (l as u32, Some(r as u32))
-                        }
-                    }
+                    let (l, r) = placement.pair(x_c, y_c, queue_lens, &mut rng);
+                    (l, Some(r))
                 } else {
-                    // Odd balancer out: uniform for paired strategies
-                    // (the legacy fallback); native kernel otherwise.
-                    let s = match strategy {
-                        Strategy::PowerOfTwoChoices => probe_two(&mut rng, n_servers, queue_lens),
-                        _ => rng.gen_range(n_servers),
-                    };
-                    (s, None)
+                    (placement.one(x_c, queue_lens, &mut rng), None)
                 };
                 self.rng[li] = rng.raw();
 
-                let shard_of = |s: u32| part_of(s as usize, n_servers as usize, server_shards);
-                self.outbox[shard_of(sl)].push(pack(off, sl, x_c));
+                let shard_of = |s: usize| part_of(s, n_servers, cfg.shards);
+                self.outbox[shard_of(sl)].push(pack(off, sl as u32, x_c));
                 assigned += 1;
                 if let Some(sr) = sr {
-                    self.outbox[shard_of(sr)].push(pack(off, sr, y_c));
+                    self.outbox[shard_of(sr)].push(pack(off, sr as u32, y_c));
                     assigned += 1;
                     if paired && t >= warmup {
                         self.tally.record_pair(x_c && y_c, sl == sr);
@@ -264,17 +228,6 @@ impl PairShard {
             }
         }
         assigned
-    }
-}
-
-#[inline]
-fn probe_two(rng: &mut SplitMix64, n_servers: u32, queue_lens: &[u32]) -> u32 {
-    let s1 = rng.gen_range(n_servers);
-    let s2 = rng.gen_range(n_servers);
-    if queue_lens[s1 as usize] <= queue_lens[s2 as usize] {
-        s1
-    } else {
-        s2
     }
 }
 
@@ -411,8 +364,10 @@ impl ServerShard {
 ///
 /// The result is byte-identical for any `cfg.shards` and `cfg.threads`;
 /// informed strategies additionally depend on `cfg.epoch_len` (snapshot
-/// staleness), all others do not. Round robin and dedicated servers stay
-/// on the compatibility path ([`SimError::UnsupportedStrategy`]).
+/// staleness), all others do not. Every strategy needs two servers
+/// ([`SimError::TooFewServers`]); round robin, whose offsets are
+/// per-balancer state, stays on the compatibility path
+/// ([`SimError::UnsupportedStrategy`]).
 pub fn run_scaled(
     cfg: &ScaleConfig,
     strategy: Strategy,
@@ -424,21 +379,19 @@ pub fn run_scaled(
             discipline: cfg.sim.discipline.label(),
         });
     }
-    if let Strategy::RoundRobin | Strategy::DedicatedServers { .. } = strategy {
-        let strategy = strategy.name();
-        return Err(SimError::UnsupportedStrategy { strategy });
-    }
-    let rule = strategy.pair_rule();
-    if rule.is_some() && cfg.sim.n_servers < 2 {
+    if cfg.sim.n_servers < 2 {
         return Err(SimError::TooFewServers {
             n_servers: cfg.sim.n_servers,
             min: 2,
         });
     }
+    let Some(placement) = Placement::new(strategy, cfg.sim.n_servers) else {
+        let strategy = strategy.name();
+        return Err(SimError::UnsupportedStrategy { strategy });
+    };
 
-    let n_balancers = cfg.sim.n_balancers;
     let n_servers = cfg.sim.n_servers;
-    let n_groups = n_balancers.div_ceil(2);
+    let n_groups = cfg.sim.n_balancers.div_ceil(2);
     let shards = cfg.shards;
     let threads = if cfg.threads == 0 {
         runtime::thread_count()
@@ -461,7 +414,7 @@ pub fn run_scaled(
                 rng: (g0..g1)
                     .map(|g| stream_seed(master_seed, g as u64))
                     .collect(),
-                hot: vec![0b11; g1 - g0],
+                hot: vec![[true; 2]; g1 - g0],
                 outbox: (0..shards).map(|_| Vec::new()).collect(),
                 tally: tally.clone(),
             }
@@ -486,26 +439,13 @@ pub fn run_scaled(
                 queue_lens[ss.s0..ss.s1].copy_from_slice(&ss.q_len);
             }
         }
-        let queue_lens_ref: &[u32] = &queue_lens;
-        let cfg_ref = cfg;
-        let rule_ref = rule.as_ref();
         par_map_mut_threads(threads, &mut pair_shards, |_, ps| {
-            ps.run_epoch(
-                e0,
-                e1,
-                cfg_ref,
-                strategy,
-                rule_ref,
-                n_balancers,
-                n_servers as u32,
-                shards,
-                queue_lens_ref,
-            )
+            ps.run_epoch(e0, e1, cfg, &placement, &queue_lens)
         });
         let pair_ref: &[PairShard] = &pair_shards;
         par_map_mut_threads(threads, &mut server_shards, |b, ss| {
             let inboxes: Vec<&Vec<u64>> = pair_ref.iter().map(|ps| &ps.outbox[b]).collect();
-            ss.run_epoch(e0, e1, &inboxes, cfg_ref);
+            ss.run_epoch(e0, e1, &inboxes, cfg);
         });
         e0 = e1;
     }
@@ -547,6 +487,12 @@ mod tests {
         format!("{r:?}")
     }
 
+    /// Type-C and type-E each load their servers to 3/4 at load 1.0:
+    /// stable in both engines.
+    const DEDICATED: Strategy = Strategy::DedicatedServers {
+        dedicated_fraction: 1.0 / 3.0,
+    };
+
     #[test]
     fn results_are_shard_and_thread_count_invariant() {
         for strategy in [
@@ -554,6 +500,7 @@ mod tests {
             Strategy::UniformRandom,
             Strategy::PowerOfTwoChoices,
             Strategy::PairedMatchTypes,
+            DEDICATED,
         ] {
             let mut cfg = quick(1.2, 61); // odd: exercises the half pair
             let reference = {
@@ -573,6 +520,60 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Pins the sharded engine's draws across commits for every strategy
+    /// under every arrival model, as `QUICK_DIGESTS` pins the
+    /// experiments': an FNV-1a digest per model of each strategy's
+    /// `SimResult` text. 61 balancers leave one out of the pairs. A
+    /// refactor leaves the digests unchanged; a change that means to
+    /// alter the draws updates them from the failure message.
+    #[test]
+    fn every_strategy_and_arrival_model_matches_its_digest() {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let strategies = [
+            Strategy::UniformRandom,
+            Strategy::PowerOfTwoChoices,
+            Strategy::PairedAlwaysSplit,
+            Strategy::PairedMatchTypes,
+            Strategy::PairedQuantum {
+                availability: 0.8,
+                visibility: 0.9,
+            },
+        ];
+        let models = [
+            ArrivalModel::paper(),
+            ArrivalModel::Mmpp {
+                p_c_hot: 0.9,
+                p_c_cold: 0.1,
+                switch_prob: 0.02,
+            },
+            ArrivalModel::Diurnal {
+                mean: 0.5,
+                amplitude: 0.3,
+                period: 100,
+            },
+        ];
+        let digests = models.map(|workload| {
+            let mut cfg = quick(1.2, 61);
+            cfg.sim.n_servers = 50;
+            cfg.workload = workload;
+            strategies.iter().fold(FNV_OFFSET, |h, &strategy| {
+                let text = key(&run_scaled(&cfg, strategy, 0x5eed).unwrap());
+                text.bytes()
+                    .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+            })
+        });
+        assert_eq!(
+            digests,
+            [
+                0x2c34_a815_d180_f5a9,
+                0xeccf_16ba_fbb9_6b50,
+                0xa5d4_5f5b_344c_8b0e
+            ],
+            "sharded result digests drifted (bernoulli, mmpp, diurnal): {digests:#018x?}"
+        );
     }
 
     #[test]
@@ -628,25 +629,28 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let cfg = quick(1.0, 120);
-        let scaled = run_scaled(&cfg, Strategy::quantum_ideal(), 5).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let legacy = crate::sim::run_simulation(
-            cfg.sim,
-            crate::strategy::Strategy::quantum_ideal(),
-            &mut BernoulliWorkload::paper(),
-            &mut rng,
-        );
-        let rel =
-            (scaled.avg_queue_len - legacy.avg_queue_len).abs() / legacy.avg_queue_len.max(0.05);
-        assert!(
-            rel < 0.35,
-            "scaled {} vs legacy {} (rel {rel})",
-            scaled.avg_queue_len,
-            legacy.avg_queue_len
-        );
-        // Serve accounting conserves: in a stable system nearly all
-        // generated tasks are served within the window.
-        assert!(scaled.served > 0 && scaled.generated > 0);
+        for strategy in [Strategy::quantum_ideal(), DEDICATED] {
+            let scaled = run_scaled(&cfg, strategy, 5).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let legacy = crate::sim::run_simulation(
+                cfg.sim,
+                strategy,
+                &mut BernoulliWorkload::paper(),
+                &mut rng,
+            );
+            let rel = (scaled.avg_queue_len - legacy.avg_queue_len).abs()
+                / legacy.avg_queue_len.max(0.05);
+            assert!(
+                rel < 0.35,
+                "{}: scaled {} vs legacy {} (rel {rel})",
+                strategy.name(),
+                scaled.avg_queue_len,
+                legacy.avg_queue_len
+            );
+            // Serve accounting conserves: in a stable system nearly all
+            // generated tasks are served within the window.
+            assert!(scaled.served > 0 && scaled.generated > 0);
+        }
     }
 
     #[test]
@@ -745,13 +749,15 @@ mod tests {
         );
         let mut cfg = quick(1.0, 40);
         cfg.sim.n_servers = 1;
-        assert_eq!(
-            run_scaled(&cfg, Strategy::quantum_ideal(), 1).unwrap_err(),
-            SimError::TooFewServers {
-                n_servers: 1,
-                min: 2
-            }
-        );
+        for strategy in [Strategy::quantum_ideal(), Strategy::UniformRandom] {
+            assert_eq!(
+                run_scaled(&cfg, strategy, 1).unwrap_err(),
+                SimError::TooFewServers {
+                    n_servers: 1,
+                    min: 2
+                }
+            );
+        }
     }
 
     #[test]

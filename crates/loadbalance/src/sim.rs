@@ -35,7 +35,8 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// The paper's setup at a given load: N = 100 balancers,
-    /// M = ⌈N/load⌉ servers, paper discipline.
+    /// M = N/load servers rounded to the nearest integer (71 at load
+    /// 1.4), paper discipline.
     ///
     /// # Panics
     /// Panics if `load` is not positive or implies fewer than 2 servers;

@@ -3,8 +3,15 @@
 //! The classical baselines (§4.1): uniform random, round-robin, power of
 //! two choices, and the best *classical pairing* strategies. The quantum
 //! strategy pairs balancers and plays the flipped CHSH game per round.
-//! Every paired strategy, here and in [`crate::pipeline`] and
-//! [`crate::degrade`], runs `assign_pairs` over [`games::pairing`].
+//!
+//! Every strategy but round robin keeps no state between steps, and one
+//! placement kernel, `Placement`, places all of them: where a balancer
+//! pair's two tasks go, and where the odd balancer's task goes. `sim` runs
+//! it through [`Strategy::build`], [`crate::shard`] calls it per pair,
+//! [`crate::degrade`]'s classical tiers place with it, and
+//! [`crate::pipeline`] places its distributor-fed pairs through its paired
+//! placement and odd-balancer rule. Every pairing is drawn on
+//! [`games::pairing`].
 //!
 //! ## Locality discipline
 //!
@@ -96,100 +103,201 @@ impl Strategy {
         }
     }
 
-    /// The pairing rule of a paired strategy; `None` for the others.
-    pub(crate) fn pair_rule(&self) -> Option<PairRule> {
-        match *self {
-            Strategy::PairedAlwaysSplit => Some(PairRule::AlwaysSplit),
-            Strategy::PairedMatchTypes => Some(PairRule::MatchTypes),
-            Strategy::PairedQuantum {
-                availability,
-                visibility,
-            } => Some(PairRule::quantum(visibility, availability)),
-            _ => None,
-        }
-    }
-
     /// Instantiates the runnable strategy state.
     pub fn build(self, n_servers: usize) -> Box<dyn AssignmentStrategy> {
         assert!(n_servers >= 2, "need at least two servers");
-        match self {
-            Strategy::UniformRandom => Box::new(UniformRandom { n_servers }),
-            Strategy::RoundRobin => Box::new(RoundRobin {
+        match Placement::new(self, n_servers) {
+            Some(placement) => Box::new(placement),
+            None => Box::new(RoundRobin {
                 n_servers,
                 offsets: Vec::new(),
             }),
-            Strategy::PowerOfTwoChoices => Box::new(PowerOfTwo { n_servers }),
-            Strategy::PairedAlwaysSplit
-            | Strategy::PairedMatchTypes
-            | Strategy::PairedQuantum { .. } => Box::new(Paired {
-                n_servers,
-                rule: self.pair_rule().expect("paired strategy"),
-                name: self.name(),
-            }),
+        }
+    }
+}
+
+/// Where one balancer pair's tasks go, for every strategy that keeps no
+/// state between steps: all but round robin, whose offsets are
+/// per-balancer state. Built once per run; `sim` (through
+/// [`Strategy::build`]), [`crate::degrade::Degrading`]'s classical tiers
+/// and [`crate::shard`]'s pair shards place with it.
+pub(crate) struct Placement {
+    n_servers: usize,
+    rule: Rule,
+    name: &'static str,
+}
+
+/// The rule of a [`Placement`].
+enum Rule {
+    /// [`uniform`] for each task.
+    Uniform,
+    /// [`probe_two`] for each task, on start-of-step queue lengths (stale
+    /// within the step), the standard idealization.
+    PowerOfTwo,
+    /// A pairing (§4.1): [`Placement::paired`] with the rule's bits.
+    Paired(PairRule),
+    /// [`by_type`] for each task, over this many dedicated servers.
+    Dedicated(usize),
+}
+
+impl Placement {
+    /// The placement of `strategy` over `n_servers` (at least two);
+    /// `None` for round robin.
+    pub(crate) fn new(strategy: Strategy, n_servers: usize) -> Option<Self> {
+        let rule = match strategy {
+            Strategy::UniformRandom => Rule::Uniform,
+            Strategy::RoundRobin => return None,
+            Strategy::PowerOfTwoChoices => Rule::PowerOfTwo,
+            Strategy::PairedAlwaysSplit => Rule::Paired(PairRule::AlwaysSplit),
+            Strategy::PairedMatchTypes => Rule::Paired(PairRule::MatchTypes),
+            Strategy::PairedQuantum {
+                availability,
+                visibility,
+            } => Rule::Paired(PairRule::quantum(visibility, availability)),
             Strategy::DedicatedServers { dedicated_fraction } => {
                 assert!(
                     (0.0..=1.0).contains(&dedicated_fraction),
                     "bad dedicated fraction"
                 );
-                let dedicated = ((n_servers as f64 * dedicated_fraction).round() as usize)
-                    .clamp(1, n_servers - 1);
-                Box::new(Dedicated {
-                    n_servers,
-                    dedicated,
-                })
+                let dedicated = (n_servers as f64 * dedicated_fraction).round() as usize;
+                Rule::Dedicated(dedicated.clamp(1, n_servers - 1))
             }
+        };
+        let name = strategy.name();
+        Some(Placement {
+            n_servers,
+            rule,
+            name,
+        })
+    }
+
+    /// True for a pairing rule, whose pair rounds the run tally counts.
+    pub(crate) fn pairs(&self) -> bool {
+        matches!(self.rule, Rule::Paired(_))
+    }
+
+    /// Where a pair's two tasks go, for inputs `x` and `y` (true =
+    /// type-C). A pairing draws two distinct candidates, then the pair's
+    /// bits; every other rule places each task alone, left then right.
+    #[inline]
+    pub(crate) fn pair<Q: Ord, R: RngCore + ?Sized>(
+        &self,
+        x: bool,
+        y: bool,
+        queue_lens: &[Q],
+        rng: &mut R,
+    ) -> (usize, usize) {
+        match &self.rule {
+            Rule::Paired(rule) => self.paired(x, y, rng, |x, y, rng| rule.bits(x, y, rng)),
+            _ => (self.one(x, queue_lens, rng), self.one(y, queue_lens, rng)),
         }
     }
-}
 
-/// Each task to a uniformly random server, independently.
-pub(crate) fn assign_uniform(
-    tasks: &[TaskType],
-    n_servers: usize,
-    rng: &mut dyn RngCore,
-) -> Vec<usize> {
-    tasks.iter().map(|_| rng.gen_range(0..n_servers)).collect()
-}
-
-/// Assigns balancers two by two (§4.1): per pair, two distinct candidate
-/// servers, then the pair's bits for its inputs, then the placement. An
-/// odd balancer out picks uniformly.
-pub(crate) fn assign_pairs(
-    tasks: &[TaskType],
-    n_servers: usize,
-    rng: &mut dyn RngCore,
-    mut bits: impl FnMut(usize, usize, &mut dyn RngCore) -> (bool, bool),
-) -> Vec<usize> {
-    let mut out = vec![0usize; tasks.len()];
-    for (slots, pair) in out.chunks_exact_mut(2).zip(tasks.chunks_exact(2)) {
-        // Pre-shared randomness picks the round's two candidates (§4.1:
-        // "each pair randomly selects a pair of servers in each round").
-        let servers = pairing::candidates(n_servers, rng);
-        let bits = bits(pair[0].chsh_input(), pair[1].chsh_input(), rng);
-        (slots[0], slots[1]) = pairing::place(servers, bits);
+    /// Paired placement (§4.1): pre-shared randomness picks the round's
+    /// two candidates ("each pair randomly selects a pair of servers in
+    /// each round"), then `bits` gives the pair's bits for its inputs.
+    #[inline]
+    pub(crate) fn paired<R: RngCore + ?Sized>(
+        &self,
+        x: bool,
+        y: bool,
+        rng: &mut R,
+        bits: impl FnOnce(usize, usize, &mut R) -> (bool, bool),
+    ) -> (usize, usize) {
+        let servers = pairing::candidates(self.n_servers, rng);
+        pairing::place(servers, bits(usize::from(x), usize::from(y), rng))
     }
-    if tasks.len() % 2 == 1 {
-        out[tasks.len() - 1] = rng.gen_range(0..n_servers);
+
+    /// Where one task goes on its own: each task of a rule that does not
+    /// pair, and the odd balancer out, which a pairing places uniformly.
+    #[inline]
+    pub(crate) fn one<Q: Ord, R: RngCore + ?Sized>(
+        &self,
+        x: bool,
+        queue_lens: &[Q],
+        rng: &mut R,
+    ) -> usize {
+        let n = self.n_servers;
+        match self.rule {
+            Rule::Uniform | Rule::Paired(_) => uniform(n, rng),
+            Rule::PowerOfTwo => probe_two(n, queue_lens, rng),
+            Rule::Dedicated(dedicated) => by_type(n, dedicated, x, rng),
+        }
     }
-    out
+
+    /// Places a step's tasks two by two with `pair`, and an odd balancer
+    /// out with [`Placement::one`].
+    pub(crate) fn place_all<R: RngCore + ?Sized>(
+        &self,
+        tasks: &[TaskType],
+        queue_lens: &[usize],
+        rng: &mut R,
+        mut pair: impl FnMut(bool, bool, &mut R) -> (usize, usize),
+    ) -> Vec<usize> {
+        let mut out = vec![0usize; tasks.len()];
+        for (slots, two) in out.chunks_exact_mut(2).zip(tasks.chunks_exact(2)) {
+            (slots[0], slots[1]) = pair(two[0].is_colocate(), two[1].is_colocate(), rng);
+        }
+        if let [last] = tasks.chunks_exact(2).remainder() {
+            out[tasks.len() - 1] = self.one(last.is_colocate(), queue_lens, rng);
+        }
+        out
+    }
 }
 
-struct UniformRandom {
-    n_servers: usize,
+/// A uniformly random server of `n`.
+#[inline]
+fn uniform<R: RngCore + ?Sized>(n: usize, rng: &mut R) -> usize {
+    rng.gen_range(0..n)
 }
 
-impl AssignmentStrategy for UniformRandom {
+/// The shorter queue of two uniform probes of `n` servers, the first on a
+/// tie.
+#[inline]
+fn probe_two<Q: Ord, R: RngCore + ?Sized>(n: usize, queue_lens: &[Q], rng: &mut R) -> usize {
+    let (s1, s2) = (uniform(n, rng), uniform(n, rng));
+    if queue_lens[s1] <= queue_lens[s2] {
+        s1
+    } else {
+        s2
+    }
+}
+
+/// A type-C task (`x`) to one of the first `dedicated` of `n` servers, a
+/// type-E task to one of the rest.
+#[inline]
+fn by_type<R: RngCore + ?Sized>(n: usize, dedicated: usize, x: bool, rng: &mut R) -> usize {
+    if x {
+        rng.gen_range(0..dedicated)
+    } else {
+        rng.gen_range(dedicated..n)
+    }
+}
+
+impl AssignmentStrategy for Placement {
+    /// The same placements as [`Placement::pair`] and [`Placement::one`],
+    /// with the rule matched once per step instead of once per task (a
+    /// match per pair cost perfbench `fig4` 2–3 % of its throughput): a
+    /// rule that does not pair places the step's tasks one by one.
     fn assign_all(
         &mut self,
         tasks: &[TaskType],
-        _queue_lens: &[usize],
+        queue_lens: &[usize],
         rng: &mut dyn rand::RngCore,
     ) -> Vec<usize> {
-        assign_uniform(tasks, self.n_servers, rng)
+        let (n, each) = (self.n_servers, tasks.iter());
+        match &self.rule {
+            Rule::Uniform => each.map(|_| uniform(n, rng)).collect(),
+            Rule::PowerOfTwo => each.map(|_| probe_two(n, queue_lens, rng)).collect(),
+            Rule::Dedicated(d) => each.map(|t| by_type(n, *d, t.is_colocate(), rng)).collect(),
+            Rule::Paired(rule) => self.place_all(tasks, queue_lens, rng, |x, y, rng| {
+                self.paired(x, y, rng, |x, y, rng| rule.bits(x, y, rng))
+            }),
+        }
     }
 
     fn name(&self) -> &'static str {
-        Strategy::UniformRandom.name()
+        self.name
     }
 }
 
@@ -221,93 +329,6 @@ impl AssignmentStrategy for RoundRobin {
 
     fn name(&self) -> &'static str {
         Strategy::RoundRobin.name()
-    }
-}
-
-struct PowerOfTwo {
-    n_servers: usize,
-}
-
-impl AssignmentStrategy for PowerOfTwo {
-    fn assign_all(
-        &mut self,
-        tasks: &[TaskType],
-        queue_lens: &[usize],
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<usize> {
-        tasks
-            .iter()
-            .map(|_| {
-                let s1 = rng.gen_range(0..self.n_servers);
-                let s2 = rng.gen_range(0..self.n_servers);
-                // Queue lengths are start-of-step (stale within the step)
-                // — the standard idealization.
-                if queue_lens[s1] <= queue_lens[s2] {
-                    s1
-                } else {
-                    s2
-                }
-            })
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        Strategy::PowerOfTwoChoices.name()
-    }
-}
-
-struct Paired {
-    n_servers: usize,
-    rule: PairRule,
-    name: &'static str,
-}
-
-impl AssignmentStrategy for Paired {
-    fn assign_all(
-        &mut self,
-        tasks: &[TaskType],
-        _queue_lens: &[usize],
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<usize> {
-        assign_pairs(tasks, self.n_servers, rng, |x, y, rng| {
-            self.rule.bits(x, y, rng)
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
-struct Dedicated {
-    n_servers: usize,
-    dedicated: usize,
-}
-
-impl AssignmentStrategy for Dedicated {
-    fn assign_all(
-        &mut self,
-        tasks: &[TaskType],
-        _queue_lens: &[usize],
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<usize> {
-        tasks
-            .iter()
-            .map(|t| {
-                if t.is_colocate() {
-                    rng.gen_range(0..self.dedicated)
-                } else {
-                    rng.gen_range(self.dedicated..self.n_servers)
-                }
-            })
-            .collect()
-    }
-
-    fn name(&self) -> &'static str {
-        Strategy::DedicatedServers {
-            dedicated_fraction: 0.0,
-        }
-        .name()
     }
 }
 

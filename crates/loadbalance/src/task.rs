@@ -130,11 +130,7 @@ impl BurstyWorkload {
 
 impl Workload for BurstyWorkload {
     fn next_task<R: Rng + ?Sized>(&mut self, rng: &mut R) -> TaskType {
-        // The switch coin is drawn for every task, even at probability 0.
-        if rng.gen::<f64>() < self.model.switch_prob() {
-            self.hot = !self.hot;
-        }
-        self.model.draw(0, self.hot, rng)
+        self.model.step(0, &mut self.hot, rng)
     }
 
     fn name(&self) -> &'static str {
@@ -199,8 +195,10 @@ impl Workload for DiurnalWorkload {
 /// ([`crate::shard`]) keeps per-balancer phase state in its own flat
 /// arrays and draws from per-pair RNG sub-streams, so arrivals are a pure
 /// function of `(master seed, balancer, step)` at any shard or worker
-/// count. Every one of them draws a task through the model, with one
-/// uniform draw against [`ArrivalModel::p_colocate`].
+/// count. Every one of them draws through the model: `BurstyWorkload`
+/// and the sharded engine step each phase with it (a coin against
+/// [`ArrivalModel::switch_prob`], none when that is 0), and every task
+/// is one uniform draw against [`ArrivalModel::p_colocate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {
     /// i.i.d. Bernoulli: type-C with probability `p_c` each step (the
@@ -273,6 +271,18 @@ impl ArrivalModel {
             ArrivalModel::Mmpp { switch_prob, .. } => switch_prob,
             _ => 0.0,
         }
+    }
+
+    /// One balancer's arrival at step `t`: the phase `hot` flips with
+    /// probability [`ArrivalModel::switch_prob`] (a model that never
+    /// switches draws no coin), then the task is drawn in the new phase.
+    #[inline]
+    pub(crate) fn step<R: Rng + ?Sized>(&self, t: u64, hot: &mut bool, rng: &mut R) -> TaskType {
+        let switch = self.switch_prob();
+        if switch > 0.0 && rng.gen::<f64>() < switch {
+            *hot = !*hot;
+        }
+        self.draw(t, *hot, rng)
     }
 
     /// Draws one balancer's task at step `t` in phase `hot` with one

@@ -30,6 +30,7 @@
 use crate::time::{SimTime, SIM_EVENTS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use runtime::SplitMix64;
 use std::time::Duration;
 
 /// Fault on/off edges processed across all clocks in the process.
@@ -184,7 +185,8 @@ impl FaultPlan {
         );
         let mut plan = FaultPlan::none();
         for lane in 0u64..4 {
-            let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(lane)));
+            let lane_seed = SplitMix64::new(lane).next_u64();
+            let mut rng = StdRng::seed_from_u64(SplitMix64::new(seed ^ lane_seed).next_u64());
             let mut t = SimTime::ZERO;
             loop {
                 let gap = sample_exp(mean_gap, &mut rng);
@@ -219,15 +221,6 @@ impl FaultPlan {
         }
         plan
     }
-}
-
-/// SplitMix64 — the same mixer `runtime::seed` freezes, reproduced here
-/// so `qnet` stays free of a `runtime` dependency.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn sample_exp<R: Rng + ?Sized>(mean: Duration, rng: &mut R) -> Duration {

@@ -23,10 +23,11 @@
 //! current frame.
 //!
 //! The server is a thin shell over [`Service`]: an accept loop plus one
-//! handler thread per connection, each pinned to the endpoint named in
-//! its requests. The accept loop blocks in `accept`, so a connection is
-//! taken the moment it arrives; it owns its open connections and
-//! releases each one once its handler exits. Shutdown drains gracefully.
+//! handler thread per connection, at most [`MAX_CONNECTIONS`] at once,
+//! each pinned to the endpoint named in its requests. The accept loop
+//! blocks in `accept`, so a connection is taken the moment it arrives;
+//! it owns its open connections and releases each one once its handler
+//! exits. Shutdown drains gracefully.
 //! The accept loop closes first: [`SocketServer::stop`] shuts down the
 //! listening socket through a clone of it, and on Linux the blocked
 //! `accept` then fails, a connection already queued is still accepted
@@ -55,6 +56,10 @@ const REQ_LEN: u32 = 6;
 const RESP_LEN: u32 = 17;
 /// Longest a response write may block before its connection is closed.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+/// Most connections open at once. Each costs a handler thread and two
+/// descriptors; the accept loop closes a connection past this bound at
+/// once, without a handler, so a client storm cannot exhaust either.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// Reads one frame into `frame`, which is sized to the whole frame: the
 /// `u32le` length prefix, which must equal `frame.len() - 4`, then the
@@ -198,7 +203,8 @@ impl SocketServer {
 /// Accepts connections until `accept` fails, as it does once
 /// [`SocketServer::stop`] shuts the listening socket down, serving each
 /// on a handler thread of its own, and returns the connections still
-/// open.
+/// open. Past [`MAX_CONNECTIONS`] open ones, a new connection is closed
+/// unserved: its client reads EOF.
 fn accept_loop(listener: &UnixListener, service: &Arc<Service>) -> Vec<Connection> {
     let mut open: Vec<Connection> = Vec::new();
     while let Ok((stream, _)) = listener.accept() {
@@ -207,6 +213,10 @@ fn accept_loop(listener: &UnixListener, service: &Arc<Service>) -> Vec<Connectio
         // accepted.
         for (_, handler) in open.extract_if(.., |(_, h)| h.is_finished()) {
             let _ = handler.join();
+        }
+        if open.len() >= MAX_CONNECTIONS {
+            let _ = stream.shutdown(Shutdown::Both);
+            continue;
         }
         let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         // A connection that stop could not shut down would hang it, so
@@ -247,16 +257,27 @@ impl Client {
         })
     }
 
-    /// Sends one placement query and waits for the decision.
+    /// Sends one placement query and waits for the decision. A server
+    /// that closed the connection before responding (at stop, or past
+    /// [`MAX_CONNECTIONS`]) fails it with `UnexpectedEof`.
     pub fn decide(&mut self, endpoint: u32, x: bool, y: bool) -> io::Result<Placement> {
         let mut frame = [0u8; 4 + REQ_LEN as usize];
         frame[..4].copy_from_slice(&REQ_LEN.to_le_bytes());
         frame[4..8].copy_from_slice(&endpoint.to_le_bytes());
         frame[8] = x as u8;
         frame[9] = y as u8;
-        self.stream.write_all(&frame)?;
         let mut response = [0u8; 4 + RESP_LEN as usize];
-        if !read_frame(&mut self.stream, &mut response)? {
+        let answered = self
+            .stream
+            .write_all(&frame)
+            .and_then(|()| read_frame(&mut self.stream, &mut response));
+        // A closed server fails the write, resets the read (the request
+        // was left unread) or ends it, depending only on when it closed.
+        let answered = answered.or_else(|e| match e.kind() {
+            io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset => Ok(false),
+            _ => Err(e),
+        });
+        if !answered? {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed before responding",
