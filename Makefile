@@ -29,9 +29,11 @@ test:
 # The plane, serve, pool and load-balance crates again in release:
 # optimised builds change thread timing (a shared-obs race between serve
 # tests showed up only there), and the pool's claim loop and the wait
-# reservoir run at full speed.
+# reservoir run at full speed. The 16 quick-payload digests run in
+# release too, the build the benchmark times.
 test-release:
 	timeout 1200 $(CARGO) test --release -q -p qnet -p qnlg-serve -p qnlg-runtime -p loadbalance
+	timeout 1200 $(CARGO) test --release -q -p qnlg-bench --test determinism
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings

@@ -14,14 +14,15 @@
 //!   isolates the data-layout win (SoA lanes, closed-form kernels,
 //!   per-pair streams) from parallelism.
 //! - `soa_sharded`: the sharded engine at its default shard count,
-//!   one worker (this container is single-core; multi-core numbers are
-//!   reported in DESIGN.md §5) — adds the epoch/mailbox machinery.
+//!   one worker — adds the epoch/mailbox machinery, not parallelism
+//!   (multi-core scaling is unmeasured).
 //!
-//! The sharded engine's acceptance line is `soa_single ≥ 3× aos` in
-//! tasks/second at 10⁵ servers on one core; `compat` against `soa_single`
-//! at 83 servers is what porting the Figure 4 experiments onto the
-//! sharded engine would gain. A last pair of arms measures the obs
-//! overhead (hoisted per-run flushes must cost < 2%).
+//! Nothing checks a ratio between arms; each reading depends on the
+//! host. `soa_single` against `aos` at 10⁵ servers has read from 2.4× to
+//! 5.2× on different hosts, and `compat` against `soa_single` at 83
+//! servers is what porting the Figure 4 experiments onto the sharded
+//! engine would gain. DESIGN.md §5 records both, unchecked. A last pair
+//! of arms measures the obs overhead of the hoisted per-run flushes.
 //!
 //! Run with `make bench-scale`. Every arm takes 10 samples, so the 10⁵
 //! AoS point keeps the run to a few minutes.
@@ -95,9 +96,8 @@ fn bench_scale(c: &mut Criterion) {
     }
 
     // Obs overhead: the sharded engine with the global obs registry
-    // enabled vs disabled. Flushes are per-run, so the gap must be noise
-    // (< 2% is the satellite acceptance line; asserted in CI via the
-    // smoke arm, measured precisely here).
+    // enabled vs disabled. Flushes are per-run, so the gap should be
+    // noise; like the ratios above, nothing checks it.
     let cfg = scale_config(100_000, default_shards(100_000));
     group.bench_function("soa_obs_on", |b| {
         obs::set_enabled(true);

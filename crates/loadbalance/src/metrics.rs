@@ -2,7 +2,6 @@
 
 use crate::sim::{SimConfig, QUEUE_SERIES_WINDOWS};
 use runtime::mix64;
-use std::collections::BinaryHeap;
 
 /// Simulation runs completed.
 static SIM_RUNS: obs::LazyCounter = obs::LazyCounter::new("lb.sim.runs");
@@ -23,9 +22,10 @@ static OTHER_SPLIT: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.other_spl
 static OTHER_ROUNDS: obs::LazyCounter = obs::LazyCounter::new("lb.pairs.other_rounds");
 
 /// Default capacity of [`WaitReservoir`]: enough for exact percentiles on
-/// every unit-test-sized run, and a 256 KiB ceiling per simulation at
-/// scale (vs. the old unbounded `wait_samples`, which was
-/// O(timesteps × servers) and made 1e6-server runs impossible).
+/// every unit-test-sized run, and a 512 KiB ceiling per simulation at
+/// scale (a candidate buffer of at most `2 · cap` 32-byte entries, vs. the
+/// old unbounded `wait_samples`, which was O(timesteps × servers) and made
+/// 1e6-server runs impossible).
 pub const WAIT_RESERVOIR_CAP: usize = 8192;
 
 /// Seed used by the compatibility simulation path. It must be a constant
@@ -51,14 +51,21 @@ struct ResEntry {
 /// Each sample is identified by `(server, seq)` — the serving server and
 /// that server's completion counter — and given the hash priority
 /// `mix64(seed ^ mix64(server · φ64 + seq))`. The reservoir keeps the
-/// `cap` samples with the *smallest* priorities (a max-heap of survivors).
-/// Because priority is a pure function of identity and seed, the surviving
-/// set is independent of both insertion order and of how samples were
-/// partitioned first: merging per-shard reservoirs and re-taking the
-/// bottom-`cap` yields exactly the global reservoir, since the global
-/// bottom-`cap` of the union is always contained in the union of the
-/// per-shard bottom-`cap`s. That is what keeps p50/p99 byte-identical at
-/// any worker or shard count.
+/// `cap` samples with the *smallest* priorities. Because priority is a
+/// pure function of identity and seed, the surviving set is independent
+/// of both insertion order and of how samples were partitioned first:
+/// merging per-shard reservoirs and re-taking the bottom-`cap` yields
+/// exactly the global reservoir, since the global bottom-`cap` of the
+/// union is always contained in the union of the per-shard bottom-`cap`s.
+/// That is what keeps p50/p99 byte-identical at any worker or shard count.
+///
+/// The survivors live in a flat candidate buffer, a superset of them. A
+/// sample at or above the rejection bound is dropped after one compare;
+/// any other is pushed. When the buffer reaches `2 · cap` candidates, one
+/// selection cuts it to the bottom-`cap`, whose largest entry becomes the
+/// bound. So each doubling of the samples seen costs about one linear
+/// selection, and the buffer holds at most `2 · cap − 1` candidates
+/// between calls.
 ///
 /// When fewer than `cap` samples were offered the reservoir holds all of
 /// them and percentiles are exact; a unit test pins this against the
@@ -67,9 +74,13 @@ struct ResEntry {
 pub struct WaitReservoir {
     seed: u64,
     cap: usize,
-    /// Max-heap of survivors: the root is the first entry to evict.
-    heap: BinaryHeap<ResEntry>,
-    /// Total samples offered (≥ `heap.len()`).
+    /// Candidates: every survivor, plus fewer than `cap` entries that a
+    /// later cut drops.
+    kept: Vec<ResEntry>,
+    /// The largest survivor of the last cut; no entry at or above it can
+    /// survive. `None` until the first cut.
+    bound: Option<ResEntry>,
+    /// Total samples offered (≥ `len()`).
     seen: u64,
 }
 
@@ -80,14 +91,15 @@ impl WaitReservoir {
     }
 
     /// Reservoir with an explicit capacity (tests use tiny ones). The
-    /// heap grows as samples arrive, so an unused reservoir allocates
+    /// buffer grows as samples arrive, so an unused reservoir allocates
     /// nothing.
     pub fn with_capacity(seed: u64, cap: usize) -> Self {
         assert!(cap > 0, "reservoir capacity must be positive");
         WaitReservoir {
             seed,
             cap,
-            heap: BinaryHeap::new(),
+            kept: Vec::new(),
+            bound: None,
             seen: 0,
         }
     }
@@ -110,17 +122,16 @@ impl WaitReservoir {
         self.keep(entry);
     }
 
-    /// Keeps `entry` if it is among the `cap` smallest so far: pushed
-    /// while there is room, else written over the root (the largest
-    /// survivor) when smaller, which costs one sift-down.
+    /// Keeps `entry` as a candidate unless the bound rules it out, and
+    /// cuts the buffer to the bottom-`cap` when it reaches `2 · cap`.
     #[inline]
     fn keep(&mut self, entry: ResEntry) {
-        if self.heap.len() < self.cap {
-            self.heap.push(entry);
-        } else if let Some(mut root) = self.heap.peek_mut() {
-            if entry < *root {
-                *root = entry;
-            }
+        if self.bound.is_some_and(|bound| entry >= bound) {
+            return;
+        }
+        self.kept.push(entry);
+        if self.kept.len() == 2 * self.cap {
+            self.bound = Some(bottom(&mut self.kept, self.cap));
         }
     }
 
@@ -130,7 +141,7 @@ impl WaitReservoir {
         assert_eq!(self.seed, other.seed, "reservoir seeds must match");
         assert_eq!(self.cap, other.cap, "reservoir capacities must match");
         self.seen += other.seen;
-        for &entry in other.heap.iter() {
+        for &entry in &other.kept {
             self.keep(entry);
         }
     }
@@ -138,18 +149,20 @@ impl WaitReservoir {
     /// Drops all samples (measurement-window reset). Seed and capacity
     /// are retained.
     pub fn clear(&mut self) {
-        self.heap.clear();
+        self.kept.clear();
+        self.bound = None;
         self.seen = 0;
     }
 
-    /// Samples currently held.
+    /// Samples currently held: `min(seen, cap)`. The buffer holds at
+    /// least that many candidates, since identities are distinct.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.kept.len().min(self.cap)
     }
 
     /// True if no samples are held.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.kept.is_empty()
     }
 
     /// Total samples offered since the last clear.
@@ -165,10 +178,22 @@ impl WaitReservoir {
     /// The surviving waits, sorted ascending — the input [`percentile`]
     /// expects.
     pub fn sorted_waits(&self) -> Vec<u64> {
-        let mut waits: Vec<u64> = self.heap.iter().map(|e| e.wait).collect();
+        let mut kept = self.kept.clone();
+        if kept.len() > self.cap {
+            bottom(&mut kept, self.cap);
+        }
+        let mut waits: Vec<u64> = kept.iter().map(|e| e.wait).collect();
         waits.sort_unstable();
         waits
     }
+}
+
+/// Cuts `kept` (more than `cap` entries) to its `cap` smallest and
+/// returns the largest of them.
+fn bottom(kept: &mut Vec<ResEntry>, cap: usize) -> ResEntry {
+    let (_, &mut largest, _) = kept.select_nth_unstable(cap - 1);
+    kept.truncate(cap);
+    largest
 }
 
 /// Aggregate result of one load-balancing simulation run.
@@ -500,6 +525,66 @@ mod tests {
             assert_eq!(one.sorted_waits(), want, "offer, order {order}");
             assert_eq!(merged.sorted_waits(), want, "merge, order {order}");
             assert_eq!(merged.seen(), one.seen());
+        }
+    }
+
+    /// What holds after every offer and merge: `len` and `is_exact`
+    /// follow `seen`, the buffer stays under `2 · cap` candidates, and
+    /// once set the bound is the largest candidate.
+    fn check_reservoir(r: &WaitReservoir, ctx: &str) {
+        let (seen, cap) = (r.seen(), r.cap as u64);
+        assert_eq!(r.len() as u64, seen.min(cap), "{ctx}: len");
+        assert_eq!(r.is_exact(), seen <= cap, "{ctx}: is_exact");
+        let held = r.kept.len();
+        assert!(held < 2 * r.cap, "{ctx}: {held} candidates");
+        if r.bound.is_some() {
+            assert_eq!(r.bound, r.kept.iter().max().copied(), "{ctx}: bound");
+        }
+    }
+
+    #[test]
+    fn reservoir_cuts_keep_the_bottom_cap_at_every_boundary() {
+        // Offer counts on each side of a cut, against a full sort by
+        // (priority, server, seq); each offer's wait is its index. The
+        // same offers go through `offer`, and through merges of three
+        // shards left in different states: short of `cap`, short of the
+        // first cut, and cut (once the count reaches 5 000).
+        const SEED: u64 = 13;
+        for cap in [1usize, 2, 3, 64] {
+            let near_cuts = [cap - 1, cap, cap + 1, 2 * cap - 1, 2 * cap, 2 * cap + 1];
+            for n in [0, 1].into_iter().chain(near_cuts).chain([5_000]) {
+                let ctx = format!("cap {cap}, {n} offers");
+                let offers: Vec<(u64, u64, u64)> =
+                    (0..n as u64).map(|i| (i % 7, i / 7, i)).collect();
+                let mut one = WaitReservoir::with_capacity(SEED, cap);
+                let mut shards = vec![WaitReservoir::with_capacity(SEED, cap); 3];
+                for (i, &(s, k, w)) in offers.iter().enumerate() {
+                    one.offer(s, k, w);
+                    check_reservoir(&one, &format!("{ctx}: offer {i}"));
+                    let shard = usize::from(i >= cap - 1) + usize::from(i >= 3 * cap - 2);
+                    shards[shard].offer(s, k, w);
+                }
+                let mut by_priority = offers.clone();
+                by_priority.sort_unstable_by_key(|&(s, k, _)| (one.priority(s, k), s, k));
+                let mut want: Vec<u64> = by_priority.iter().take(cap).map(|e| e.2).collect();
+                want.sort_unstable();
+                assert_eq!(one.sorted_waits(), want, "{ctx}: offer");
+
+                let mut fresh = WaitReservoir::with_capacity(SEED, cap);
+                let mut into_last = shards[2].clone();
+                for (i, shard) in shards.iter().enumerate() {
+                    fresh.merge(shard);
+                    check_reservoir(&fresh, &format!("{ctx}: merge {i} into an empty one"));
+                }
+                for (i, shard) in shards[..2].iter().enumerate().rev() {
+                    into_last.merge(shard);
+                    check_reservoir(&into_last, &format!("{ctx}: merge {i} into shard 2"));
+                }
+                for merged in [&fresh, &into_last] {
+                    assert_eq!(merged.sorted_waits(), want, "{ctx}: merge");
+                    assert_eq!(merged.seen(), n as u64, "{ctx}: merged seen");
+                }
+            }
         }
     }
 
