@@ -11,9 +11,9 @@ CARGO ?= cargo
 # in artifacts/, so targets run in the order given.
 .NOTPARALLEL:
 
-.PHONY: ci fmt-check build test test-release clippy doc bench-compile perfbench-build bench-smoke bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+.PHONY: ci fmt-check build test test-release clippy doc bench-compile perfbench-build bench-smoke examples bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
 
-ci: fmt-check build test test-release clippy doc bench-compile perfbench-build bench-smoke test-stat repro-quick perf-diff trace-quick
+ci: fmt-check build test test-release clippy doc bench-compile perfbench-build bench-smoke test-stat examples repro-quick perf-diff trace-quick
 
 fmt-check:
 	$(CARGO) fmt --all -- --check
@@ -56,6 +56,15 @@ perfbench-build:
 bench-smoke:
 	$(CARGO) bench -p qnlg-bench --bench '*' -- --quick
 
+# The five README examples, in release. Each asserts its headline result,
+# so a broken example exits non-zero.
+examples:
+	$(CARGO) run -q --release --example quickstart
+	$(CARGO) run -q --release --example serverless_colocation
+	$(CARGO) run -q --release --example gpu_sm_scheduling
+	$(CARGO) run -q --release --example ecmp_probe
+	$(CARGO) run -q --release --example metro_calibration
+
 # Spawn-per-point vs pooled executor + CorrelationBox sampling kernels
 # + obs on/off overhead.
 bench-sweep:
@@ -87,21 +96,21 @@ bench-trace:
 
 # Multiparty-round ablation: exact GHZ statevector vs closed-form noisy
 # kernel vs batched kernel play, at n = 3/6/10 — the DESIGN.md §5 ghz
-# rows (acceptance bar: kernel ≥5x over statevector at n = 3).
+# rows. Nothing checks the ratios; they depend on the host.
 bench-ghz:
 	$(CARGO) bench -p qnlg-bench --bench ghz
 
 # Chain-evaluation ablation: closed-form end-to-end visibility vs the
-# hop-by-hop density-matrix oracle (acceptance bar: ≥5x at h = 4), plus
-# the full route+schedule+sample epoch on the fanout-8 star — the
-# DESIGN.md §5 topology rows.
+# hop-by-hop density-matrix oracle, plus the full route+schedule+sample
+# epoch on the fanout-8 star — the DESIGN.md §5 topology rows. Nothing
+# checks the ratios; they depend on the host.
 bench-topology:
 	$(CARGO) bench -p qnlg-bench --bench topology
 
 # Served decision-path ablation: pre-drawn SPSC ring vs the same slots
 # handed through a Mutex<VecDeque> (ring-vs-lock knob) vs drawing each
-# slot on demand (buffering knob) — the DESIGN.md §5 qnlg-serve rows
-# (acceptance bar: SPSC ≥3x over the mutex/draw-on-demand baseline).
+# slot on demand (buffering knob) — the DESIGN.md §5 qnlg-serve rows.
+# Nothing checks the ratios; they depend on the host.
 bench-serve:
 	$(CARGO) bench -p qnlg-bench --bench serve
 

@@ -6,8 +6,9 @@
 //! and n basis measurements per round. The `qsim::ghz` kernel samples
 //! the exact joint distribution with one f64 draw plus one word of bulk
 //! bits (O(n)), and the batched path additionally hoists the per-input
-//! correlation out of the loop. The acceptance bar is ≥5× per round at
-//! n = 3, growing with n.
+//! correlation out of the loop. Nothing checks a ratio between arms;
+//! each reading depends on the host. Kernel against statevector read
+//! 54× at n = 3 on one host, growing with n (DESIGN.md §5).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use games::multiparty::{mermin_input_masks, play_mermin_batch, play_mermin_quantum};
@@ -20,17 +21,13 @@ fn bench_mermin_round(c: &mut Criterion) {
     for n in [3usize, 6, 10] {
         let mut group = c.benchmark_group(format!("mermin_round_n{n}"));
         let masks = mermin_input_masks(n);
-        let inputs: Vec<Vec<u8>> = masks
-            .iter()
-            .map(|m| (0..n).map(|j| ((m >> j) & 1) as u8).collect())
-            .collect();
 
         group.bench_function("exact_statevector", |b| {
             let mut rng = StdRng::seed_from_u64(1);
             let mut i = 0usize;
             b.iter(|| {
-                i = (i + 1) % inputs.len();
-                black_box(play_mermin_quantum(&inputs[i], &mut rng))
+                i = (i + 1) % masks.len();
+                black_box(play_mermin_quantum(n, masks[i], &mut rng))
             })
         });
 

@@ -15,9 +15,11 @@
 //! - **`draw_on_demand`** — no buffering: every decision runs the full
 //!   slot production (distributor advance, governor observation, CHSH
 //!   CDF walks) before answering, via a capacity-1 ring pumped per
-//!   decision. Isolates the pre-drawn-vs-on-demand knob and is the
-//!   baseline the ≥3× acceptance ratio is quoted against (the shipped
-//!   path must also hold ≥3× over the mutex hand-off).
+//!   decision. Isolates the pre-drawn-vs-on-demand knob.
+//!
+//! Nothing checks a ratio between arms; each reading depends on the
+//! host. One host read the shipped path 3.0× faster than the mutex
+//! hand-off and 49× faster than drawing on demand (DESIGN.md §5).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use serve::decision::{self, DecisionSlot};

@@ -2,20 +2,24 @@
 //!
 //! 1. `sweep_executor` — a Figure-4-quick-sized grid (6 strategies × 10
 //!    loads, N = 40, 600 steps) run with the old spawn-one-thread-per-
-//!    point pattern vs the pooled shared-chunk-claim executor. The pool must
-//!    win by ≥ 1.5× on ≥ 4 cores: per-point spawns oversubscribe the
-//!    machine with 60 threads of wildly uneven lifetime, while the pool
-//!    keeps exactly `thread_count()` workers busy claiming chunks.
+//!    point pattern vs the pooled shared-chunk-claim executor. Per-point
+//!    spawns oversubscribe the machine with 60 threads of wildly uneven
+//!    lifetime, while the pool keeps exactly `thread_count()` workers
+//!    busy claiming chunks; how much that gains depends on the host's
+//!    cores.
 //! 2. `correlation_sample` — the hot `CorrelationBox::sample` kernel
 //!    (cached CDF, one uniform draw, branchless inversion) vs the seed
 //!    formulation that recomputed the agreement probability and drew
 //!    twice per call, with a branch. Timed in batches of 1024 calls so
 //!    harness overhead doesn't mask the ~ns-scale kernels. The cached
-//!    kernel must win by ≥ 2×.
+//!    kernel read ≥ 2× faster on one host (DESIGN.md §5).
 //! 3. `obs_overhead` — the same pooled fig4-quick grid with metric
-//!    collection off (the default) vs on. The obs ablation contract
-//!    (DESIGN.md §5) is < 2% overhead: recording is a handful of relaxed
-//!    atomic ops per simulated round against ~µs of simulation work.
+//!    collection off (the default) vs on. Recording is a handful of
+//!    relaxed atomic ops per simulated round against ~µs of simulation
+//!    work, so the two arms should read close (DESIGN.md §5).
+//!
+//! Nothing checks a ratio between arms; each reading depends on the
+//! host.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use games::correlation::CorrelationBox;

@@ -3,14 +3,15 @@
 //! Classical optimum 0.75; quantum optimum cos²(π/8) ≈ 0.8536 with the
 //! stated angles (θ_A ∈ {0, π/4}, θ_B ∈ {π/8, −π/8}); uniform marginals.
 //! Also validates the XOR-game solvers against the known CHSH values and
-//! reports the 3-player GHZ game (quantum wins with certainty).
+//! reports the 3-player GHZ game, the Mermin game at n = 3 (quantum wins
+//! with certainty).
 
 use crate::report::Report;
 use crate::table::{f4, Table};
-use games::chsh::{ChshGame, ClassicalChshStrategy, QuantumChshStrategy};
-use games::game::{empirical_win_rate, IndependentRandomStrategy};
+use games::chsh::QuantumChshStrategy;
+use games::game::{empirical_win_rate, DeterministicStrategy, IndependentRandomStrategy};
 use games::multiparty;
-use games::{ChshVariant, XorGame};
+use games::XorGame;
 use obs::json::Json;
 use qmath::stats::wilson;
 
@@ -20,8 +21,8 @@ use qmath::stats::wilson;
 /// the shared pool, each on its own deterministic seed stream.
 pub fn run(quick: bool) -> Report {
     let rounds = if quick { 20_000 } else { 500_000 };
-    let game = ChshGame::standard();
     let xor = XorGame::chsh();
+    let ghz_rounds = if quick { 2_000 } else { 20_000 };
 
     let tasks: Vec<usize> = (0..6).collect();
     let mc = runtime::par_sweep(
@@ -29,21 +30,24 @@ pub fn run(quick: bool) -> Report {
         &tasks,
         |_, &task, rng| match task {
             0 => empirical_win_rate(
-                &game,
-                &mut ClassicalChshStrategy::optimal(ChshVariant::Standard),
+                &xor,
+                &mut DeterministicStrategy {
+                    a_out: vec![false; 2],
+                    b_out: vec![false; 2],
+                },
                 rounds,
                 rng,
             ),
-            1 => empirical_win_rate(&game, &mut IndependentRandomStrategy, rounds, rng),
-            2 => empirical_win_rate(&game, &mut QuantumChshStrategy::ideal(), rounds, rng),
+            1 => empirical_win_rate(&xor, &mut IndependentRandomStrategy, rounds, rng),
+            2 => empirical_win_rate(&xor, &mut QuantumChshStrategy::ideal(), rounds, rng),
             3 => empirical_win_rate(
-                &ChshGame::flipped(),
+                &XorGame::flipped_chsh(),
                 &mut QuantumChshStrategy::ideal_flipped(),
                 rounds,
                 rng,
             ),
             4 => xor.quantum_solution(8, rng).value,
-            _ => multiparty::quantum_win_rate(if quick { 2_000 } else { 20_000 }, rng),
+            _ => multiparty::mermin_quantum_win_rate(3, ghz_rounds, rng),
         },
     );
     let (classical, independent, quantum, flipped, solver_quantum, ghz_quantum) =
@@ -54,8 +58,8 @@ pub fn run(quick: bool) -> Report {
         .expect("CHSH is far below the enumeration limit");
     let solver_pgd = (1.0 + xor.quantum_bias_pgd(if quick { 150 } else { 500 })) / 2.0;
 
-    let ghz_classical = multiparty::classical_optimum();
-    let ghz_rounds = if quick { 2_000 } else { 20_000 };
+    let ghz_classical =
+        multiparty::mermin_classical_optimum(3).expect("3 players is below the enumeration limit");
 
     let mut report = Report::new("chsh", 3);
     let mut t = Table::new(vec!["quantity", "measured", "theory"]);

@@ -8,9 +8,9 @@
 
 use crate::report::Report;
 use crate::table::{f2, f4, Table};
-use games::chsh::{ChshGame, QuantumChshStrategy};
+use games::chsh::QuantumChshStrategy;
 use games::game::empirical_win_rate;
-use games::ChshVariant;
+use games::XorGame;
 use loadbalance::server::Discipline;
 use loadbalance::sim::{run_simulation, SimConfig};
 use loadbalance::strategy::Strategy;
@@ -32,15 +32,14 @@ pub fn run(quick: bool) -> Report {
     let rounds = if quick { 20_000 } else { 200_000 };
     let vis = [1.0, 0.9, 0.8, WERNER_CHSH_THRESHOLD, 0.6, 0.5];
     let rates = runtime::par_sweep(crate::point_seed(6, 0, 0), &vis, |_, &v, rng| {
-        let mut s = QuantumChshStrategy::with_source(
-            move || SharedPair::werner(v).expect("valid visibility"),
-            ChshVariant::Standard,
-        );
-        empirical_win_rate(&ChshGame::standard(), &mut s, rounds, rng)
+        let mut s = QuantumChshStrategy::with_source(move || {
+            SharedPair::werner(v).expect("valid visibility")
+        });
+        empirical_win_rate(&XorGame::chsh(), &mut s, rounds, rng)
     });
     let mut t = Table::new(vec!["visibility", "CHSH win prob", "theory", "advantage?"]);
     for (&v, &rate) in vis.iter().zip(&rates) {
-        let theory = 0.5 + v * std::f64::consts::SQRT_2 / 4.0;
+        let theory = games::chsh_werner_value(v);
         t.row(vec![
             f4(v),
             f4(rate),
@@ -140,11 +139,10 @@ pub fn run(quick: bool) -> Report {
         let rho0 = werner(1.0).expect("valid");
         let rho = ch.apply(&rho0, 0).expect("qubit 0");
         let rho = ch.apply(&rho, 1).expect("qubit 1");
-        let mut s = QuantumChshStrategy::with_source(
-            move || SharedPair::from_density(rho.clone()).expect("two qubits"),
-            ChshVariant::Standard,
-        );
-        empirical_win_rate(&ChshGame::standard(), &mut s, rounds_c, rng)
+        let mut s = QuantumChshStrategy::with_source(move || {
+            SharedPair::from_density(rho.clone()).expect("two qubits")
+        });
+        empirical_win_rate(&XorGame::chsh(), &mut s, rounds_c, rng)
     });
     let mut t = Table::new(vec!["hold time / τ", "CHSH win prob", "advantage?"]);
     for (&ratio, &rate) in ratios.iter().zip(&rates_c) {

@@ -27,7 +27,7 @@ use crate::report::Report;
 use crate::table::{f4, Table};
 use games::chsh::QuantumChshStrategy;
 use games::game::empirical_win_rate;
-use games::{ChshGame, ChshVariant};
+use games::{chsh_werner_value, XorGame};
 use loadbalance::{CoordinationMode, FallbackGovernor, HysteresisConfig};
 use obs::json::Json;
 use qmath::stats::wilson;
@@ -48,11 +48,6 @@ const HOP_KM: f64 = 10.0;
 /// 3% white-noise admixture per successful swap.
 const SWAP_SUCCESS: f64 = 0.9;
 const SWAP_IDEALITY: f64 = 0.97;
-
-/// Closed-form CHSH win probability over a Werner pair of visibility v.
-fn chsh_theory(v: f64) -> f64 {
-    0.5 + v * std::f64::consts::SQRT_2 / 4.0
-}
 
 /// The blast-radius fault schedule, in epochs (1 ms each): one primary
 /// trunk cut at [`CUT_ONE`], every trunk plane cut at [`CUT_ALL`], all
@@ -91,11 +86,10 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
         hops_grid,
         |i, _, rng| {
             let v = specs[i].end_to_end_visibility();
-            let mut s = QuantumChshStrategy::with_source(
-                move || SharedPair::werner(v).expect("valid visibility"),
-                ChshVariant::Standard,
-            );
-            empirical_win_rate(&ChshGame::standard(), &mut s, rounds, rng)
+            let mut s = QuantumChshStrategy::with_source(move || {
+                SharedPair::werner(v).expect("valid visibility")
+            });
+            empirical_win_rate(&XorGame::chsh(), &mut s, rounds, rng)
         },
     );
     let mut worst_oracle = 0.0f64;
@@ -117,7 +111,7 @@ pub fn run_with_threads(threads: usize, quick: bool) -> Report {
             .expect("validated spec simulates");
         let dev = (oracle - v).abs();
         worst_oracle = worst_oracle.max(dev);
-        let theory = chsh_theory(v);
+        let theory = chsh_werner_value(v);
         worst_chsh = worst_chsh.max((rate - theory).abs());
         t.row(vec![
             h.to_string(),
@@ -514,7 +508,9 @@ mod tests {
 
     #[test]
     fn chsh_theory_hits_known_points() {
-        assert!((chsh_theory(1.0) - 0.853_553_390_593_273_8).abs() < 1e-12);
-        assert!((chsh_theory(std::f64::consts::FRAC_1_SQRT_2) - 0.75).abs() < 1e-12);
+        // The line table's theory column: Tsirelson at v = 1, the
+        // classical 0.75 at the witness threshold v = 1/√2.
+        assert!((chsh_werner_value(1.0) - 0.853_553_390_593_273_8).abs() < 1e-12);
+        assert!((chsh_werner_value(std::f64::consts::FRAC_1_SQRT_2) - 0.75).abs() < 1e-12);
     }
 }

@@ -53,8 +53,9 @@ impl TaskClass {
 struct Round {
     /// Per-party (input, output-bit), set when that party decides.
     outcome: [Option<(usize, bool)>; 2],
-    /// The round's shared candidate servers (lazily drawn).
-    servers: Option<(usize, usize)>,
+    /// The server count and the round's shared candidate servers drawn
+    /// over it (lazily, by the first endpoint to ask).
+    servers: Option<(usize, (usize, usize))>,
 }
 
 struct Inner {
@@ -77,6 +78,10 @@ impl Inner {
     /// Decides and, when `n_servers` is given, draws the round's shared
     /// candidate-server pair atomically (before the round can be garbage
     /// collected).
+    ///
+    /// # Panics
+    /// Panics if the peer drew this round's candidates over a different
+    /// server count.
     fn decide_full(
         &mut self,
         party: usize,
@@ -121,10 +126,15 @@ impl Inner {
         let servers = match n_servers {
             None => None,
             Some(n) => {
-                if self.rounds[slot].servers.is_none() {
-                    self.rounds[slot].servers = Some(pairing::candidates(n, &mut self.rng));
-                }
-                self.rounds[slot].servers
+                let rng = &mut self.rng;
+                let (drawn_over, pair) = *self.rounds[slot]
+                    .servers
+                    .get_or_insert_with(|| (n, pairing::candidates(n, rng)));
+                assert_eq!(
+                    drawn_over, n,
+                    "the peer drew this round's servers over a different count"
+                );
+                Some(pair)
             }
         };
         self.gc();
@@ -287,7 +297,8 @@ impl Endpoint {
     /// land on the same server with probability cos²(π/8).
     ///
     /// # Panics
-    /// Panics on round overrun or `n_servers < 2`.
+    /// Panics on round overrun, on `n_servers < 2`, or if the peer passed
+    /// a different `n_servers` for the same round.
     pub fn decide_server(&self, class: TaskClass, n_servers: usize) -> usize {
         assert!(n_servers >= 2, "need at least two servers");
         let mut inner = self.inner.lock().expect("coordinator lock poisoned");
@@ -450,6 +461,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "different count")]
+    fn decide_server_rejects_a_peer_with_another_server_count() {
+        // Candidates drawn over 16 servers would hand a peer that has 2
+        // an index outside its own range.
+        let pair = CoordinatorBuilder::new().seed(8).build_colocation();
+        let (a, b) = pair.endpoints();
+        let _ = a.decide_server(TaskClass::Colocate, 16);
+        let _ = b.decide_server(TaskClass::Colocate, 2);
+    }
+
+    #[test]
     fn round_overrun_detected() {
         let pair = CoordinatorBuilder::new().seed(5).build_colocation();
         let (a, _b) = pair.endpoints();
@@ -477,7 +499,7 @@ mod tests {
             ok += usize::from(da == db);
         }
         let f = ok as f64 / trials as f64;
-        let expect = 0.5 + 0.5 * std::f64::consts::FRAC_1_SQRT_2 / 2.0;
+        let expect = games::chsh_werner_value(0.5);
         assert!((f - expect).abs() < 0.01, "rate {f} vs {expect}");
     }
 

@@ -102,28 +102,8 @@ pub fn exhaustive_quantum_search<R: Rng>(
         pool.push((angles, kind));
     }
 
-    let master = rng.next_u64();
-    let probs = runtime::par_sweep(master, &pool, |_, (angles, kind), rng| {
-        let mut s = GlobalEntangled::new(*kind, angles.clone());
-        run_rounds(scenario, &mut s, rounds, rng).collision_probability
-    });
-    let winner = probs
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite probabilities"))
-        .map(|(i, _)| i)
-        .expect("non-empty candidate pool");
-
-    // The running minimum over noisy estimates is biased low (selection
-    // on noise). Re-evaluate the winning candidate with 20× the rounds
-    // for an honest estimate of the best quantum strategy found.
-    let (angles, kind) = &pool[winner];
-    let mut s = GlobalEntangled::new(*kind, angles.clone());
-    let mut rng = runtime::stream_rng(master, pool.len() as u64);
-    let best = run_rounds(scenario, &mut s, rounds * 20, &mut rng).collision_probability;
-
     SearchResult {
-        best_quantum: best,
+        best_quantum: best_of_pool(scenario, &pool, rounds, rng),
         classical,
         evaluated: pool.len(),
     }
@@ -154,8 +134,28 @@ pub fn search_two_of_n<R: Rng>(
         })
         .collect();
 
+    SearchResult {
+        best_quantum: best_of_pool(scenario, &pool, rounds, rng),
+        classical,
+        evaluated: pool.len(),
+    }
+}
+
+/// Evaluates every candidate with `rounds` rounds, candidate `i` on stream
+/// `i` of a master seed drawn once from `rng`, and returns the lowest
+/// scorer's collision probability re-estimated with 20× the rounds on
+/// stream `pool.len()`.
+///
+/// The minimum over noisy estimates is biased low (selection on noise),
+/// so the winner's first estimate is not the one reported.
+fn best_of_pool<R: Rng>(
+    scenario: EcmpScenario,
+    pool: &[(Vec<f64>, EntangledStateKind)],
+    rounds: usize,
+    rng: &mut R,
+) -> f64 {
     let master = rng.next_u64();
-    let probs = runtime::par_sweep(master, &pool, |_, (angles, kind), rng| {
+    let probs = runtime::par_sweep(master, pool, |_, (angles, kind), rng| {
         let mut s = GlobalEntangled::new(*kind, angles.clone());
         run_rounds(scenario, &mut s, rounds, rng).collision_probability
     });
@@ -168,13 +168,7 @@ pub fn search_two_of_n<R: Rng>(
     let (angles, kind) = &pool[winner];
     let mut s = GlobalEntangled::new(*kind, angles.clone());
     let mut rng = runtime::stream_rng(master, pool.len() as u64);
-    let best = run_rounds(scenario, &mut s, rounds * 20, &mut rng).collision_probability;
-
-    SearchResult {
-        best_quantum: best,
-        classical,
-        evaluated: pool.len(),
-    }
+    run_rounds(scenario, &mut s, rounds * 20, &mut rng).collision_probability
 }
 
 #[cfg(test)]
@@ -224,6 +218,22 @@ mod tests {
             "quantum {} undercut classical {}",
             result.best_quantum,
             result.classical
+        );
+    }
+
+    #[test]
+    fn two_of_four_search_result_is_pinned() {
+        // No artifact covers `search_two_of_n`'s draws, so its result is
+        // pinned bit for bit: the candidate draw, the master seed, the
+        // per-candidate streams and the 20× re-evaluation of the winner.
+        let mut rng = StdRng::seed_from_u64(7);
+        let result = search_two_of_n(4, 25, 3_000, &mut rng);
+        assert_eq!(result.evaluated, 25);
+        assert_eq!(
+            result.best_quantum.to_bits(),
+            0x3fd9_d14e_3bcd_35a8,
+            "best_quantum {} drifted",
+            result.best_quantum
         );
     }
 

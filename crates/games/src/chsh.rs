@@ -1,75 +1,22 @@
-//! The CHSH game and its optimal strategies.
+//! The paper's optimal CHSH strategies.
 //!
 //! §2 of the paper: the referee sends uniformly random bits `x`, `y`;
-//! the players answer with bits `a`, `b`, and win iff `a ⊕ b = x ∧ y`.
-//! The best classical strategy (always answer 0) wins with probability
-//! 0.75; sharing a Bell pair and measuring in the angles below wins with
-//! `cos²(π/8) ≈ 0.8536` — the Tsirelson optimum.
+//! the players answer with bits `a`, `b`, and win iff `a ⊕ b = x ∧ y`
+//! ([`XorGame::chsh`]). The best classical strategy (always answer 0)
+//! wins with probability 0.75; sharing a Bell pair and measuring in the
+//! angles below wins with `cos²(π/8) ≈ 0.8536` — the Tsirelson optimum.
 //!
 //! For the load-balancing application (§4.1) the paper flips one party's
-//! output so the pair implements `a ⊕ b = ¬(x ∧ y)`: co-locate (equal
-//! outputs) exactly when both tasks are type-C (`x = y = 1`). Both
-//! variants are provided.
+//! output so the pair plays `a ⊕ b = ¬(x ∧ y)` ([`XorGame::flipped_chsh`]):
+//! co-locate (equal outputs) exactly when both tasks are type-C
+//! (`x = y = 1`).
+//!
+//! [`XorGame::chsh`]: crate::XorGame::chsh
+//! [`XorGame::flipped_chsh`]: crate::XorGame::flipped_chsh
 
-use crate::game::{PairStrategy, TwoPlayerGame};
+use crate::game::PairStrategy;
 use qsim::{Party, SharedPair};
 use rand::Rng;
-
-/// Which win condition the game uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChshVariant {
-    /// Win iff `a ⊕ b = x ∧ y` (the standard CHSH game).
-    Standard,
-    /// Win iff `a ⊕ b = ¬(x ∧ y)` (the load-balancing mapping: outputs
-    /// should *match* — same server — only when both inputs are 1/type-C).
-    Flipped,
-}
-
-/// The CHSH game with uniform inputs.
-#[derive(Debug, Clone, Copy)]
-pub struct ChshGame {
-    variant: ChshVariant,
-}
-
-impl ChshGame {
-    /// The standard CHSH game.
-    pub fn standard() -> Self {
-        ChshGame {
-            variant: ChshVariant::Standard,
-        }
-    }
-
-    /// The flipped (load-balancing) variant.
-    pub fn flipped() -> Self {
-        ChshGame {
-            variant: ChshVariant::Flipped,
-        }
-    }
-
-    /// Which variant this game is.
-    pub fn variant(&self) -> ChshVariant {
-        self.variant
-    }
-}
-
-impl TwoPlayerGame for ChshGame {
-    fn n_inputs_a(&self) -> usize {
-        2
-    }
-    fn n_inputs_b(&self) -> usize {
-        2
-    }
-    fn input_probability(&self, _x: usize, _y: usize) -> f64 {
-        0.25
-    }
-    fn wins(&self, x: usize, y: usize, a: bool, b: bool) -> bool {
-        let target = (x == 1) && (y == 1);
-        match self.variant {
-            ChshVariant::Standard => (a ^ b) == target,
-            ChshVariant::Flipped => (a ^ b) != target,
-        }
-    }
-}
 
 /// Alice's optimal measurement angles, indexed by her input bit:
 /// `θ_A(0) = 0`, `θ_A(1) = π/4` (paper §2).
@@ -90,7 +37,7 @@ pub fn bob_angle(y: usize) -> f64 {
 }
 
 /// The optimal quantum CHSH strategy: one fresh Bell pair per round,
-/// measured at the paper's angles. For the flipped variant Bob negates his
+/// measured at the paper's angles. For the flipped game Bob negates his
 /// output bit — a purely local post-processing.
 ///
 /// `pair_source` supplies the entangled resource, letting callers inject
@@ -125,12 +72,12 @@ impl<F> QuantumChshStrategy<F>
 where
     F: FnMut() -> SharedPair,
 {
-    /// Strategy drawing pairs from an arbitrary source (e.g. Werner states
-    /// with sub-unit visibility).
-    pub fn with_source(pair_source: F, variant: ChshVariant) -> Self {
+    /// Strategy for the standard game drawing pairs from an arbitrary
+    /// source (e.g. Werner states with sub-unit visibility).
+    pub fn with_source(pair_source: F) -> Self {
         QuantumChshStrategy {
             pair_source,
-            flip_bob: variant == ChshVariant::Flipped,
+            flip_bob: false,
         }
     }
 }
@@ -151,62 +98,35 @@ where
             .expect("fresh pair, party B unmeasured");
         (a == 1, (b == 1) ^ self.flip_bob)
     }
-
-    fn name(&self) -> &'static str {
-        "quantum-chsh"
-    }
-}
-
-/// The optimal *classical* strategy for standard CHSH: both always output
-/// 0 (wins the 3 of 4 input pairs where `x ∧ y = 0`). For the flipped
-/// variant, outputting `a = 0, b = 1` wins exactly the same 3 cases.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassicalChshStrategy {
-    variant: ChshVariant,
-}
-
-impl ClassicalChshStrategy {
-    /// Optimal classical strategy for the given variant.
-    pub fn optimal(variant: ChshVariant) -> Self {
-        ClassicalChshStrategy { variant }
-    }
-}
-
-impl PairStrategy for ClassicalChshStrategy {
-    fn play<R: Rng + ?Sized>(&mut self, _x: usize, _y: usize, _rng: &mut R) -> (bool, bool) {
-        match self.variant {
-            ChshVariant::Standard => (false, false),
-            ChshVariant::Flipped => (false, true),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "classical-optimal"
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::game::empirical_win_rate;
+    use crate::game::{empirical_win_rate, DeterministicStrategy};
+    use crate::XorGame;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn classical_optimum_is_three_quarters() {
+        // Both answer 0 in the standard game; Bob answers 1 in the
+        // flipped one.
         let mut rng = StdRng::seed_from_u64(1);
-        for variant in [ChshVariant::Standard, ChshVariant::Flipped] {
-            let game = ChshGame { variant };
-            let mut s = ClassicalChshStrategy::optimal(variant);
+        for (game, b) in [(XorGame::chsh(), false), (XorGame::flipped_chsh(), true)] {
+            let mut s = DeterministicStrategy {
+                a_out: vec![false; 2],
+                b_out: vec![b; 2],
+            };
             let rate = empirical_win_rate(&game, &mut s, 40_000, &mut rng);
-            assert!((rate - 0.75).abs() < 0.01, "{variant:?}: {rate}");
+            assert!((rate - 0.75).abs() < 0.01, "b = {b}: {rate}");
         }
     }
 
     #[test]
     fn quantum_strategy_beats_classical_bound() {
         let mut rng = StdRng::seed_from_u64(2);
-        let game = ChshGame::standard();
+        let game = XorGame::chsh();
         let mut s = QuantumChshStrategy::ideal();
         let rate = empirical_win_rate(&game, &mut s, 60_000, &mut rng);
         let expect = crate::chsh_quantum_value();
@@ -217,7 +137,7 @@ mod tests {
     #[test]
     fn flipped_quantum_strategy_same_value() {
         let mut rng = StdRng::seed_from_u64(3);
-        let game = ChshGame::flipped();
+        let game = XorGame::flipped_chsh();
         let mut s = QuantumChshStrategy::ideal_flipped();
         let rate = empirical_win_rate(&game, &mut s, 60_000, &mut rng);
         assert!(
@@ -252,14 +172,13 @@ mod tests {
         // Werner visibility 0.5 < 1/√2: quantum value drops below the
         // classical optimum (win prob = 1/2 + v·√2/4).
         let mut rng = StdRng::seed_from_u64(5);
-        let game = ChshGame::standard();
+        let game = XorGame::chsh();
         let v = 0.5;
-        let mut s = QuantumChshStrategy::with_source(
-            move || SharedPair::werner(v).expect("valid visibility"),
-            ChshVariant::Standard,
-        );
+        let mut s = QuantumChshStrategy::with_source(move || {
+            SharedPair::werner(v).expect("valid visibility")
+        });
         let rate = empirical_win_rate(&game, &mut s, 60_000, &mut rng);
-        let expect = 0.5 + v * std::f64::consts::SQRT_2 / 4.0;
+        let expect = crate::chsh_werner_value(v);
         assert!((rate - expect).abs() < 0.01, "rate {rate} expect {expect}");
         assert!(rate < 0.75);
     }
@@ -268,29 +187,34 @@ mod tests {
     fn werner_threshold_is_the_crossover() {
         // Just above 1/√2 the quantum strategy still beats classical.
         let mut rng = StdRng::seed_from_u64(6);
-        let game = ChshGame::standard();
+        let game = XorGame::chsh();
         let v = 0.8; // > 1/√2 ≈ 0.707
-        let mut s = QuantumChshStrategy::with_source(
-            move || SharedPair::werner(v).expect("valid visibility"),
-            ChshVariant::Standard,
-        );
+        let mut s = QuantumChshStrategy::with_source(move || {
+            SharedPair::werner(v).expect("valid visibility")
+        });
         let rate = empirical_win_rate(&game, &mut s, 60_000, &mut rng);
         assert!(rate > 0.75, "rate {rate} should beat classical at v=0.8");
     }
 
     #[test]
     fn win_predicate_truth_table() {
-        let g = ChshGame::standard();
-        // x∧y = 0 for (0,0),(0,1),(1,0): win iff a == b.
-        assert!(g.wins(0, 0, true, true));
-        assert!(!g.wins(0, 1, true, false));
-        // x∧y = 1 for (1,1): win iff a != b.
-        assert!(g.wins(1, 1, true, false));
-        assert!(!g.wins(1, 1, false, false));
-
-        let f = ChshGame::flipped();
-        assert!(!f.wins(0, 0, true, true));
-        assert!(f.wins(1, 1, false, false));
+        // Standard: win iff a ⊕ b = x ∧ y; flipped: iff a ⊕ b = ¬(x ∧ y).
+        // Both draw their inputs uniformly from {0,1}².
+        let (g, f) = (XorGame::chsh(), XorGame::flipped_chsh());
+        for game in [&g, &f] {
+            assert_eq!((game.n_a(), game.n_b()), (2, 2));
+        }
+        for x in 0..2 {
+            for y in 0..2 {
+                assert_eq!(g.bias_matrix()[(x, y)].abs(), 0.25);
+                assert_eq!(f.bias_matrix()[(x, y)].abs(), 0.25);
+                for (a, b) in [(false, false), (false, true), (true, false), (true, true)] {
+                    let target = x == 1 && y == 1;
+                    assert_eq!(g.wins(x, y, a, b), (a ^ b) == target, "{x}{y}{a}{b}");
+                    assert_eq!(f.wins(x, y, a, b), (a ^ b) != target, "{x}{y}{a}{b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,27 +1,32 @@
-//! Multiparty non-local games: the 3-player GHZ (Mermin) game.
+//! Multiparty non-local games: the n-player Mermin parity game.
 //!
 //! The paper notes (§4.1) that XOR games "have also been extended to more
 //! than two players, corresponding to scenarios with more than two
 //! load balancers, where the advantage is larger than in the two-party
-//! case". The GHZ game is the canonical example: the quantum strategy wins
-//! with probability **1**, versus a classical optimum of 0.75.
+//! case". The Mermin game is the canonical example: the quantum strategy
+//! wins with probability **1**, versus a classical optimum of
+//! `1/2 + 2^{−⌈n/2⌉}`. At n = 3 it is the GHZ game (classical 0.75): the
+//! inputs are `{000, 011, 101, 110}` and the players win iff
+//! `a ⊕ b ⊕ c = x ∨ y ∨ z`.
 //!
-//! Rules: the referee draws inputs `(x, y, z)` uniformly from
-//! `{000, 011, 101, 110}` (even parity); players answer bits `a, b, c`
-//! and win iff `a ⊕ b ⊕ c = x ∨ y ∨ z`.
+//! Rules: the referee draws an even-weight input vector uniformly; the
+//! players answer bits and win iff the parity of the answers is
+//! `(wt(x) mod 4) / 2`. Inputs and answers are bit masks throughout: bit
+//! `j` is player `j`'s input or answer ([`mermin_input_masks`],
+//! [`mermin_wins_mask`]).
 //!
 //! Quantum strategy: share a GHZ state; on input 0 measure in the X basis,
-//! on input 1 in the Y basis. The GHZ state is a +1 eigenstate of `X⊗X⊗X`
-//! and a −1 eigenstate of `X⊗Y⊗Y` (and permutations), which makes the win
+//! on input 1 in the Y basis. The GHZ state is a `(−1)^{k/2}` eigenstate
+//! of any `X^{n−k}Y^{k}` string with even `k`, which makes the win
 //! condition hold with certainty.
 //!
-//! Two execution paths coexist. [`play_mermin_quantum`] runs the full
-//! statevector simulation (O(2ⁿ) amplitudes per round); the hot path
-//! [`play_mermin_kernel`] / [`play_mermin_batch`] uses the closed-form
-//! [`qsim::ghz::NoisyGhz`] kernel (O(n) per round, one f64 draw + one
-//! word of bulk bits) and additionally models visibility/dephasing noise.
-//! The statevector oracle (`NoisyGhz::oracle_sample_xy`) stays a test
-//! oracle, pinned to the kernel by `qsim`'s `tests/ghz_stat.rs`.
+//! Rounds are played on the closed-form [`qsim::ghz::NoisyGhz`] kernel
+//! ([`play_mermin_batch`]: O(n) per round, one f64 draw + one word of
+//! bulk bits), which also models visibility/dephasing noise.
+//! [`play_mermin_quantum`] runs the full statevector (O(2ⁿ) amplitudes
+//! per round) on an ideal state: the reference the kernel is checked
+//! against here, while `qsim`'s `tests/ghz_stat.rs` pins the kernel to
+//! the density-matrix oracle (`NoisyGhz::oracle_sample_xy`).
 
 use crate::error::GameError;
 use obs::LazyCounter;
@@ -31,18 +36,8 @@ use qsim::measure::Basis1;
 use qsim::SharedState;
 use rand::Rng;
 
-/// Mermin rounds played through the closed-form kernel (batch or single).
+/// Mermin rounds played through the closed-form kernel.
 static ROUNDS: LazyCounter = LazyCounter::new("games.ghz.rounds");
-
-/// The four valid GHZ-game input triples (even parity).
-pub const GHZ_INPUTS: [(u8, u8, u8); 4] = [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)];
-
-/// The GHZ-game win predicate: `a ⊕ b ⊕ c = x ∨ y ∨ z`.
-pub fn ghz_wins(inputs: (u8, u8, u8), outputs: (bool, bool, bool)) -> bool {
-    let (x, y, z) = inputs;
-    let target = (x | y | z) == 1;
-    (outputs.0 ^ outputs.1 ^ outputs.2) == target
-}
 
 /// The X measurement basis `{|+⟩, |−⟩}`.
 pub fn x_basis() -> Basis1 {
@@ -59,100 +54,45 @@ pub fn y_basis() -> Basis1 {
     .expect("orthonormal by construction")
 }
 
-/// Plays one round of the GHZ game with the optimal quantum strategy on a
-/// fresh GHZ state. Each party measures only its own qubit, in a basis
-/// determined only by its own input.
-pub fn play_quantum_round<R: Rng + ?Sized>(
-    inputs: (u8, u8, u8),
-    rng: &mut R,
-) -> (bool, bool, bool) {
-    let mut state = SharedState::ghz(3);
-    let ins = [inputs.0, inputs.1, inputs.2];
-    let mut outs = [false; 3];
-    for (party, (&input, out)) in ins.iter().zip(outs.iter_mut()).enumerate() {
-        let basis = if input == 0 { x_basis() } else { y_basis() };
-        *out = state
-            .measure(party, &basis, rng)
-            .expect("fresh state, party unmeasured")
-            == 1;
-    }
-    (outs[0], outs[1], outs[2])
-}
-
-/// The best classical (deterministic or shared-randomness) win probability
-/// for the GHZ game, computed by exhaustive search over all deterministic
-/// strategies: each player picks one of 4 response functions `{0,1}→{0,1}`.
-pub fn classical_optimum() -> f64 {
-    let mut best = 0.0f64;
-    // A response function maps input bit → output bit: 4 choices/player.
-    for fa in 0..4u8 {
-        for fb in 0..4u8 {
-            for fc in 0..4u8 {
-                let apply = |f: u8, input: u8| -> bool { (f >> input) & 1 == 1 };
-                let wins = GHZ_INPUTS
-                    .iter()
-                    .filter(|&&(x, y, z)| {
-                        ghz_wins((x, y, z), (apply(fa, x), apply(fb, y), apply(fc, z)))
-                    })
-                    .count();
-                best = best.max(wins as f64 / 4.0);
-            }
-        }
-    }
-    best
-}
-
-/// Runs `rounds` rounds of the quantum strategy, returning the empirical
-/// win rate (should be 1.0 up to simulator round-off).
-pub fn quantum_win_rate<R: Rng + ?Sized>(rounds: usize, rng: &mut R) -> f64 {
-    let mut wins = 0usize;
-    for i in 0..rounds {
-        let inputs = GHZ_INPUTS[i % 4];
-        let outputs = play_quantum_round(inputs, rng);
-        wins += usize::from(ghz_wins(inputs, outputs));
-    }
-    wins as f64 / rounds as f64
-}
-
-/// All even-parity input vectors for the n-player Mermin game.
-pub fn mermin_inputs(n: usize) -> Vec<Vec<u8>> {
+/// All even-parity Mermin input vectors for `n` players as bit masks
+/// (bit `j` = player `j`'s input), in increasing order.
+pub fn mermin_input_masks(n: usize) -> Vec<u64> {
     assert!(n >= 2, "Mermin game needs at least two players");
-    (0..1u32 << n)
-        .filter(|m| m.count_ones() % 2 == 0)
-        .map(|m| (0..n).map(|i| ((m >> i) & 1) as u8).collect())
+    (0..1u64 << n)
+        .filter(|m| m.count_ones().is_multiple_of(2))
         .collect()
 }
 
-/// The n-player Mermin parity game win predicate: for an even-weight
-/// input vector `x`, the players win iff `⊕ᵢ aᵢ = (wt(x) mod 4) / 2` —
-/// output parity 0 when the input weight is ≡ 0 (mod 4), parity 1 when
-/// ≡ 2 (mod 4).
-pub fn mermin_wins(inputs: &[u8], outputs: &[bool]) -> bool {
-    let weight: u32 = inputs.iter().map(|&x| x as u32).sum();
-    debug_assert!(weight.is_multiple_of(2), "Mermin inputs have even parity");
-    let target = weight % 4 == 2;
-    let parity = outputs.iter().fold(false, |acc, &b| acc ^ b);
-    parity == target
+/// The Mermin win predicate: bit `j` of `outcome` is player `j`'s
+/// answer, and for an even-weight `y_mask` the players win iff the
+/// answers' parity is `(wt mod 4)/2` — 0 when the input weight is ≡ 0
+/// (mod 4), 1 when ≡ 2 (mod 4).
+pub fn mermin_wins_mask(y_mask: u64, outcome: u64) -> bool {
+    debug_assert!(
+        y_mask.count_ones().is_multiple_of(2),
+        "Mermin inputs have even parity"
+    );
+    let target = y_mask.count_ones() % 4 == 2;
+    (outcome.count_ones() % 2 == 1) == target
 }
 
 /// Plays one round of the n-player Mermin game with the optimal quantum
-/// strategy: share GHZ(n); measure X on input 0, Y on input 1. The GHZ
-/// state is a `(−1)^{k/2}` eigenstate of any `X^{n−k}Y^{k}` string with
-/// even `k`, so the win is deterministic.
-pub fn play_mermin_quantum<R: Rng + ?Sized>(inputs: &[u8], rng: &mut R) -> Vec<bool> {
-    let n = inputs.len();
+/// strategy on a fresh GHZ(n) statevector: player `j` measures Y iff bit
+/// `j` of `y_mask` is set, else X. Returns the outcome mask (bit `j` =
+/// player `j`'s answer).
+pub fn play_mermin_quantum<R: Rng + ?Sized>(n: usize, y_mask: u64, rng: &mut R) -> u64 {
     let mut state = SharedState::ghz(n);
-    inputs
-        .iter()
-        .enumerate()
-        .map(|(party, &x)| {
-            let basis = if x == 0 { x_basis() } else { y_basis() };
-            state
-                .measure(party, &basis, rng)
-                .expect("fresh state, party unmeasured")
-                == 1
-        })
-        .collect()
+    (0..n).fold(0u64, |outcome, party| {
+        let basis = if (y_mask >> party) & 1 == 0 {
+            x_basis()
+        } else {
+            y_basis()
+        };
+        let bit = state
+            .measure(party, &basis, rng)
+            .expect("fresh state, party unmeasured");
+        outcome | (u64::from(bit == 1) << party)
+    })
 }
 
 /// Largest player count accepted by [`mermin_classical_optimum`]: the
@@ -173,24 +113,23 @@ pub fn mermin_classical_optimum(n: usize) -> Result<f64, GameError> {
             limit: MERMIN_ENUM_LIMIT,
         });
     }
-    let inputs = mermin_inputs(n);
+    let masks = mermin_input_masks(n);
     let mut best = 0usize;
-    // Strategy encoding: 2 bits per player (output on input 0, on input 1).
+    // Strategy encoding: 2 bits per player (answer on input 0, on input 1).
     for strat in 0u64..(1 << (2 * n)) {
-        let wins = inputs
+        let wins = masks
             .iter()
-            .filter(|x| {
-                let outs: Vec<bool> = x
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &xi)| (strat >> (2 * i + xi as usize)) & 1 == 1)
-                    .collect();
-                mermin_wins(x, &outs)
+            .filter(|&&y_mask| {
+                let outcome = (0..n).fold(0u64, |acc, i| {
+                    let answer = (strat >> (2 * i + ((y_mask >> i) & 1) as usize)) & 1;
+                    acc | (answer << i)
+                });
+                mermin_wins_mask(y_mask, outcome)
             })
             .count();
         best = best.max(wins);
     }
-    Ok(best as f64 / inputs.len() as f64)
+    Ok(best as f64 / masks.len() as f64)
 }
 
 /// The closed-form classical bound of the Mermin game:
@@ -200,46 +139,17 @@ pub fn mermin_classical_bound(n: usize) -> f64 {
     0.5 + 2f64.powi(-(n.div_ceil(2) as i32))
 }
 
-/// Empirical quantum win rate over `rounds` uniformly-drawn inputs
-/// (should be exactly 1).
+/// Empirical statevector win rate of the quantum strategy over `rounds`
+/// rounds cycling through the inputs (should be exactly 1).
 pub fn mermin_quantum_win_rate<R: Rng + ?Sized>(n: usize, rounds: usize, rng: &mut R) -> f64 {
-    let inputs = mermin_inputs(n);
+    let masks = mermin_input_masks(n);
     let mut wins = 0usize;
     for i in 0..rounds {
-        let x = &inputs[i % inputs.len()];
-        let outs = play_mermin_quantum(x, rng);
-        wins += usize::from(mermin_wins(x, &outs));
+        let y_mask = masks[i % masks.len()];
+        let outcome = play_mermin_quantum(n, y_mask, rng);
+        wins += usize::from(mermin_wins_mask(y_mask, outcome));
     }
     wins as f64 / rounds as f64
-}
-
-/// All even-parity Mermin input vectors as bit masks (bit `j` = player
-/// `j`'s input), the packed form the kernel path consumes. Same order as
-/// [`mermin_inputs`].
-pub fn mermin_input_masks(n: usize) -> Vec<u64> {
-    assert!(n >= 2, "Mermin game needs at least two players");
-    (0..1u64 << n)
-        .filter(|m| m.count_ones().is_multiple_of(2))
-        .collect()
-}
-
-/// Mask form of [`mermin_wins`]: bit `j` of `outcome` is player `j`'s
-/// answer; the win target for even-weight `y_mask` is `(wt mod 4)/2`.
-pub fn mermin_wins_mask(y_mask: u64, outcome: u64) -> bool {
-    debug_assert!(
-        y_mask.count_ones().is_multiple_of(2),
-        "Mermin inputs have even parity"
-    );
-    let target = y_mask.count_ones() % 4 == 2;
-    (outcome.count_ones() % 2 == 1) == target
-}
-
-/// Plays one Mermin round on `kernel` with the optimal X/Y strategy:
-/// player `j` measures Y iff bit `j` of `y_mask` is set. Returns the
-/// outcome mask (bit `j` = player `j`'s answer).
-pub fn play_mermin_kernel<R: Rng + ?Sized>(kernel: &NoisyGhz, y_mask: u64, rng: &mut R) -> u64 {
-    ROUNDS.inc();
-    kernel.sample_xy(y_mask, rng)
 }
 
 /// Result of a [`play_mermin_batch`] run.
@@ -298,19 +208,20 @@ pub fn mermin_crossover_visibility(n: usize) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    // The GHZ game: Mermin at n = 3.
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn classical_optimum_is_three_quarters() {
-        assert!((classical_optimum() - 0.75).abs() < 1e-12);
+        assert_eq!(mermin_classical_optimum(3), Ok(0.75));
     }
 
     #[test]
     fn quantum_strategy_wins_always() {
         let mut rng = StdRng::seed_from_u64(1);
-        let rate = quantum_win_rate(2000, &mut rng);
+        let rate = mermin_quantum_win_rate(3, 2000, &mut rng);
         assert!(
             (rate - 1.0).abs() < 1e-12,
             "GHZ quantum strategy must be perfect, got {rate}"
@@ -320,12 +231,12 @@ mod tests {
     #[test]
     fn each_input_triple_wins_deterministically() {
         let mut rng = StdRng::seed_from_u64(2);
-        for &inputs in &GHZ_INPUTS {
+        for y_mask in mermin_input_masks(3) {
             for _ in 0..200 {
-                let outputs = play_quantum_round(inputs, &mut rng);
+                let outcome = play_mermin_quantum(3, y_mask, &mut rng);
                 assert!(
-                    ghz_wins(inputs, outputs),
-                    "lost on {inputs:?} → {outputs:?}"
+                    mermin_wins_mask(y_mask, outcome),
+                    "lost on {y_mask:03b} → {outcome:03b}"
                 );
             }
         }
@@ -336,13 +247,14 @@ mod tests {
         // Perfection without determinism: each player's output is still an
         // unbiased coin (the "free lunch" the paper's XOR framing gives).
         let mut rng = StdRng::seed_from_u64(3);
+        let masks = mermin_input_masks(3);
         let trials = 4000;
         let mut ones = [0usize; 3];
         for i in 0..trials {
-            let (a, b, c) = play_quantum_round(GHZ_INPUTS[i % 4], &mut rng);
-            ones[0] += usize::from(a);
-            ones[1] += usize::from(b);
-            ones[2] += usize::from(c);
+            let outcome = play_mermin_quantum(3, masks[i % 4], &mut rng);
+            for (p, o) in ones.iter_mut().enumerate() {
+                *o += ((outcome >> p) & 1) as usize;
+            }
         }
         for (p, o) in ones.iter().enumerate() {
             let f = *o as f64 / trials as f64;
@@ -361,11 +273,12 @@ mod tests {
 
     #[test]
     fn win_predicate_cases() {
-        assert!(ghz_wins((0, 0, 0), (false, false, false)));
-        assert!(!ghz_wins((0, 0, 0), (true, false, false)));
-        assert!(ghz_wins((0, 1, 1), (true, false, false)));
-        assert!(ghz_wins((1, 1, 0), (false, true, false)));
-        assert!(!ghz_wins((1, 0, 1), (true, true, false)));
+        // Bit j is player j: inputs (x, y, z) = (0, 1, 1) are 0b110.
+        assert!(mermin_wins_mask(0b000, 0b000));
+        assert!(!mermin_wins_mask(0b000, 0b001));
+        assert!(mermin_wins_mask(0b110, 0b001));
+        assert!(mermin_wins_mask(0b011, 0b010));
+        assert!(!mermin_wins_mask(0b101, 0b011));
     }
 }
 
@@ -377,22 +290,28 @@ mod mermin_tests {
 
     #[test]
     fn input_sets_have_even_parity_and_full_count() {
-        for n in 2..=6 {
-            let inputs = mermin_inputs(n);
-            assert_eq!(inputs.len(), 1 << (n - 1));
-            for x in &inputs {
-                assert_eq!(x.iter().map(|&b| b as u32).sum::<u32>() % 2, 0);
+        for n in 2..=7 {
+            let masks = mermin_input_masks(n);
+            assert_eq!(masks.len(), 1 << (n - 1));
+            assert!(masks.windows(2).all(|w| w[0] < w[1]), "distinct, sorted");
+            for &m in &masks {
+                assert!(m < 1 << n && m.count_ones() % 2 == 0, "{m:b}");
             }
         }
     }
 
     #[test]
     fn three_player_mermin_is_the_ghz_game() {
-        // The n=3 Mermin game and the GHZ_INPUTS game agree: weight-0
-        // inputs want parity 0, weight-2 inputs want parity 1.
-        assert!(mermin_wins(&[0, 0, 0], &[false, false, false]));
-        assert!(mermin_wins(&[0, 1, 1], &[true, false, false]));
-        assert!(!mermin_wins(&[1, 1, 0], &[false, false, false]));
+        // The GHZ game's inputs are {000, 011, 101, 110} and it is won iff
+        // a ⊕ b ⊕ c = x ∨ y ∨ z: weight-0 inputs want parity 0, weight-2
+        // inputs want parity 1.
+        assert_eq!(mermin_input_masks(3), [0b000, 0b011, 0b101, 0b110]);
+        for y_mask in mermin_input_masks(3) {
+            for outcome in 0..8u64 {
+                let ghz = (outcome.count_ones() % 2 == 1) == (y_mask != 0);
+                assert_eq!(mermin_wins_mask(y_mask, outcome), ghz);
+            }
+        }
     }
 
     #[test]
@@ -445,44 +364,13 @@ mod kernel_tests {
     use rand::SeedableRng;
 
     #[test]
-    fn input_masks_mirror_input_vectors() {
-        for n in 2..=7 {
-            let masks = mermin_input_masks(n);
-            let vecs = mermin_inputs(n);
-            assert_eq!(masks.len(), vecs.len());
-            for (m, x) in masks.iter().zip(&vecs) {
-                for (j, &xj) in x.iter().enumerate() {
-                    assert_eq!(((m >> j) & 1) as u8, xj);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mask_predicate_agrees_with_vector_predicate() {
-        for n in 2..=5usize {
-            for y_mask in mermin_input_masks(n) {
-                let x: Vec<u8> = (0..n).map(|j| ((y_mask >> j) & 1) as u8).collect();
-                for outcome in 0..(1u64 << n) {
-                    let outs: Vec<bool> = (0..n).map(|j| (outcome >> j) & 1 == 1).collect();
-                    assert_eq!(
-                        mermin_wins_mask(y_mask, outcome),
-                        mermin_wins(&x, &outs),
-                        "n = {n}, y = {y_mask:#b}, a = {outcome:#b}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn kernel_is_perfect_at_unit_visibility() {
         let mut rng = StdRng::seed_from_u64(11);
         for n in [3usize, 4, 5, 6] {
             let kernel = NoisyGhz::ideal(n).unwrap();
             for &y_mask in &mermin_input_masks(n) {
                 for _ in 0..100 {
-                    let a = play_mermin_kernel(&kernel, y_mask, &mut rng);
+                    let a = kernel.sample_xy(y_mask, &mut rng);
                     assert!(mermin_wins_mask(y_mask, a), "n = {n}, y = {y_mask:#b}");
                 }
             }
@@ -526,11 +414,11 @@ mod kernel_tests {
         let n = 4;
         let kernel = NoisyGhz::ideal(n).unwrap();
         for y_mask in mermin_input_masks(n) {
-            let x: Vec<u8> = (0..n).map(|j| ((y_mask >> j) & 1) as u8).collect();
-            let sv = play_mermin_quantum(&x, &mut rng);
-            assert!(mermin_wins(&x, &sv));
-            let a = kernel.sample_xy(y_mask, &mut rng);
-            assert!(mermin_wins_mask(y_mask, a));
+            assert!(mermin_wins_mask(
+                y_mask,
+                play_mermin_quantum(n, y_mask, &mut rng)
+            ));
+            assert!(mermin_wins_mask(y_mask, kernel.sample_xy(y_mask, &mut rng)));
         }
     }
 }

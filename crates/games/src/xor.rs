@@ -29,7 +29,6 @@
 //! advantage* iff `β_q > β_c`.
 
 use crate::error::GameError;
-use crate::game::TwoPlayerGame;
 use qmath::{project_elliptope, vecops, RMatrix};
 use rand::Rng;
 
@@ -144,6 +143,15 @@ impl XorGame {
         XorGame::new(prob, target)
     }
 
+    /// The flipped CHSH game of the load-balancing mapping (§4.1,
+    /// `f = ¬(x ∧ y)`, uniform π): the outputs agree (same server)
+    /// exactly when both tasks are type-C (`x = y = 1`).
+    pub fn flipped_chsh() -> Self {
+        let prob = RMatrix::from_fn(2, 2, |_, _| 0.25);
+        let target = vec![vec![true, true], vec![true, false]];
+        XorGame::new(prob, target)
+    }
+
     /// Number of Alice inputs.
     pub fn n_a(&self) -> usize {
         self.prob.rows()
@@ -157,6 +165,27 @@ impl XorGame {
     /// The target parity `f(x, y)`.
     pub fn target(&self, x: usize, y: usize) -> bool {
         self.target[x][y]
+    }
+
+    /// The win predicate: `a ⊕ b = f(x, y)`.
+    pub fn wins(&self, x: usize, y: usize, a: bool, b: bool) -> bool {
+        (a ^ b) == self.target[x][y]
+    }
+
+    /// Samples an input pair from π: one uniform draw, walked against the
+    /// cumulative cell probabilities in row-major order.
+    pub fn sample_inputs<R: Rng + ?Sized>(&self, rng: &mut R) -> (usize, usize) {
+        let r: f64 = rng.gen();
+        let mut acc = 0.0;
+        for x in 0..self.n_a() {
+            for y in 0..self.n_b() {
+                acc += self.prob[(x, y)];
+                if r < acc {
+                    return (x, y);
+                }
+            }
+        }
+        (self.n_a() - 1, self.n_b() - 1)
     }
 
     /// The bias matrix `A[x][y] = π(x, y)·(−1)^{f(x,y)}`.
@@ -328,21 +357,6 @@ impl XorGame {
         rng: &mut R,
     ) -> Result<bool, GameError> {
         Ok(self.quantum_value(rng) > self.classical_value()? + tol)
-    }
-}
-
-impl TwoPlayerGame for XorGame {
-    fn n_inputs_a(&self) -> usize {
-        self.n_a()
-    }
-    fn n_inputs_b(&self) -> usize {
-        self.n_b()
-    }
-    fn input_probability(&self, x: usize, y: usize) -> f64 {
-        self.prob[(x, y)]
-    }
-    fn wins(&self, x: usize, y: usize, a: bool, b: bool) -> bool {
-        (a ^ b) == self.target[x][y]
     }
 }
 
@@ -750,15 +764,6 @@ mod tests {
     fn bad_distribution_panics() {
         let prob = RMatrix::from_fn(2, 2, |_, _| 0.3);
         XorGame::new(prob, vec![vec![false; 2]; 2]);
-    }
-
-    #[test]
-    fn game_trait_implementation() {
-        let g = XorGame::chsh();
-        assert_eq!(g.n_inputs_a(), 2);
-        assert!((g.input_probability(1, 1) - 0.25).abs() < 1e-12);
-        assert!(g.wins(1, 1, true, false));
-        assert!(!g.wins(1, 1, true, true));
     }
 
     #[test]

@@ -155,7 +155,6 @@ proptest! {
     /// value (referee-level self-consistency).
     #[test]
     fn solution_value_is_achievable(seed in 0u64..64) {
-        use games::game::TwoPlayerGame;
         let mut rng = StdRng::seed_from_u64(seed);
         let g = AffinityGraph::random(3, 0.5, &mut rng);
         let game = g.to_xor_game(true);

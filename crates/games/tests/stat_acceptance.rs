@@ -7,8 +7,9 @@
 //! size and confidence are part of the assertion, not folded into a
 //! hand-tuned tolerance. Run `make test-stat` to see the accounting.
 
-use games::chsh::{ChshGame, ChshVariant, QuantumChshStrategy};
-use games::game::{PairStrategy, TwoPlayerGame};
+use games::chsh::QuantumChshStrategy;
+use games::game::PairStrategy;
+use games::XorGame;
 use qmath::assert_prob_in;
 use qsim::SharedPair;
 use rand::rngs::StdRng;
@@ -23,7 +24,7 @@ const ROUNDS: u64 = 50_000;
 
 /// Plays `ROUNDS` rounds of `game` with uniform inputs and returns the
 /// win count.
-fn wins<S: PairStrategy>(game: &ChshGame, strategy: &mut S, rng: &mut StdRng) -> u64 {
+fn wins<S: PairStrategy>(game: &XorGame, strategy: &mut S, rng: &mut StdRng) -> u64 {
     let mut wins = 0u64;
     for _ in 0..ROUNDS {
         let (x, y) = (
@@ -40,7 +41,7 @@ fn wins<S: PairStrategy>(game: &ChshGame, strategy: &mut S, rng: &mut StdRng) ->
 fn ideal_chsh_hits_the_tsirelson_win_rate() {
     // cos²(π/8) = 1/2 + √2/4 ≈ 0.85355.
     let mut rng = StdRng::seed_from_u64(100);
-    let game = ChshGame::standard();
+    let game = XorGame::chsh();
     let w = wins(&game, &mut QuantumChshStrategy::ideal(), &mut rng);
     assert_prob_in!(w, ROUNDS, games::chsh_quantum_value(), conf = CONF);
 }
@@ -48,7 +49,7 @@ fn ideal_chsh_hits_the_tsirelson_win_rate() {
 #[test]
 fn flipped_chsh_hits_the_same_value() {
     let mut rng = StdRng::seed_from_u64(101);
-    let game = ChshGame::flipped();
+    let game = XorGame::flipped_chsh();
     let w = wins(&game, &mut QuantumChshStrategy::ideal_flipped(), &mut rng);
     assert_prob_in!(w, ROUNDS, games::chsh_quantum_value(), conf = CONF);
 }
@@ -59,15 +60,13 @@ fn depolarized_pairs_hit_the_werner_closed_form() {
     // CHSH with probability exactly 1/2 + v·√2/4.
     for (lane, v) in [0.9f64, 0.6].into_iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(200 + lane as u64);
-        let game = ChshGame::standard();
+        let game = XorGame::chsh();
         let rho = qsim::noise::werner(v).expect("valid visibility");
-        let mut strategy = QuantumChshStrategy::with_source(
-            move || SharedPair::from_density(rho.clone()).expect("valid Werner state"),
-            ChshVariant::Standard,
-        );
+        let mut strategy = QuantumChshStrategy::with_source(move || {
+            SharedPair::from_density(rho.clone()).expect("valid Werner state")
+        });
         let w = wins(&game, &mut strategy, &mut rng);
-        let expected = 0.5 + v * std::f64::consts::SQRT_2 / 4.0;
-        assert_prob_in!(w, ROUNDS, expected, conf = CONF);
+        assert_prob_in!(w, ROUNDS, games::chsh_werner_value(v), conf = CONF);
     }
 }
 
@@ -77,19 +76,12 @@ fn sub_threshold_visibility_is_significantly_below_classical() {
     // the degradation is statistically significant, not just a smaller
     // point estimate.
     let mut rng = StdRng::seed_from_u64(300);
-    let game = ChshGame::standard();
+    let game = XorGame::chsh();
     let v = 0.5;
-    let mut strategy = QuantumChshStrategy::with_source(
-        move || SharedPair::werner(v).expect("valid visibility"),
-        ChshVariant::Standard,
-    );
+    let mut strategy =
+        QuantumChshStrategy::with_source(move || SharedPair::werner(v).expect("valid visibility"));
     let w = wins(&game, &mut strategy, &mut rng);
-    let check = assert_prob_in!(
-        w,
-        ROUNDS,
-        0.5 + v * std::f64::consts::SQRT_2 / 4.0,
-        conf = CONF
-    );
+    let check = assert_prob_in!(w, ROUNDS, games::chsh_werner_value(v), conf = CONF);
     assert!(
         check.hi < 0.75,
         "upper bound {:.4} must fall below the classical optimum (n = {ROUNDS}, conf = {CONF})",

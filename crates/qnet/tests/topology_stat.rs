@@ -46,7 +46,7 @@ fn chsh_over_chain_matches_closed_form() {
     for (lane, hops) in [1usize, 2, 4].into_iter().enumerate() {
         let spec = ChainSpec::uniform(hops, HOP_VISIBILITY, 1.0, swap()).unwrap();
         let v = spec.end_to_end_visibility();
-        let expected = 0.5 + v * std::f64::consts::SQRT_2 / 4.0;
+        let expected = games::chsh_werner_value(v);
         let mut rng = StdRng::seed_from_u64(1_000 + lane as u64);
         let wins = chsh_wins_over_chain(&spec, &mut rng);
         assert_prob_in!(wins, ROUNDS, expected, conf = CONF);
@@ -60,7 +60,7 @@ fn below_crossover_chain_is_flagged_and_sub_classical() {
     assert!(!spec.witnesses_chsh(), "8-hop chain must not witness CHSH");
     let v = spec.end_to_end_visibility();
     assert!(v < qsim::noise::WERNER_CHSH_THRESHOLD);
-    let expected = 0.5 + v * std::f64::consts::SQRT_2 / 4.0;
+    let expected = games::chsh_werner_value(v);
     // The theory value 0.7430 sits only ~0.007 below the classical 0.75,
     // so the one-sided certificate needs a tighter interval than the
     // two-sided pins: 200k rounds put the 99.9% half-width at ±0.0032.

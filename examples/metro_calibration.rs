@@ -9,9 +9,9 @@
 //!
 //! Run with: `cargo run --release --example metro_calibration`
 
-use qnlg::games::chsh::{ChshGame, QuantumChshStrategy};
+use qnlg::games::chsh::QuantumChshStrategy;
 use qnlg::games::game::empirical_win_rate;
-use qnlg::games::ChshVariant;
+use qnlg::games::{chsh_werner_value, XorGame};
 use qnlg::qnet::swap::{entanglement_swap, max_useful_hops};
 use qnlg::qsim::noise::{werner, WERNER_CHSH_THRESHOLD};
 use qnlg::qsim::{tomography, SharedPair};
@@ -59,12 +59,11 @@ fn main() {
 
     // Confirm end-to-end: play CHSH over the swapped pairs.
     let pair_state = sample.pair.clone();
-    let mut strategy = QuantumChshStrategy::with_source(
-        move || SharedPair::from_density(pair_state.clone()).expect("two qubits"),
-        ChshVariant::Standard,
-    );
-    let rate = empirical_win_rate(&ChshGame::standard(), &mut strategy, 100_000, &mut rng);
-    let theory = 0.5 + v_expected * std::f64::consts::SQRT_2 / 4.0;
+    let mut strategy = QuantumChshStrategy::with_source(move || {
+        SharedPair::from_density(pair_state.clone()).expect("two qubits")
+    });
+    let rate = empirical_win_rate(&XorGame::chsh(), &mut strategy, 100_000, &mut rng);
+    let theory = chsh_werner_value(v_expected);
     println!("\nCHSH over swapped pairs: win rate {rate:.4} (theory {theory:.4})");
     assert!(rate > 0.75, "swapped pairs must still beat classical");
 

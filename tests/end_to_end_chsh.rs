@@ -6,8 +6,8 @@
 //! the empirical win rate beats the classical ceiling when the hardware
 //! is good enough.
 
-use qnlg::games::chsh::{alice_angle, bob_angle, ChshGame};
-use qnlg::games::TwoPlayerGame;
+use qnlg::games::chsh::{alice_angle, bob_angle};
+use qnlg::games::XorGame;
 use qnlg::qnet::{
     ConsumePolicy, DistributorConfig, EntanglementDistributor, EprSource, FiberLink, SimTime,
 };
@@ -21,7 +21,7 @@ use std::time::Duration;
 fn pipeline_chsh(config: DistributorConfig, rounds: usize, seed: u64) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut dist = EntanglementDistributor::new(config, &mut rng);
-    let game = ChshGame::standard();
+    let game = XorGame::chsh();
     let mut now = SimTime::ZERO;
     let mut wins = 0usize;
     let mut played = 0usize;
