@@ -421,4 +421,24 @@ mod kernel_tests {
             assert!(mermin_wins_mask(y_mask, kernel.sample_xy(y_mask, &mut rng)));
         }
     }
+
+    #[test]
+    fn input_masks_mirror_input_vectors() {
+        // Bit j of each mask is player j's input: the masks, read back as
+        // input vectors, are the even-weight vectors of {0,1}^n in order
+        // of their little-endian value.
+        for n in 2..=7 {
+            let vecs: Vec<Vec<u8>> = (0..1u32 << n)
+                .map(|m| (0..n).map(|j| ((m >> j) & 1) as u8).collect::<Vec<u8>>())
+                .filter(|x| x.iter().map(|&b| b as u32).sum::<u32>() % 2 == 0)
+                .collect();
+            let masks = mermin_input_masks(n);
+            assert_eq!(masks.len(), vecs.len());
+            for (m, x) in masks.iter().zip(&vecs) {
+                for (j, &xj) in x.iter().enumerate() {
+                    assert_eq!(((m >> j) & 1) as u8, xj);
+                }
+            }
+        }
+    }
 }

@@ -767,6 +767,17 @@ mod tests {
     }
 
     #[test]
+    fn game_trait_implementation() {
+        // The game interface every caller plays through: input counts,
+        // the input distribution π (as |bias|) and the win predicate.
+        let g = XorGame::chsh();
+        assert_eq!((g.n_a(), g.n_b()), (2, 2));
+        assert!((g.bias_matrix()[(1, 1)].abs() - 0.25).abs() < 1e-12);
+        assert!(g.wins(1, 1, true, false));
+        assert!(!g.wins(1, 1, true, true));
+    }
+
+    #[test]
     fn zero_bias_rows_keep_unit_placeholder_vectors() {
         // A game whose first Alice input has zero probability everywhere:
         // its strategy vector is never touched by a half-step and must
