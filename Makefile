@@ -132,7 +132,11 @@ serve-soak:
 # Quick-budget chaos run with the event timeline on: writes
 # artifacts/TRACE_fig4-faults.json (Chrome trace_event — load in
 # Perfetto or chrome://tracing) next to the BENCH artifact, for CI to
-# upload. Tier-1 checks the trace's pair lifecycle on the raw log.
+# upload. Each recording thread's ring keeps only its last 65 536
+# events, so the file holds about 5 % of the run's events: the tail of
+# each worker. The dropped count is on the `trace:` stderr line and in
+# the file's otherData.dropped_events. Tier-1 checks the trace's pair
+# lifecycle on the raw log.
 trace-quick:
 	$(CARGO) run --release -p qnlg-bench --bin repro -- fig4-faults --quick --trace --out artifacts/
 
@@ -165,8 +169,7 @@ test-topology:
 # CI-budget reproduction of every experiment, with JSON-lines artifacts
 # in artifacts/. Fails if any acceptance check fails, or if
 # `check-artifacts` rejects an artifact: schema, positive perf metrics
-# and elapsed time, a populated series with windows, and the decision
-# p99 under its 20 us cliff guard.
+# and elapsed time, and the decision p99 under its 20 us cliff guard.
 repro-quick:
 	$(CARGO) run --release -p qnlg-bench --bin repro -- all --quick --json --out artifacts/
 	$(CARGO) run --release -p qnlg-bench --bin repro -- check-artifacts artifacts/

@@ -27,8 +27,7 @@
 //!
 //! `--trace` (requires `--out`) additionally records the event timeline
 //! and writes `TRACE_<experiment>.json` (Chrome `trace_event` format —
-//! load in Perfetto or `chrome://tracing`) plus `TRACE_<experiment>.jsonl`
-//! (compact JSON-lines) per experiment.
+//! load in Perfetto or `chrome://tracing`) per experiment.
 //!
 //! Each artifact's `perf` section is the run's `elapsed_ns` plus a list
 //! of per-unit-of-work metrics in `BENCHMARK.json`'s shape (`name`,
@@ -86,10 +85,6 @@ extern "C" {
 /// POSIX SIGINT.
 const SIGINT: i32 = 2;
 
-/// Sim-time width of one `series` window (1 ms of simulated time; the
-/// recorder caps itself at `trace::series::MAX_WINDOWS`).
-const SERIES_WINDOW_NS: u64 = 1_000_000;
-
 struct Options {
     quick: bool,
     json: bool,
@@ -104,14 +99,13 @@ struct RunOutput {
     report: Report,
     snap: obs::Snapshot,
     perf: PerfStats,
-    series: trace::series::SeriesSnapshot,
     trace_log: Option<trace::TraceLog>,
 }
 
 /// Runs one experiment with the metrics registry scoped to it, so the
 /// artifact's `obs` section covers exactly this run; times the run for
-/// the artifact's `perf` section, records the windowed `series`, and —
-/// under `--trace` — captures the event timeline.
+/// the artifact's `perf` section and, under `--trace`, captures the
+/// event timeline.
 fn run_instrumented(
     name: &str,
     quick: bool,
@@ -125,7 +119,6 @@ fn run_instrumented(
         trace::reset();
         trace::set_enabled(true);
     }
-    trace::series::start(SERIES_WINDOW_NS);
     let started = Instant::now();
     let report = if soak {
         // Only serve has an open-ended soak mode; `main` rejects --soak
@@ -155,7 +148,6 @@ fn run_instrumented(
         experiments::run(name, quick)
     };
     let elapsed = started.elapsed();
-    let series = trace::series::finish();
     let trace_log = tracing.then(|| {
         trace::set_enabled(false);
         trace::drain()
@@ -167,19 +159,17 @@ fn run_instrumented(
         report,
         snap,
         perf,
-        series,
         trace_log,
     })
 }
 
 /// Emits one finished report: text and/or JSON to stdout, plus the
-/// `BENCH_<name>.json` (and under `--trace` the `TRACE_<name>.*`)
+/// `BENCH_<name>.json` (and under `--trace` the `TRACE_<name>.json`)
 /// artifacts when `--out` is set. Returns false on an artifact I/O
 /// failure.
 fn emit(out: &RunOutput, opts: &Options) -> bool {
     let mut ctx = RunContext::current(opts.quick, Some(out.snap.clone()));
     ctx.perf = Some(out.perf.clone());
-    ctx.series = Some(out.series.clone());
     let line = out.report.to_json(&ctx).render();
     if opts.json {
         println!("{line}");
@@ -207,21 +197,17 @@ fn emit(out: &RunOutput, opts: &Options) -> bool {
         format!("{line}\n"),
     )];
     if let Some(log) = &out.trace_log {
-        files.push((
-            format!("TRACE_{}.json", out.report.name),
-            format!("{}\n", trace::export::chrome_trace(log).render()),
-        ));
-        files.push((
-            format!("TRACE_{}.jsonl", out.report.name),
-            trace::export::json_lines(log),
-        ));
+        let name = format!("TRACE_{}.json", out.report.name);
         eprintln!(
             "trace: {} events ({} dropped) -> {}",
             log.events.len(),
             log.dropped,
-            dir.join(format!("TRACE_{}.json", out.report.name))
-                .display()
+            dir.join(&name).display()
         );
+        files.push((
+            name,
+            format!("{}\n", trace::export::chrome_trace(log).render()),
+        ));
     }
     for (name, contents) in &files {
         if let Err(e) = write_artifact(dir, name, contents) {

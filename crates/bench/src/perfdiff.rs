@@ -410,7 +410,6 @@ mod tests {
             git: "test".into(),
             obs: None,
             perf: Some(perf.clone()),
-            series: None,
         };
         let line = report.to_json(&ctx).render();
         crate::report::write_artifact(&dir, "BENCH_sample.json", &format!("{line}\n"))

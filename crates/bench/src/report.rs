@@ -12,7 +12,7 @@
 //! of the experiment's seeds, so the JSON line is byte-identical across
 //! worker counts once the run-environment fields (`threads`, `git`, the
 //! `obs` snapshot with its `time.*` wall-clock metrics and scheduling
-//! counters, `perf` and `series`) are stripped. [`canonical_json`] pins
+//! counters, and `perf`) are stripped. [`canonical_json`] pins
 //! them, and the determinism tests digest its output.
 
 use obs::json::Json;
@@ -116,16 +116,16 @@ impl Report {
 
     /// Serializes as one `qnlg.bench.v1` JSON object.
     pub fn to_json(&self, ctx: &RunContext) -> Json {
-        let mut pairs: Vec<(String, Json)> = vec![
-            ("schema".into(), Json::str("qnlg.bench.v1")),
-            ("experiment".into(), Json::str(self.name)),
-            ("quick".into(), Json::Bool(ctx.quick)),
-            ("seed".into(), Json::uint(self.seed)),
-            ("threads".into(), Json::uint(ctx.threads as u64)),
-            ("git".into(), Json::str(ctx.git.clone())),
-            ("passed".into(), Json::Bool(self.passed())),
+        Json::obj([
+            ("schema", Json::str("qnlg.bench.v1")),
+            ("experiment", Json::str(self.name)),
+            ("quick", Json::Bool(ctx.quick)),
+            ("seed", Json::uint(self.seed)),
+            ("threads", Json::uint(ctx.threads as u64)),
+            ("git", Json::str(ctx.git.clone())),
+            ("passed", Json::Bool(self.passed())),
             (
-                "checks".into(),
+                "checks",
                 Json::Arr(
                     self.checks
                         .iter()
@@ -140,7 +140,7 @@ impl Report {
                 ),
             ),
             (
-                "scalars".into(),
+                "scalars",
                 Json::Obj(
                     self.scalars
                         .iter()
@@ -149,7 +149,7 @@ impl Report {
                 ),
             ),
             (
-                "intervals".into(),
+                "intervals",
                 Json::Obj(
                     self.intervals
                         .iter()
@@ -157,27 +157,13 @@ impl Report {
                         .collect(),
                 ),
             ),
-            ("points".into(), Json::Arr(self.points.clone())),
-        ];
-        pairs.push((
-            "obs".into(),
-            match &ctx.obs {
-                Some(snap) => obs_to_json(snap),
-                None => Json::Null,
-            },
-        ));
-        pairs.push((
-            "perf".into(),
-            ctx.perf.as_ref().map_or(Json::Null, PerfStats::to_json),
-        ));
-        pairs.push((
-            "series".into(),
-            match &ctx.series {
-                Some(s) => s.to_json(),
-                None => Json::Null,
-            },
-        ));
-        Json::Obj(pairs)
+            ("points", Json::Arr(self.points.clone())),
+            ("obs", ctx.obs.as_ref().map_or(Json::Null, obs_to_json)),
+            (
+                "perf",
+                ctx.perf.as_ref().map_or(Json::Null, PerfStats::to_json),
+            ),
+        ])
     }
 }
 
@@ -386,8 +372,6 @@ pub struct RunContext {
     pub obs: Option<obs::Snapshot>,
     /// Wall-clock timing of this experiment's run.
     pub perf: Option<PerfStats>,
-    /// Windowed counter time series covering this experiment's run.
-    pub series: Option<trace::series::SeriesSnapshot>,
 }
 
 impl RunContext {
@@ -399,13 +383,12 @@ impl RunContext {
             git: git_describe(),
             obs,
             perf: None,
-            series: None,
         }
     }
 }
 
 /// `report`'s quick artifact line with the run-environment fields pinned
-/// (`threads`, `git`, `obs`, `perf`, `series`): two renders differ only
+/// (`threads`, `git`, `obs`, `perf`): two renders differ only
 /// where the experiment's results differ.
 pub fn canonical_json(report: &Report) -> String {
     let ctx = RunContext {
@@ -414,7 +397,6 @@ pub fn canonical_json(report: &Report) -> String {
         git: "pinned".into(),
         obs: None,
         perf: None,
-        series: None,
     };
     report.to_json(&ctx).render()
 }
@@ -560,7 +542,6 @@ pub const REQUIRED_FIELDS: &[&str] = &[
     "points",
     "obs",
     "perf",
-    "series",
 ];
 
 /// Validates one artifact line against the `qnlg.bench.v1` schema.
@@ -597,18 +578,6 @@ pub fn validate_artifact_line(line: &str) -> Result<Json, String> {
     for (i, point) in points.iter().enumerate() {
         PerfStats::of(point).map_err(|e| format!("points[{i}]: {e}"))?;
     }
-    // `series` must be present; when populated (not the determinism-pinned
-    // null) it needs a positive window width and at least one window.
-    if let Some(series) = doc.get("series").filter(|s| !matches!(s, Json::Null)) {
-        let width = series.get("window_ns").and_then(Json::as_i64);
-        if width.is_none_or(|w| w <= 0) {
-            return Err("'series.window_ns' is not a positive integer".into());
-        }
-        let windows = series.get("windows").and_then(Json::as_arr);
-        if windows.is_none_or(|w| w.is_empty()) {
-            return Err("'series.windows' is not a non-empty array".into());
-        }
-    }
     Ok(doc)
 }
 
@@ -617,10 +586,10 @@ pub fn validate_artifact_line(line: &str) -> Result<Json, String> {
 const DECISION_P99_CEILING_NS: f64 = 20_000.0;
 
 /// Every rule `repro check-artifacts` applies to an artifact line: it
-/// passes [`validate_artifact_line`] and its acceptance checks, `perf` and
-/// `series` (which `repro` always writes) and every point's `perf` are not
-/// null, and `decision_p99_ns` is under the 20 µs cliff guard. Returns
-/// the experiment's name.
+/// passes [`validate_artifact_line`] and its acceptance checks, `perf`
+/// (which `repro` always writes) and every point's `perf` are not null,
+/// and `decision_p99_ns` is under the 20 µs cliff guard. Returns the
+/// experiment's name.
 ///
 /// # Errors
 /// A message naming the first failed rule.
@@ -631,9 +600,6 @@ pub fn check_repro_artifact(line: &str) -> Result<String, String> {
         return Err(format!("{exp}: acceptance checks failed"));
     }
     let perf = PerfStats::of(&doc)?.ok_or("'perf' is null")?;
-    if matches!(doc.get("series"), Some(Json::Null)) {
-        return Err("'series' is null".into());
-    }
     let points = doc.get("points").and_then(Json::as_arr).unwrap_or(&[]);
     if let Some(i) = points
         .iter()
@@ -689,18 +655,6 @@ mod tests {
         }
     }
 
-    /// A recorded series: 1 µs windows, one of which saw a counter move.
-    fn sample_series() -> trace::series::SeriesSnapshot {
-        trace::series::SeriesSnapshot {
-            window_ns: 1_000,
-            dropped_windows: 0,
-            windows: vec![trace::series::SeriesWindow {
-                t_ns: 5_000,
-                counters: vec![("qnet.epr.emitted".into(), 3)],
-            }],
-        }
-    }
-
     fn sample_report() -> Report {
         let mut r = Report::new("sample", 7);
         r.text = "a table\n".into();
@@ -720,7 +674,6 @@ mod tests {
             git: "test".into(),
             obs: None,
             perf: Some(sample_perf()),
-            series: None,
         };
         let line = r.to_json(&ctx).render();
         let doc = validate_artifact_line(&line).expect("valid artifact");
@@ -776,7 +729,6 @@ mod tests {
             git: "test".into(),
             obs: None,
             perf: Some(sample_perf()),
-            series: None,
         };
         let line = r.to_json(&ctx).render();
         validate_artifact_line(&line).expect("well-formed perf");
@@ -831,11 +783,6 @@ mod tests {
         // `repro` always writes perf, so check-artifacts also fails a null
         // perf or per-point perf, and a p99 at the cliff-guard ceiling.
         let check = check_repro_artifact;
-        let written = RunContext {
-            series: Some(sample_series()),
-            ..ctx
-        };
-        let line = r.to_json(&written).render();
         assert_eq!(check(&line), Ok("sample".to_string()));
         let failed = line.replacen(r#""passed":true"#, r#""passed":false"#, 1);
         assert!(check(&failed)
@@ -844,7 +791,6 @@ mod tests {
         let perf_json = sample_perf().to_json().render();
         let null_perf = line.replacen(&perf_json, "null", 1);
         assert!(check(&null_perf).unwrap_err().contains("'perf' is null"));
-        let good = point.to_json(&written).render();
         check(&good).expect("per-point perf passes");
         // The point's perf renders before the top-level one.
         let null_point = good.replacen(&perf_json, "null", 1);
@@ -853,62 +799,6 @@ mod tests {
         check(&line.replacen(r#""value":511"#, r#""value":19999"#, 1)).expect("under the ceiling");
         let slow = line.replacen(r#""value":511"#, r#""value":20000"#, 1);
         assert!(check(&slow).unwrap_err().contains("decision_p99_ns"));
-    }
-
-    #[test]
-    fn validator_checks_series_shape() {
-        let r = sample_report();
-        let mut ctx = RunContext {
-            quick: true,
-            threads: 4,
-            git: "test".into(),
-            obs: None,
-            perf: None,
-            series: None,
-        };
-        // Null series is the determinism-pinned form and must validate.
-        let line = r.to_json(&ctx).render();
-        let doc = validate_artifact_line(&line).expect("null series is valid");
-        assert!(matches!(doc.get("series"), Some(Json::Null)));
-
-        // A populated series round-trips with its windows intact.
-        ctx.series = Some(sample_series());
-        let populated = r.to_json(&ctx).render();
-        let doc = validate_artifact_line(&populated).expect("populated series is valid");
-        let series = doc.get("series").unwrap();
-        assert_eq!(series.get("window_ns").unwrap().as_i64(), Some(1_000));
-        assert!(series.get("windows").unwrap().as_arr().is_some());
-        assert_eq!(series.get("windows").unwrap().as_arr().unwrap().len(), 1);
-
-        // A malformed series (windows not an array) is rejected.
-        let bad = line.replace(
-            r#""series":null"#,
-            r#""series":{"window_ns":1000,"windows":1}"#,
-        );
-        assert_ne!(bad, line, "replacement must hit the null series");
-        assert!(validate_artifact_line(&bad).is_err());
-        // So are a zero window width and a series without windows.
-        let window = r#"{"t_ns":0,"counters":{"x":1}}"#;
-        for (series, needle) in [
-            (
-                format!(r#"{{"window_ns":0,"windows":[{window}]}}"#),
-                "window_ns",
-            ),
-            (r#"{"window_ns":1000,"windows":[]}"#.to_string(), "windows"),
-        ] {
-            let bad = line.replace(r#""series":null"#, &format!(r#""series":{series}"#));
-            let err = validate_artifact_line(&bad).expect_err(&series);
-            assert!(err.contains(needle), "{series}: got {err}");
-        }
-
-        // `repro` always writes a series, so check-artifacts fails a null
-        // one.
-        ctx.perf = Some(sample_perf());
-        let written = r.to_json(&ctx).render();
-        check_repro_artifact(&written).expect("populated series");
-        ctx.series = None;
-        let err = check_repro_artifact(&r.to_json(&ctx).render()).unwrap_err();
-        assert!(err.contains("'series' is null"), "got: {err}");
     }
 
     #[test]

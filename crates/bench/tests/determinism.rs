@@ -34,22 +34,22 @@ fn par_sweep_6x10_grid_is_worker_count_invariant() {
 /// change that means to alter results updates the entry from the failure
 /// message and says so in its notes.
 const QUICK_DIGESTS: [(&str, u64); 16] = [
-    ("chsh", 0x1bc5_6862_beaf_6f3a),
-    ("fig3", 0x0b6e_45dc_28ee_8ff8),
-    ("fig3-vertices", 0xe1bf_a6b6_bce3_358d),
-    ("fig4", 0xcd4e_fcc4_1582_0a8e),
-    ("fig4-scaling", 0x4cca_7f9a_dbdc_b21e),
-    ("fig4-disciplines", 0x2370_9b22_affb_42b0),
-    ("fig4-faults", 0xd337_a349_94f6_45a9),
-    ("fig4-scale", 0x6322_b2ef_1b55_fae9),
-    ("ecmp", 0x3645_17f3_f537_030a),
-    ("timing", 0xb5fe_9d6f_a42d_4873),
-    ("noise", 0xfa2b_692b_2522_6806),
-    ("hybrid", 0xc14c_4593_63e3_21bd),
-    ("pipeline", 0xda7f_f5b9_65d7_147b),
-    ("ghz", 0xd937_6953_56f1_ff75),
-    ("topology", 0x29b3_ef94_bd4e_1ea5),
-    ("serve", 0xb709_2ab5_20e8_5473),
+    ("chsh", 0x9eaf_3817_c25d_5a64),
+    ("fig3", 0xd15b_e2d6_8752_3e9e),
+    ("fig3-vertices", 0x31ac_5fb6_bb64_223b),
+    ("fig4", 0x7b5f_89ee_b361_abc0),
+    ("fig4-scaling", 0x5b1d_398f_ef48_4070),
+    ("fig4-disciplines", 0x2548_5650_eeab_e736),
+    ("fig4-faults", 0xe1dc_bff5_1de3_bd7f),
+    ("fig4-scale", 0xacf8_42ee_59c9_2bbf),
+    ("ecmp", 0x52d2_217d_c6ba_3394),
+    ("timing", 0xd95e_2f22_528e_590d),
+    ("noise", 0x02de_328c_6fa9_59f8),
+    ("hybrid", 0xabd1_b48d_aef7_8e4b),
+    ("pipeline", 0xdb90_a8ce_bccc_25b5),
+    ("ghz", 0xb658_f037_3168_8d23),
+    ("topology", 0x6a6a_86e0_b630_7a33),
+    ("serve", 0xc0ba_bdaa_168c_450d),
 ];
 
 /// The digest drift of one canonical payload, or `None` when it matches
@@ -592,8 +592,9 @@ fn serve_artifact_is_rerun_obs_and_trace_invariant() {
 }
 
 /// The JSON artifact line for fig4 must validate against the schema and
-/// carry the fields the acceptance criteria promise: seed, thread count,
-/// per-point SimResult fields, and Wilson intervals.
+/// carry the fields the acceptance criteria promise: exactly the
+/// required top-level keys in their order, seed, thread count, per-point
+/// SimResult fields, and Wilson intervals.
 #[test]
 fn fig4_artifact_line_matches_schema() {
     let report = qnlg_bench::experiments::fig4::run_with_threads(2, true);
@@ -603,10 +604,20 @@ fn fig4_artifact_line_matches_schema() {
         git: "test".into(),
         obs: None,
         perf: None,
-        series: None,
     };
     let line = report.to_json(&ctx).render();
     let doc = qnlg_bench::report::validate_artifact_line(&line).expect("valid artifact line");
+    let keys: Vec<&str> = doc
+        .as_obj()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    assert_eq!(
+        keys,
+        qnlg_bench::report::REQUIRED_FIELDS,
+        "the artifact writer and the validator disagree on the top-level keys"
+    );
     assert_eq!(doc.get("experiment").unwrap().as_str(), Some("fig4"));
     assert_eq!(doc.get("seed").unwrap().as_i64(), Some(40));
     assert_eq!(doc.get("threads").unwrap().as_i64(), Some(2));

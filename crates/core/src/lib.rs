@@ -23,15 +23,16 @@
 //!   exists"), then sampled per round.
 //!
 //! The n-party Mermin game (§4.1) is not wrapped here: its strategies and
-//! win predicate live in [`games::multiparty`], sampled by
-//! [`qsim::NoisyGhz`].
+//! win predicate live in [`games::multiparty`], sampled by the `qsim`
+//! crate's closed-form noisy-GHZ kernel.
 //!
 //! In production the correlation would come from entangled photon pairs
-//! streamed by the Fig. 1 source; in this library it comes from
-//! [`qsim`]'s exact simulation (or the statistically-identical closed
-//! form). The *interface* — decide locally, now, with no knowledge of the
-//! peer's input — is the same, and the no-signaling property is enforced
-//! by construction and verified by tests.
+//! streamed by the Fig. 1 source; in this library it comes from the
+//! game's closed-form correlation table ([`games::CorrelationBox`]),
+//! which the workspace's tests check against the exact quantum
+//! simulation. The *interface* — decide locally, now, with no knowledge
+//! of the peer's input — is the same, and the no-signaling property is
+//! enforced by construction and verified by tests.
 //!
 //! ## Quick example
 //!
@@ -55,11 +56,3 @@ pub use coordinator::{
     AffinityCoordinator, ColocationCoordinator, CoordinatorBuilder, Endpoint, TaskClass,
 };
 pub use error::CoreError;
-
-// Re-export the layers beneath for users who need to reach in.
-pub use ecmp;
-pub use games;
-pub use loadbalance;
-pub use qmath;
-pub use qnet;
-pub use qsim;

@@ -20,7 +20,7 @@
 //!   modes the hardware keeps being polled at the same cadence, so the
 //!   governor can see delivery recover once the fault clears.
 //!
-//! Every transition is counted and timed through `qnlg-obs`
+//! Every transition is counted through `qnlg-obs`
 //! (`qnlg.fallback.*`), so a repro artifact can assert the chaos schedule
 //! actually exercised the state machine.
 
@@ -285,7 +285,6 @@ impl FallbackGovernor {
     }
 
     fn transition_to(&mut self, next: CoordinationMode) {
-        let _span = obs::span!("fallback.transition");
         self.mode = next;
         self.dwell = 0;
         self.transitions += 1;

@@ -289,7 +289,6 @@ where
 pub fn load_sweep<R: Rng>(strategy: Strategy, loads: &[f64], rng: &mut R) -> Vec<(f64, f64)> {
     let master = rng.next_u64();
     runtime::par_sweep(master, loads, |_, &load, rng| {
-        let _span = obs::span!("sweep.point");
         let config = SimConfig::paper(load);
         let mut workload = crate::task::BernoulliWorkload::paper();
         let r = run_simulation(config, strategy, &mut workload, rng);

@@ -1,12 +1,14 @@
-//! The sharded metric registry.
+//! The metric registry.
 //!
-//! Metrics are named by dotted paths (`"qnet.des.events"`); names under
+//! Metrics are named by dotted paths (`"qnet.epr.emitted"`); names under
 //! the reserved `time.` prefix are wall-clock measurements and are
-//! treated as non-deterministic by downstream tooling. Registration
-//! hashes the name into one of [`REGISTRY_SHARDS`] `Mutex<HashMap>`
-//! shards, so unrelated call sites never contend; hot paths avoid even
-//! that by caching the handle in a [`LazyCounter`]/[`LazyGauge`]/
-//! [`LazyHist`] static.
+//! treated as non-deterministic by downstream tooling. The registry is
+//! one `Mutex<BTreeMap>` from name to metric, so [`snapshot`] lists
+//! metrics in name order as it walks the map. The lock is taken to
+//! register a name ([`counter`], [`gauge`], [`hist`]; hot paths cache
+//! the handle in a [`LazyCounter`]/[`LazyGauge`]/[`LazyHist`] static,
+//! which registers on first use) and by [`reset`] and [`snapshot`];
+//! recording through a handle never takes it.
 //!
 //! Recording is gated on a single relaxed [`enabled`] load. [`reset`]
 //! clears all registered metrics (the `repro` harness isolates each
@@ -14,14 +16,9 @@
 //! share the underlying atomics with the registry.
 
 use crate::hist::{HistInner, HistSnapshot};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Number of registry shards (hash of the metric name picks one).
-pub const REGISTRY_SHARDS: usize = 8;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -42,29 +39,12 @@ enum Metric {
     Hist(Arc<HistInner>),
 }
 
-struct Registry {
-    shards: [Mutex<HashMap<String, Metric>>; REGISTRY_SHARDS],
-}
+static REGISTRY: Mutex<BTreeMap<String, Metric>> = Mutex::new(BTreeMap::new());
 
-fn lock_shard(
-    m: &Mutex<HashMap<String, Metric>>,
-) -> std::sync::MutexGuard<'_, HashMap<String, Metric>> {
-    // A panic while holding a shard lock (e.g. a type-conflict panic in
-    // a test) never leaves the map inconsistent, so poison is recoverable.
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Registry {
-        shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-    })
-}
-
-fn shard_of(name: &str) -> usize {
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    (h.finish() as usize) % REGISTRY_SHARDS
+fn registry() -> MutexGuard<'static, BTreeMap<String, Metric>> {
+    // A panic while holding the lock (e.g. a type-conflict panic in a
+    // test) never leaves the map inconsistent, so poison is recoverable.
+    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A monotonically-increasing event count.
@@ -160,8 +140,7 @@ impl Hist {
 
 /// Registers (or fetches) the counter `name`.
 pub fn counter(name: &str) -> Counter {
-    let mut shard = lock_shard(&registry().shards[shard_of(name)]);
-    match shard
+    match registry()
         .entry(name.to_string())
         .or_insert_with(|| Metric::Counter(Arc::new(AtomicU64::new(0))))
     {
@@ -172,8 +151,7 @@ pub fn counter(name: &str) -> Counter {
 
 /// Registers (or fetches) the gauge `name`.
 pub fn gauge(name: &str) -> Gauge {
-    let mut shard = lock_shard(&registry().shards[shard_of(name)]);
-    match shard.entry(name.to_string()).or_insert_with(|| {
+    match registry().entry(name.to_string()).or_insert_with(|| {
         Metric::Gauge(Arc::new(GaugeInner {
             value: AtomicI64::new(0),
             max: AtomicI64::new(i64::MIN),
@@ -186,8 +164,7 @@ pub fn gauge(name: &str) -> Gauge {
 
 /// Registers (or fetches) the histogram `name`.
 pub fn hist(name: &str) -> Hist {
-    let mut shard = lock_shard(&registry().shards[shard_of(name)]);
-    match shard
+    match registry()
         .entry(name.to_string())
         .or_insert_with(|| Metric::Hist(Arc::new(HistInner::new())))
     {
@@ -203,17 +180,14 @@ pub fn hist(name: &str) -> Hist {
 /// covers exactly one run. Not linearizable against concurrent
 /// recorders; call it while no instrumented work is in flight.
 pub fn reset() {
-    for shard in &registry().shards {
-        let shard = lock_shard(shard);
-        for metric in shard.values() {
-            match metric {
-                Metric::Counter(c) => c.store(0, Ordering::Relaxed),
-                Metric::Gauge(g) => {
-                    g.value.store(0, Ordering::Relaxed);
-                    g.max.store(i64::MIN, Ordering::Relaxed);
-                }
-                Metric::Hist(h) => h.clear(),
+    for metric in registry().values() {
+        match metric {
+            Metric::Counter(c) => c.store(0, Ordering::Relaxed),
+            Metric::Gauge(g) => {
+                g.value.store(0, Ordering::Relaxed);
+                g.max.store(i64::MIN, Ordering::Relaxed);
             }
+            Metric::Hist(h) => h.clear(),
         }
     }
 }
@@ -261,28 +235,22 @@ impl Snapshot {
 /// Exports every registered metric, sorted by name for stable output.
 pub fn snapshot() -> Snapshot {
     let mut snap = Snapshot::default();
-    for shard in &registry().shards {
-        let shard = lock_shard(shard);
-        for (name, metric) in shard.iter() {
-            match metric {
-                Metric::Counter(c) => {
-                    snap.counters
-                        .push((name.clone(), c.load(Ordering::Relaxed)));
-                }
-                Metric::Gauge(g) => snap.gauges.push((
-                    name.clone(),
-                    GaugeSnapshot {
-                        value: g.value.load(Ordering::Relaxed),
-                        high_water: g.max.load(Ordering::Relaxed),
-                    },
-                )),
-                Metric::Hist(h) => snap.hists.push((name.clone(), h.snapshot())),
+    for (name, metric) in registry().iter() {
+        match metric {
+            Metric::Counter(c) => {
+                snap.counters
+                    .push((name.clone(), c.load(Ordering::Relaxed)));
             }
+            Metric::Gauge(g) => snap.gauges.push((
+                name.clone(),
+                GaugeSnapshot {
+                    value: g.value.load(Ordering::Relaxed),
+                    high_water: g.max.load(Ordering::Relaxed),
+                },
+            )),
+            Metric::Hist(h) => snap.hists.push((name.clone(), h.snapshot())),
         }
     }
-    snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-    snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-    snap.hists.sort_by(|a, b| a.0.cmp(&b.0));
     snap
 }
 
@@ -375,7 +343,7 @@ impl LazyHist {
         }
     }
 
-    pub(crate) fn get(&self) -> &Hist {
+    fn get(&self) -> &Hist {
         self.cell.get_or_init(|| hist(self.name))
     }
 
@@ -398,7 +366,7 @@ impl LazyHist {
 
 /// Serializes tests that toggle the process-global enabled flag.
 #[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+fn test_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }

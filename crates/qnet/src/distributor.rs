@@ -529,8 +529,6 @@ impl EntanglementDistributor {
         // discarded lazily by the consume path and eventually age out —
         // they occupy memory until then, exactly as a real half-pair would.
         self.clock = now;
-        // Windowed time series ride the sim clock of whoever advances.
-        trace::series::tick(now.as_nanos());
     }
 
     /// Pops the next deliverable pair per the consume policy, pruning

@@ -1,4 +1,4 @@
-//! Trace exporters: Chrome `trace_event` JSON and compact JSON-lines.
+//! Trace exporter: Chrome `trace_event` JSON.
 //!
 //! The Chrome form loads directly in Perfetto (<https://ui.perfetto.dev>)
 //! or `chrome://tracing`: wall-clock events (runtime workers) and
@@ -6,10 +6,9 @@
 //! *processes* so the two time axes never share a track, with one named
 //! thread per runtime worker, per QNIC side, per source, and per
 //! governor. Timestamps are microseconds as the format requires; the
-//! sub-µs detail survives because `ts` is fractional.
-//!
-//! The JSON-lines form is for ad-hoc tooling (`jq`, spreadsheets): a
-//! header object with the drop count, then one object per event.
+//! sub-µs detail survives because `ts` is fractional. Each pair event
+//! carries its pair id and distributor lane in `args`, and
+//! `otherData.dropped_events` is the count the rings overwrote.
 
 use crate::event::{Event, EventKind, Side, Track};
 use crate::TraceLog;
@@ -164,55 +163,6 @@ pub fn chrome_trace(log: &TraceLog) -> Json {
     ])
 }
 
-/// Renders the log as compact JSON-lines: a `qnlg.trace.v1` header
-/// object (schema, event count, drop count), then one object per event.
-pub fn json_lines(log: &TraceLog) -> String {
-    let events = sorted(log);
-    let mut out = String::new();
-    out.push_str(
-        &Json::obj([
-            ("schema", Json::str("qnlg.trace.v1")),
-            ("events", Json::uint(events.len() as u64)),
-            ("dropped", Json::uint(log.dropped)),
-        ])
-        .render(),
-    );
-    out.push('\n');
-    for e in &events {
-        let clock = if e.wall { "wall" } else { "sim" };
-        let mut pairs: Vec<(String, Json)> = vec![
-            ("t_ns".into(), Json::uint(e.t_ns)),
-            ("clock".into(), Json::str(clock)),
-            ("track".into(), Json::str(track_name(e.track))),
-        ];
-        match e.kind {
-            EventKind::Begin(n) => {
-                pairs.push(("kind".into(), Json::str("begin")));
-                pairs.push(("name".into(), Json::str(n)));
-            }
-            EventKind::End(n) => {
-                pairs.push(("kind".into(), Json::str("end")));
-                pairs.push(("name".into(), Json::str(n)));
-            }
-            EventKind::Instant(n) => {
-                pairs.push(("kind".into(), Json::str("instant")));
-                pairs.push(("name".into(), Json::str(n)));
-            }
-            EventKind::Pair { stage, id } => {
-                pairs.push(("kind".into(), Json::str("pair")));
-                pairs.push(("stage".into(), Json::str(stage.name())));
-                pairs.push(("pair".into(), Json::uint(id)));
-                if let Some(lane) = track_lane(e.track) {
-                    pairs.push(("lane".into(), Json::uint(u64::from(lane))));
-                }
-            }
-        }
-        out.push_str(&Json::Obj(pairs).render());
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,22 +261,5 @@ mod tests {
                 .as_i64(),
             Some(3)
         );
-    }
-
-    #[test]
-    fn json_lines_has_header_and_one_object_per_event() {
-        let text = json_lines(&sample_log());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 5);
-        let header = Json::parse(lines[0]).unwrap();
-        assert_eq!(
-            header.get("schema").unwrap().as_str(),
-            Some("qnlg.trace.v1")
-        );
-        assert_eq!(header.get("dropped").unwrap().as_i64(), Some(3));
-        for line in &lines[1..] {
-            let e = Json::parse(line).expect("valid event line");
-            assert!(e.get("t_ns").is_some() && e.get("clock").is_some());
-        }
     }
 }

@@ -4,11 +4,11 @@
 //! much happened", this crate answers "*when* did each thing happen" —
 //! per-worker chunk spans, per-pair entanglement lifecycles, governor
 //! mode flips — as a stream of typed events drained into Chrome
-//! `trace_event` JSON (Perfetto / `chrome://tracing`) or compact
-//! JSON-lines. Design rules, inherited from `obs` (DESIGN.md §3):
+//! `trace_event` JSON (Perfetto / `chrome://tracing`). Design rules,
+//! inherited from `obs` (DESIGN.md §3):
 //!
 //! 1. **std-only.** Atomics, `UnsafeCell` rings, `Instant` — no deps
-//!    beyond `obs` (whose JSON codec the exporters reuse).
+//!    beyond `obs` (whose JSON codec the exporter reuses).
 //! 2. **Off by default, negligible when off.** Every recording call is
 //!    gated on one relaxed atomic-bool load; the wall-clock is not read
 //!    while disabled (`benches/trace.rs` holds this to the obs budget,
@@ -36,7 +36,6 @@
 pub mod event;
 pub mod export;
 pub mod ring;
-pub mod series;
 
 pub use event::{Event, EventKind, PairStage, Side, Track};
 pub use ring::Ring;
