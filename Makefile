@@ -11,9 +11,9 @@ CARGO ?= cargo
 # in artifacts/, so targets run in the order given.
 .NOTPARALLEL:
 
-.PHONY: ci fmt-check build test test-release clippy doc bench-compile perfbench-build bench-smoke examples bench-sweep bench-xor bench-plane bench-scale bench-trace bench-ghz bench-topology bench-serve repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
+.PHONY: ci fmt-check build test test-release clippy doc perfbench-build examples repro-quick trace-quick perf-diff test-stat test-topology test-serve serve-soak
 
-ci: fmt-check build test test-release clippy doc bench-compile perfbench-build bench-smoke test-stat examples repro-quick perf-diff trace-quick
+ci: fmt-check build test test-release clippy doc perfbench-build test-stat examples repro-quick perf-diff trace-quick
 
 fmt-check:
 	$(CARGO) fmt --all -- --check
@@ -43,18 +43,9 @@ clippy:
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
-# All bench harnesses must keep building even when not run.
-bench-compile:
-	$(CARGO) bench --no-run
-
 # The benchmark harness is its own workspace; it must keep building.
 perfbench-build:
 	$(CARGO) build --release --manifest-path perfbench/Cargo.toml
-
-# A quick pass of every bench target (CI's smoke step). `--bench '*'`
-# keeps the lib's test harness, which rejects `--quick`, out of the run.
-bench-smoke:
-	$(CARGO) bench -p qnlg-bench --bench '*' -- --quick
 
 # The five README examples, in release. Each asserts its headline result,
 # so a broken example exits non-zero.
@@ -64,55 +55,6 @@ examples:
 	$(CARGO) run -q --release --example gpu_sm_scheduling
 	$(CARGO) run -q --release --example ecmp_probe
 	$(CARGO) run -q --release --example metro_calibration
-
-# Spawn-per-point vs pooled executor + CorrelationBox sampling kernels
-# + obs on/off overhead.
-bench-sweep:
-	$(CARGO) bench -p qnlg-bench --bench sweep
-
-# XOR solver-pipeline ablation: naive/Gray classical, eight starts vs
-# the warm start alone, and the end-to-end fig3-quick fast stack with and
-# without the value cache (DESIGN.md §5).
-bench-xor:
-	$(CARGO) bench -p qnlg-bench --bench xor_value
-
-# Entanglement data-plane ablation: Werner kernel vs exact oracle — the
-# DESIGN.md §5 Werner-measurement row.
-bench-plane:
-	$(CARGO) bench -p qnlg-bench --bench plane
-
-# Sharded-SoA load-balance engine ablation: frozen AoS loop vs the
-# compatibility loop (sim::run_simulation) vs SoA single-shard vs
-# sharded (data layout vs parallel machinery), plus the obs on/off
-# overhead arm — the DESIGN.md §5 fig4-scale rows.
-bench-scale:
-	$(CARGO) bench -p qnlg-bench --bench scale
-
-# Trace-overhead ablation: the disabled gate (one relaxed bool load)
-# against no call at all — must be free — plus the batched-plane step
-# traced vs untraced (the cost of --trace runs). Numbers in DESIGN.md §5.
-bench-trace:
-	$(CARGO) bench -p qnlg-bench --bench trace
-
-# Multiparty-round ablation: exact GHZ statevector vs closed-form noisy
-# kernel vs batched kernel play, at n = 3/6/10 — the DESIGN.md §5 ghz
-# rows. Nothing checks the ratios; they depend on the host.
-bench-ghz:
-	$(CARGO) bench -p qnlg-bench --bench ghz
-
-# Chain-evaluation ablation: closed-form end-to-end visibility vs the
-# hop-by-hop density-matrix oracle, plus the full route+schedule+sample
-# epoch on the fanout-8 star — the DESIGN.md §5 topology rows. Nothing
-# checks the ratios; they depend on the host.
-bench-topology:
-	$(CARGO) bench -p qnlg-bench --bench topology
-
-# Served decision-path ablation: pre-drawn SPSC ring vs the same slots
-# handed through a Mutex<VecDeque> (ring-vs-lock knob) vs drawing each
-# slot on demand (buffering knob) — the DESIGN.md §5 qnlg-serve rows.
-# Nothing checks the ratios; they depend on the host.
-bench-serve:
-	$(CARGO) bench -p qnlg-bench --bench serve
 
 # The qnlg-serve battery: SPSC ring property tests, the zero-alloc
 # counting-allocator gate, the in-process + Unix-socket service tests,

@@ -275,8 +275,8 @@ fn key_seed(key: &[u64]) -> u64 {
 // --- the cache -----------------------------------------------------------
 
 /// Sharded memo of canonical-form → [`GameValues`]. Use [`global`] in the
-/// pipeline; tests and benches build private instances with
-/// [`ValueCache::new`] for isolation.
+/// pipeline; tests build private instances with [`ValueCache::new`] for
+/// isolation.
 pub struct ValueCache {
     shards: [Mutex<HashMap<Vec<u64>, GameValues>>; SHARDS],
 }

@@ -1,10 +1,10 @@
 //! Parametrized XOR-game families with known closed-form values.
 //!
-//! These serve three purposes: (1) ground-truth validation of the solvers
-//! in [`crate::xor`] against published analytic values, (2) a library of
-//! coordination patterns beyond CHSH for systems designers (the paper
+//! These serve two purposes: (1) ground-truth validation of the solvers
+//! in [`crate::xor`] against published analytic values, and (2) a library
+//! of coordination patterns beyond CHSH for systems designers (the paper
 //! §4.1: "future research should aim to identify additional classes of
-//! games"), and (3) workloads for the `xor_value` ablation bench.
+//! games").
 //!
 //! Families:
 //!

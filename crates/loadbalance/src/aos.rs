@@ -1,9 +1,8 @@
 //! The frozen array-of-structs Figure 4 loop.
 //!
-//! This is the pre-shard simulation loop, kept verbatim as (a) the
-//! determinism oracle — [`crate::sim::run_simulation`] must stay
-//! bit-identical to it for any `(config, strategy, workload, seed)` — and
-//! (b) the baseline arm of the `benches/scale.rs` AoS-vs-SoA ablation.
+//! This is the pre-shard simulation loop, kept verbatim as the
+//! determinism oracle: [`crate::sim::run_simulation`] must stay
+//! bit-identical to it for any `(config, strategy, workload, seed)`.
 //! It advances a `Vec` of the seed's queue-scanning servers (the private
 //! `Server` below) one timestep at a time, each with its own wait
 //! reservoir and a fresh serve-index vector per step, exactly as the seed
@@ -11,9 +10,9 @@
 //! [`crate::server`] to this server is what makes the parity tests
 //! compare against the old semantics rather than against themselves.
 //!
-//! It records no obs metrics: it exists for tests and benches, where
-//! counting its work alongside the production path's would double-book
-//! every artifact counter.
+//! It records no obs metrics: it exists for tests, where counting its
+//! work alongside the production path's would double-book every artifact
+//! counter.
 
 use crate::error::SimError;
 use crate::metrics::{SimResult, WaitReservoir, WAIT_RESERVOIR_SEED};

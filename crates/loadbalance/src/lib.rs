@@ -39,7 +39,7 @@
 //!   worker/shard count; it runs every strategy but round robin.
 //! - [`aos`]: the frozen pre-shard array-of-structs loop over the seed's
 //!   queue-scanning server, kept as the determinism oracle for [`sim`]
-//!   and [`server`] and the ablation baseline for `benches/scale.rs`.
+//!   and [`server`].
 //! - [`metrics`]: queue-length and waiting-time statistics: the run
 //!   tally both engines fill and finish into a [`SimResult`], and the
 //!   bounded deterministic wait reservoir.

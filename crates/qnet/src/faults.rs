@@ -376,13 +376,6 @@ impl FaultClock {
         self.state
     }
 
-    /// True while an [`FaultKind::EdgeCut`] on `edge` is active.
-    pub fn edge_down(&self, edge: u32) -> bool {
-        self.active
-            .iter()
-            .any(|k| matches!(k, FaultKind::EdgeCut { edge: e } if *e == edge))
-    }
-
     /// The currently-cut topology edges as a downed mask sized for
     /// `n_edges` (the shape [`crate::routing::best_path`] consumes).
     /// Active cuts on edge ids ≥ `n_edges` are ignored.
@@ -565,7 +558,6 @@ mod tests {
         clock.advance_through(us(16));
         // The distributor's view is untouched; the routing mask is not.
         assert_eq!(clock.state(), FaultState::NOMINAL);
-        assert!(clock.edge_down(1) && clock.edge_down(3));
         assert_eq!(clock.downed_edges(5), vec![false, true, false, true, false]);
         // Out-of-range ids never panic the mask.
         assert_eq!(clock.downed_edges(2), vec![false, true]);
@@ -575,7 +567,7 @@ mod tests {
             vec![false, true, false, false, false]
         );
         clock.advance_through(us(40));
-        assert!(!clock.edge_down(1));
+        assert_eq!(clock.downed_edges(5), vec![false; 5]);
     }
 
     #[test]

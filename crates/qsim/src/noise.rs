@@ -16,7 +16,6 @@
 
 use crate::density::DensityMatrix;
 use crate::error::SimError;
-use crate::state::StateVector;
 use qmath::{CMatrix, C64};
 
 /// A completely-positive trace-preserving map given by Kraus operators
@@ -215,53 +214,11 @@ pub fn werner(visibility: f64) -> Result<DensityMatrix, SimError> {
 /// advantage: `1/√2`.
 pub const WERNER_CHSH_THRESHOLD: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-/// Stochastically applies the channel to a *pure* state (quantum-trajectory
-/// style): picks Kraus operator `i` with probability `⟨ψ|Kᵢ†Kᵢ|ψ⟩` and
-/// renormalizes. Statistically equivalent to the density-matrix evolution,
-/// but keeps the cheap statevector representation — used by the
-/// high-throughput load-balancing simulations.
-///
-/// # Errors
-/// [`SimError::QubitOutOfRange`] for a bad index.
-pub fn apply_stochastic<R: rand::Rng + ?Sized>(
-    channel: &KrausChannel,
-    state: &mut StateVector,
-    qubit: usize,
-    rng: &mut R,
-) -> Result<(), SimError> {
-    // Compute branch probabilities.
-    let mut probs = Vec::with_capacity(channel.ops.len());
-    let mut branches = Vec::with_capacity(channel.ops.len());
-    for k in &channel.ops {
-        let g: crate::gates::Gate1 = [[k[(0, 0)], k[(0, 1)]], [k[(1, 0)], k[(1, 1)]]];
-        let mut branch = state.clone();
-        branch.apply_gate1(qubit, &g)?;
-        let p = branch.norm_sqr();
-        probs.push(p);
-        branches.push(branch);
-    }
-    let total: f64 = probs.iter().sum();
-    let mut r = rng.gen::<f64>() * total;
-    for (p, mut branch) in probs.into_iter().zip(branches) {
-        if r < p || p == total {
-            // Renormalize the chosen branch.
-            let scale = 1.0 / p.sqrt();
-            let amps: Vec<C64> = branch.amplitudes().iter().map(|a| *a * scale).collect();
-            branch = StateVector::from_amplitudes(amps)?;
-            *state = branch;
-            return Ok(());
-        }
-        r -= p;
-    }
-    unreachable!("probabilities sum to total");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bell;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::state::StateVector;
 
     #[test]
     fn channels_are_trace_preserving_by_construction() {
@@ -378,23 +335,6 @@ mod tests {
             .unwrap();
         let expect = werner(1.0 - p).unwrap();
         assert!(out.matrix().max_abs_diff(expect.matrix()) < 1e-9);
-    }
-
-    #[test]
-    fn stochastic_matches_density_statistics() {
-        // Trajectory sampling of bit_flip(0.3) on |0⟩ measured in Z must
-        // show P(1) ≈ 0.3.
-        let mut rng = StdRng::seed_from_u64(41);
-        let ch = KrausChannel::bit_flip(0.3).unwrap();
-        let trials = 20_000;
-        let mut ones = 0u32;
-        for _ in 0..trials {
-            let mut s = StateVector::zero(1);
-            apply_stochastic(&ch, &mut s, 0, &mut rng).unwrap();
-            ones += s.measure_qubit(0, &mut rng).unwrap() as u32;
-        }
-        let f = ones as f64 / trials as f64;
-        assert!((f - 0.3).abs() < 0.02, "freq {f}");
     }
 
     #[test]

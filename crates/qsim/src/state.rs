@@ -188,9 +188,9 @@ impl StateVector {
     /// phase) scale the two amplitude lanes in place, and anti-diagonal
     /// gates (X, Y) swap-and-scale them — both skip the dense 2×2
     /// multiply, halving the complex arithmetic in circuit-simulation
-    /// inner loops (see the `statevector` bench). The standard gate
-    /// constructors produce exact `C64::ZERO` off/on-diagonal entries, so
-    /// the structure test is an exact compare, never an epsilon.
+    /// inner loops. The standard gate constructors produce exact
+    /// `C64::ZERO` off/on-diagonal entries, so the structure test is an
+    /// exact compare, never an epsilon.
     ///
     /// # Errors
     /// [`SimError::QubitOutOfRange`] for a bad index.

@@ -71,18 +71,6 @@ where
     par_sweep_threads(thread_count(), master_seed, points, f)
 }
 
-/// Row-major cartesian product of two axes: the standard point list for
-/// a 2-D sweep (`index = row * cols.len() + col`).
-pub fn grid2_of<A: Clone, B: Clone>(rows: &[A], cols: &[B]) -> Vec<(A, B)> {
-    let mut out = Vec::with_capacity(rows.len() * cols.len());
-    for r in rows {
-        for c in cols {
-            out.push((r.clone(), c.clone()));
-        }
-    }
-    out
-}
-
 /// Row-major index grid for a `rows × cols` sweep: `(r, c)` pairs with
 /// `index = r * cols + c`, the common shape for table sweeps that index
 /// into their own axis arrays.
@@ -133,12 +121,10 @@ mod tests {
 
     #[test]
     fn grid2_is_row_major() {
-        let g = grid2_of(&[0, 1], &['a', 'b', 'c']);
         assert_eq!(
-            g,
-            vec![(0, 'a'), (0, 'b'), (0, 'c'), (1, 'a'), (1, 'b'), (1, 'c')]
+            grid2(2, 3),
+            vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
         );
-        assert_eq!(g[3 + 2], (1, 'c'));
         assert_eq!(grid2(2, 3)[3 + 2], (1, 2));
         assert_eq!(grid2(2, 3).len(), 6);
     }

@@ -319,8 +319,8 @@ mod tests {
     #[test]
     fn skewed_work_is_shared() {
         // One pathologically slow item at index 0; the rest must still
-        // complete promptly and in order. (Correctness check — timing is
-        // exercised by benches/sweep.rs.)
+        // complete promptly and in order. (Correctness check — the
+        // benchmark's fig4 `pool.efficiency` measures the sharing.)
         let items: Vec<usize> = (0..64).collect();
         let out = par_map_threads(4, &items, |_, &x| {
             if x == 0 {

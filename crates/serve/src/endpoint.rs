@@ -212,9 +212,8 @@ impl EndpointFeed {
     }
 
     /// Stages up to `limit` slots regardless of the low-water mark
-    /// (bounded by ring space) and publishes them. Used by `pump`, by
-    /// the deterministic soak (which pre-fills synchronously), and by
-    /// the bench harness.
+    /// (bounded by ring space) and publishes them. Used by `pump` and by
+    /// the deterministic soak (which pre-fills synchronously).
     pub fn fill(&mut self, limit: usize) -> usize {
         let mut staged = 0;
         while staged < limit && self.producer.free() > 0 {

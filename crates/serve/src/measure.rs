@@ -1,10 +1,10 @@
 //! Obs hooks for *wall-clock* measurement of the served hot path.
 //!
 //! Everything in `endpoint`/`service` is deterministic and never reads a
-//! clock; wall-clock numbers come from measurement harnesses (the E11
-//! experiment, `benches/serve.rs`) that time their own loops and report
-//! here. Keeping the metric names in one place ties the artifact's `perf`
-//! metrics to their definitions:
+//! clock; wall-clock numbers come from a measurement harness (the E11
+//! experiment) that times its own loops and reports here. Keeping the
+//! metric names in one place ties the artifact's `perf` metrics to their
+//! definitions:
 //!
 //! - `qnlg.serve.hot.decisions` / `qnlg.serve.hot.ns` — decisions served
 //!   and nanoseconds spent inside *measured drain windows only* (ring

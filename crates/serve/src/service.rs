@@ -180,8 +180,8 @@ impl ServiceCore {
         self.endpoints[endpoint].decide(x, y)
     }
 
-    /// Mutable access to one endpoint (bench harnesses time the
-    /// endpoint's `decide` directly to keep the indexing off the
+    /// Mutable access to one endpoint (the benchmark's layer probe times
+    /// the endpoint's `decide` directly to keep the indexing off the
     /// measured path).
     pub fn endpoint_mut(&mut self, endpoint: usize) -> &mut DecisionEndpoint {
         &mut self.endpoints[endpoint]

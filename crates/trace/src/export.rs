@@ -74,14 +74,15 @@ fn event_name(kind: &EventKind) -> String {
     }
 }
 
-/// Sorts events into a stable export order: clock domain, then track,
-/// then time (ties keep the cross-ring merge deterministic via the
-/// payload).
+/// Sorts events into export order: clock domain, then track, then time.
+/// The sort is stable, so events at one instant on one track keep the
+/// order they were recorded in (an `End` before the next `Begin`); ties
+/// across rings sharing a track follow ring-registration order.
 fn sorted(log: &TraceLog) -> Vec<Event> {
     let mut events = log.events.clone();
     events.sort_by_key(|e| {
         let (pid, tid) = track_ids(e.track);
-        (pid, tid, e.t_ns, format!("{:?}", e.kind))
+        (pid, tid, e.t_ns)
     });
     events
 }
@@ -93,10 +94,12 @@ pub fn chrome_trace(log: &TraceLog) -> Json {
     let mut out: Vec<Json> = Vec::with_capacity(events.len() + 16);
 
     // Metadata: name the two processes and every thread that appears.
+    // The events are sorted by track, so a new track differs from the
+    // last one named.
     let mut seen: Vec<(u64, u64, Track)> = Vec::new();
     for e in &events {
         let (pid, tid) = track_ids(e.track);
-        if !seen.iter().any(|&(p, t, _)| p == pid && t == tid) {
+        if seen.last().is_none_or(|&(p, t, _)| (p, t) != (pid, tid)) {
             seen.push((pid, tid, e.track));
         }
     }
@@ -261,5 +264,35 @@ mod tests {
                 .as_i64(),
             Some(3)
         );
+    }
+
+    #[test]
+    fn spans_meeting_at_one_instant_keep_their_recorded_order() {
+        let span = |t_ns, kind| Event {
+            t_ns,
+            wall: true,
+            track: Track::Worker(0),
+            kind,
+        };
+        let log = TraceLog {
+            events: vec![
+                span(100, EventKind::Begin("chunk")),
+                span(200, EventKind::End("chunk")),
+                span(200, EventKind::Begin("chunk")),
+                span(300, EventKind::End("chunk")),
+            ],
+            dropped: 0,
+        };
+        let parsed = Json::parse(&chrome_trace(&log).render()).unwrap();
+        let phases: Vec<&str> = parsed
+            .get("traceEvents")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .filter_map(|e| e.get("ph").and_then(Json::as_str))
+            .filter(|&ph| ph != "M")
+            .collect();
+        assert_eq!(phases, ["B", "E", "B", "E"]);
     }
 }

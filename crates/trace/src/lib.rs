@@ -11,8 +11,9 @@
 //!    beyond `obs` (whose JSON codec the exporter reuses).
 //! 2. **Off by default, negligible when off.** Every recording call is
 //!    gated on one relaxed atomic-bool load; the wall-clock is not read
-//!    while disabled (`benches/trace.rs` holds this to the obs budget,
-//!    < 2%).
+//!    while disabled. Every perfbench workload runs with the gate
+//!    compiled in and off, so its cost is inside their end-to-end
+//!    numbers; nothing times it apart.
 //! 3. **Observe, never perturb.** Recording draws no randomness and
 //!    never blocks the simulation: writes go to a per-thread lock-free
 //!    [`ring::Ring`] (fixed capacity, drop-oldest, exact dropped count).
