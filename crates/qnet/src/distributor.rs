@@ -44,11 +44,22 @@
 //! each QNIC receives its halves in arrival order. Fault edges replay from
 //! a list sorted once ([`FaultClock`]). Advancing the plane is one merge
 //! of these sorted streams; it needs no event scheduler.
+//!
+//! The pass does only the work its outputs need. Time stays in integer
+//! nanoseconds (emission instants, arrival stamps, the age check); the
+//! trace gate is read once per advance and passed down; each pass adds
+//! its `qnet.epr.*` and `qnet.des.events` counts to the obs counters once,
+//! from local tallies, and only if it committed an event; the occupancy
+//! gauge is raised once per drain, to its largest value.
+//!
+//! A link that delivers no pair at all (`p = 0`) has no survivor process
+//! to sample, so it always runs the per-emission path, which counts each
+//! emission as lost.
 
 use crate::epr::{EprSource, SurvivorProcess};
 use crate::faults::{FaultClock, FaultPlan};
 use crate::link::FiberLink;
-use crate::qnic::{Qnic, StoredQubit};
+use crate::qnic::{self, Qnic, StoredQubit};
 use crate::time::{SimTime, SIM_EVENTS};
 use qsim::werner::WernerPair;
 use qsim::{DensityMatrix, SharedPair};
@@ -177,7 +188,6 @@ pub struct EntanglementDistributor {
     nic_b: Qnic,
     faults: FaultClock,
     next_pair_id: u64,
-    clock: SimTime,
     stats: DistributorStats,
     /// Exponential-gap draws (emission / survivor process).
     emission_rng: StdRng,
@@ -189,7 +199,7 @@ pub struct EntanglementDistributor {
     /// The next source event, drawn ahead under the current regime.
     pending: Option<SimTime>,
     /// True while the survivor-process fast path is valid (no
-    /// emission-affecting fault active).
+    /// emission-affecting fault active, and some pair survives).
     batched: bool,
     /// Surviving pairs in flight, each keyed by the instant both halves
     /// have arrived; keys are pushed in nondecreasing order.
@@ -197,8 +207,9 @@ pub struct EntanglementDistributor {
     /// Cached products of the static link parameters.
     p_pair: f64,
     survivors: SurvivorProcess,
-    delay_a: Duration,
-    delay_b: Duration,
+    /// The fibers' one-way delays, in ns.
+    delay_a_ns: u64,
+    delay_b_ns: u64,
     /// Process-unique trace lane: pair ids are sequential per
     /// distributor, so `(lane, pair_id)` identifies a pair globally in
     /// one trace. Allocated unconditionally (an atomic bump) so enabling
@@ -240,19 +251,18 @@ impl EntanglementDistributor {
             faults: FaultClock::new(&config.faults),
             p_pair,
             survivors: SurvivorProcess::new(&config.source, p_pair),
-            delay_a,
-            delay_b,
+            delay_a_ns: delay_a.as_nanos() as u64,
+            delay_b_ns: delay_b.as_nanos() as u64,
             lane,
             in_flight,
             config,
             next_pair_id: 0,
-            clock: SimTime::ZERO,
             stats: DistributorStats::default(),
             emission_rng: StdRng::seed_from_u64(runtime::seed::stream_seed(master, 0)),
             loss_rng: StdRng::seed_from_u64(runtime::seed::stream_seed(master, 1)),
             last_event: SimTime::ZERO,
             pending: None,
-            batched: true,
+            batched: p_pair > 0.0,
         }
     }
 
@@ -273,9 +283,8 @@ impl EntanglementDistributor {
     /// Pushes the fault state in force at `at` into the NICs: capacity
     /// clamps (evicting over-quota qubits, whose partner halves are
     /// pruned) and lifetime scaling.
-    fn apply_fault_state(&mut self, at: SimTime) {
+    fn apply_fault_state(&mut self, at: SimTime, tracing: bool) {
         let state = self.faults.state();
-        let tracing = trace::enabled();
         for ev in self.nic_a.set_capacity_clamp(state.capacity_clamp) {
             self.nic_b.take_pair_id(ev.pair_id);
             if tracing {
@@ -312,7 +321,8 @@ impl EntanglementDistributor {
     /// fresh exponential from `edge` in either regime.
     fn refresh_regime(&mut self, edge: SimTime) {
         let state = self.faults.state();
-        let batched = state.rate_factor >= 1.0 && state.link_a_up && state.link_b_up;
+        let batched =
+            self.p_pair > 0.0 && state.rate_factor >= 1.0 && state.link_a_up && state.link_b_up;
         if batched != self.batched {
             self.batched = batched;
             self.pending = None;
@@ -333,8 +343,8 @@ impl EntanglementDistributor {
     /// Puts a surviving pair in flight. Emissions commit in time order
     /// and the fiber delays are fixed, so the FIFO stays sorted.
     fn schedule_survivor(&mut self, id: u64, emitted_at: SimTime) {
-        let arrive_a = emitted_at + self.delay_a;
-        let arrive_b = emitted_at + self.delay_b;
+        let arrive_a = SimTime::from_nanos(emitted_at.as_nanos() + self.delay_a_ns);
+        let arrive_b = SimTime::from_nanos(emitted_at.as_nanos() + self.delay_b_ns);
         let ready = arrive_a.max(arrive_b);
         assert!(
             self.in_flight.back().is_none_or(|&(last, _)| last <= ready),
@@ -349,59 +359,83 @@ impl EntanglementDistributor {
     }
 
     /// Commits every source event up to `bound` under the current regime.
-    fn generate_until(&mut self, bound: SimTime, strict: bool) {
+    fn generate_until(&mut self, bound: SimTime, strict: bool, tracing: bool) {
         if self.batched {
-            self.generate_batched(bound, strict);
+            self.generate_batched(bound, strict, tracing);
         } else {
-            self.generate_per_emission(bound, strict);
+            self.generate_per_emission(bound, strict, tracing);
+        }
+    }
+
+    /// Adds one generate pass's counts to the stats and to the obs
+    /// counters, once. Callers skip a pass that committed no event, and
+    /// a counter is added to only when its count is nonzero, so it
+    /// registers when it first counts, as it did when added per event.
+    fn commit_pass(&mut self, emitted: u64, lost_in_fiber: u64, lost_outage: u64, suppressed: u64) {
+        self.stats.emitted += emitted;
+        self.stats.lost_in_fiber += lost_in_fiber;
+        self.stats.lost_outage += lost_outage;
+        self.stats.suppressed += suppressed;
+        for (counter, n) in [
+            (&EPR_EMITTED, emitted),
+            (&EPR_LOST_FIBER, lost_in_fiber),
+            (&EPR_LOST_OUTAGE, lost_outage),
+            (&EPR_SUPPRESSED, suppressed),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
         }
     }
 
     /// Survivor-process fast path: one gap draw per *surviving* pair
     /// (exponential at `p·λ`) plus one geometric draw tallying the
     /// emissions lost in between.
-    fn generate_batched(&mut self, bound: SimTime, strict: bool) {
+    fn generate_batched(&mut self, bound: SimTime, strict: bool, tracing: bool) {
+        let (mut emitted, mut lost_in_fiber) = (0, 0);
         loop {
             let t = match self.pending {
                 Some(t) => t,
                 None => {
                     let gap = self.survivors.gap_ns(&mut self.emission_rng);
-                    let t = self.last_event + Duration::from_nanos(gap);
+                    let t = SimTime::from_nanos(self.last_event.as_nanos() + gap);
                     self.pending = Some(t);
                     t
                 }
             };
             if Self::beyond(t, bound, strict) {
-                return;
+                break;
             }
             self.pending = None;
             self.last_event = t;
             let lost = self.survivors.lost_before(&mut self.loss_rng);
-            self.stats.emitted += lost + 1;
-            EPR_EMITTED.add(lost + 1);
-            if lost > 0 {
-                self.stats.lost_in_fiber += lost;
-                EPR_LOST_FIBER.add(lost);
-            }
+            emitted += lost + 1;
+            lost_in_fiber += lost;
             let id = self.next_pair_id + lost;
             self.next_pair_id += lost + 1;
             // Only the survivor has an individual emission time — the
             // batch-counted fiber losses never go in flight and carry no
             // lifecycle events.
-            trace::pair(
-                trace::Track::Source(self.lane),
-                trace::PairStage::Emitted,
-                id,
-                t.as_nanos(),
-            );
+            if tracing {
+                trace::pair(
+                    trace::Track::Source(self.lane),
+                    trace::PairStage::Emitted,
+                    id,
+                    t.as_nanos(),
+                );
+            }
             self.schedule_survivor(id, t);
+        }
+        if emitted > 0 {
+            self.commit_pass(emitted, lost_in_fiber, 0, 0);
         }
     }
 
     /// Exact per-emission path, used while a fault shapes the emission
-    /// stream: one gap per emitted pair, then thinning/outage/survival
-    /// decisions on each.
-    fn generate_per_emission(&mut self, bound: SimTime, strict: bool) {
+    /// stream (or no pair survives the fibers): one gap per emitted pair,
+    /// then thinning/outage/survival decisions on each.
+    fn generate_per_emission(&mut self, bound: SimTime, strict: bool, tracing: bool) {
+        let (mut emitted, mut lost_in_fiber, mut lost_outage, mut suppressed) = (0, 0, 0, 0);
         loop {
             let t = match self.pending {
                 Some(t) => t,
@@ -410,13 +444,13 @@ impl EntanglementDistributor {
                         .config
                         .source
                         .sample_interval_ns(&mut self.emission_rng);
-                    let t = self.last_event + Duration::from_nanos(gap);
+                    let t = SimTime::from_nanos(self.last_event.as_nanos() + gap);
                     self.pending = Some(t);
                     t
                 }
             };
             if Self::beyond(t, bound, strict) {
-                return;
+                break;
             }
             self.pending = None;
             self.last_event = t;
@@ -426,50 +460,52 @@ impl EntanglementDistributor {
                 .source
                 .brownout_keeps(state.rate_factor, &mut self.loss_rng)
             {
-                self.stats.suppressed += 1;
-                EPR_SUPPRESSED.inc();
+                suppressed += 1;
                 continue;
             }
-            self.stats.emitted += 1;
-            EPR_EMITTED.inc();
+            emitted += 1;
             let id = self.next_pair_id;
             self.next_pair_id += 1;
             // Per-emission mode (faults active): every emitted pair gets
             // an event; pairs the outage or fiber absorbs simply have no
             // later lifecycle stages.
-            trace::pair(
-                trace::Track::Source(self.lane),
-                trace::PairStage::Emitted,
-                id,
-                t.as_nanos(),
-            );
+            if tracing {
+                trace::pair(
+                    trace::Track::Source(self.lane),
+                    trace::PairStage::Emitted,
+                    id,
+                    t.as_nanos(),
+                );
+            }
             if !(state.link_a_up && state.link_b_up) {
                 // A downed link absorbs the pair with certainty — no draw.
-                self.stats.lost_in_fiber += 1;
-                EPR_LOST_FIBER.inc();
-                self.stats.lost_outage += 1;
-                EPR_LOST_OUTAGE.inc();
+                lost_in_fiber += 1;
+                lost_outage += 1;
                 continue;
             }
             // Both links up: one combined survival draw for the pair.
             if self.p_pair < 1.0 && self.loss_rng.gen::<f64>() >= self.p_pair {
-                self.stats.lost_in_fiber += 1;
-                EPR_LOST_FIBER.inc();
+                lost_in_fiber += 1;
                 continue;
             }
             self.schedule_survivor(id, t);
         }
+        if emitted + suppressed > 0 {
+            self.commit_pass(emitted, lost_in_fiber, lost_outage, suppressed);
+        }
     }
 
     /// Stores every pair whose second half has arrived by `bound`.
-    fn drain_arrivals(&mut self, bound: SimTime, strict: bool) {
+    fn drain_arrivals(&mut self, bound: SimTime, strict: bool, tracing: bool) {
+        let mut stored = 0;
+        let mut occupancy = 0;
         while let Some(&(t, rec)) = self.in_flight.front() {
             if Self::beyond(t, bound, strict) {
-                return;
+                break;
             }
             self.in_flight.pop_front();
-            SIM_EVENTS.inc();
-            if trace::enabled() {
+            stored += 1;
+            if tracing {
                 let a = trace::Track::Qnic {
                     lane: self.lane,
                     side: trace::Side::A,
@@ -494,13 +530,21 @@ impl EntanglementDistributor {
             // A full memory overwrites its oldest qubit; the evicted
             // qubit's partner half becomes an orphan and is pruned here
             // (symmetric memories usually evict the same pair). The NICs
-            // emit the stored/dropped lifecycle events themselves.
-            if let Some(ev) = self.nic_a.store(rec.id, rec.arrive_a) {
+            // emit the stored/dropped lifecycle events themselves. Each
+            // NIC's length right after its own store feeds the occupancy
+            // high-water mark (a prune shrinks only the other NIC).
+            if let Some(ev) = self.nic_a.store(rec.id, rec.arrive_a, tracing) {
                 self.nic_b.take_pair_id(ev.pair_id);
             }
-            if let Some(ev) = self.nic_b.store(rec.id, rec.arrive_b) {
+            let stored_a = self.nic_a.len();
+            if let Some(ev) = self.nic_b.store(rec.id, rec.arrive_b, tracing) {
                 self.nic_a.take_pair_id(ev.pair_id);
             }
+            occupancy = occupancy.max(stored_a).max(self.nic_b.len());
+        }
+        if stored > 0 {
+            SIM_EVENTS.add(stored);
+            qnic::raise_occupancy(occupancy);
         }
     }
 
@@ -511,24 +555,24 @@ impl EntanglementDistributor {
     /// its scheduled instant. Consumes no caller randomness — the plane
     /// runs entirely on its dedicated sub-streams.
     pub fn advance_to(&mut self, now: SimTime) {
+        let tracing = trace::enabled();
         while let Some(edge) = self.faults.next_transition() {
             if edge > now {
                 break;
             }
-            self.generate_until(edge, true);
-            self.drain_arrivals(edge, true);
+            self.generate_until(edge, true, tracing);
+            self.drain_arrivals(edge, true, tracing);
             self.faults.advance_through(edge);
-            self.apply_fault_state(edge);
+            self.apply_fault_state(edge, tracing);
             self.refresh_regime(edge);
         }
-        self.generate_until(now, false);
-        self.drain_arrivals(now, false);
-        self.nic_a.evict_expired(now);
-        self.nic_b.evict_expired(now);
+        self.generate_until(now, false, tracing);
+        self.drain_arrivals(now, false, tracing);
+        self.nic_a.evict_expired(now, tracing);
+        self.nic_b.evict_expired(now, tracing);
         // Orphan halves (partner evicted or dropped on the other side) are
         // discarded lazily by the consume path and eventually age out —
         // they occupy memory until then, exactly as a real half-pair would.
-        self.clock = now;
     }
 
     /// Pops the next deliverable pair per the consume policy, pruning
@@ -568,10 +612,7 @@ impl EntanglementDistributor {
             );
         }
         if obs::enabled() {
-            let emitted_ns = qa
-                .arrival
-                .as_nanos()
-                .saturating_sub(self.delay_a.as_nanos() as u64);
+            let emitted_ns = qa.arrival.as_nanos().saturating_sub(self.delay_a_ns);
             DELIVERY_LATENCY_NS.record(now.as_nanos().saturating_sub(emitted_ns));
             PAIR_DWELL_NS.record(now.as_nanos().saturating_sub(qa.arrival.as_nanos()));
             PAIR_DWELL_NS.record(now.as_nanos().saturating_sub(qb.arrival.as_nanos()));
@@ -611,7 +652,14 @@ impl EntanglementDistributor {
         let (qa, qb) = self.pop_delivery()?;
         self.record_delivery(&qa, &qb, now);
         let retain_a = self.nic_a.retention(qa.arrival, now);
-        let retain_b = self.nic_b.retention(qb.arrival, now);
+        // Both NICs are built from one config and `apply_fault_state`
+        // scales both lifetimes alike, so halves that arrived together
+        // (every pair on symmetric fibers) have one retention.
+        let retain_b = if qb.arrival == qa.arrival {
+            retain_a
+        } else {
+            self.nic_b.retention(qb.arrival, now)
+        };
         Some(
             WernerPair::with_dephasing(self.config.source.visibility(), retain_a, retain_b)
                 .expect("visibility and retentions are probabilities"),
@@ -705,6 +753,29 @@ mod tests {
         // ~10% should survive the lossy link.
         let rate = delivered as f64 / s.emitted as f64;
         assert!(rate < 0.25, "delivery rate {rate}");
+    }
+
+    #[test]
+    fn zero_survival_link_counts_every_emission_lost() {
+        // 10⁶ dB on one fiber: no pair survives, so there is no survivor
+        // process to sample. The plane must count each emission as lost,
+        // before and after a fault edge re-derives its regime.
+        use crate::faults::{FaultKind, FaultWindow};
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut cfg = fast_config();
+        cfg.link_a = FiberLink::with_attenuation(1.0, 1e6);
+        cfg.faults.push(FaultWindow {
+            start: SimTime::from_micros(10),
+            end: SimTime::from_micros(20),
+            kind: FaultKind::SourceBrownout { rate_factor: 0.5 },
+        });
+        let mut d = EntanglementDistributor::new(cfg, &mut rng);
+        assert!(d.take_werner(SimTime::from_micros(100)).is_none());
+        let s = d.stats();
+        // ~100 emissions at 10⁶ pairs/s over 100 µs, ~5 suppressed.
+        assert!(s.emitted > 50, "every emission must be counted: {s:?}");
+        assert_eq!(s.lost_in_fiber, s.emitted, "{s:?}");
+        assert_eq!(d.buffered(), 0);
     }
 
     #[test]

@@ -82,14 +82,19 @@ fn secs_to_ns(secs: f64) -> u64 {
 /// Bernoulli(`p`)-wise yields exactly a Poisson(`p·λ`) process, so a
 /// whole inter-survivor block of emissions costs two draws — one gap
 /// ([`Self::gap_ns`]) and one loss count ([`Self::lost_before`]) —
-/// instead of one-plus-two per photon. Both per-draw constants, `p·λ`
-/// and `ln(1 − p)`, are computed once here.
+/// instead of one-plus-two per photon. The per-draw constants, `p·λ`,
+/// `ln(1 − p)` and the no-loss cut, are computed once here.
 #[derive(Debug, Clone, Copy)]
 pub struct SurvivorProcess {
     /// The thinned rate `p·λ`, in survivors/s.
     rate_hz: f64,
     /// `ln(1 − p)`; `None` on lossless links, which draw no losses.
     ln_loss: Option<f64>,
+    /// `1 − p` raised by a relative 1e-9. A loss draw above it counts no
+    /// loss: `⌊ln u / ln(1 − p)⌋` is 0 for every `u > 1 − p`, and the
+    /// margin lies far outside `ln`'s rounding error (under 1e-15
+    /// relative), so skipping the log there changes no count.
+    no_loss_above: f64,
 }
 
 impl SurvivorProcess {
@@ -102,6 +107,7 @@ impl SurvivorProcess {
         SurvivorProcess {
             rate_hz: source.rate_hz * p,
             ln_loss: (p < 1.0).then(|| (1.0 - p).ln()),
+            no_loss_above: (1.0 - p) * (1.0 + 1e-9),
         }
     }
 
@@ -118,13 +124,17 @@ impl SurvivorProcess {
 
     /// Number of *lost* pairs preceding the next survivor: geometric,
     /// sampled in one draw by inverting its CDF
-    /// (`failures = ⌊ln u / ln(1 − p)⌋`). Draws nothing at `p = 1` —
-    /// lossless links consume no loss randomness.
+    /// (`failures = ⌊ln u / ln(1 − p)⌋`). A draw above the no-loss cut
+    /// returns 0 without the log (most draws on a short link). Draws
+    /// nothing at `p = 1` — lossless links consume no loss randomness.
     pub fn lost_before<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let Some(ln_loss) = self.ln_loss else {
             return 0;
         };
         let u: f64 = rng.gen::<f64>().max(1e-300);
+        if u > self.no_loss_above {
+            return 0;
+        }
         (u.ln() / ln_loss) as u64
     }
 }
@@ -133,7 +143,7 @@ impl SurvivorProcess {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn sampled_intervals_have_right_mean() {
@@ -187,6 +197,56 @@ mod tests {
         let total_ns: u64 = (0..n).map(|_| s.gap_ns(&mut rng)).sum();
         let mean = total_ns as f64 / n as f64;
         assert!((mean - 1e4).abs() < 500.0, "mean survivor gap {mean} ns");
+    }
+
+    /// Yields one fixed word, so a test can choose the `u` a draw sees.
+    struct Word(u64);
+
+    impl rand::RngCore for Word {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unreachable!("loss draws take one u64")
+        }
+    }
+
+    #[test]
+    fn no_loss_cut_returns_what_the_full_formula_returns() {
+        // The cut may skip the log only where `⌊ln u / ln(1 − p)⌋` is 0:
+        // check words on both sides of the cut and of `1 − p` itself (where
+        // the count first reaches 1), then 10⁵ seeded draws.
+        let source = EprSource::new(1e5, 1.0);
+        let mut rng = StdRng::seed_from_u64(0xC07);
+        for p in [1e-6, 0.1, 0.5, 0.912, 1.0 - 1e-6] {
+            let s = SurvivorProcess::new(&source, p);
+            let full = |word: u64| {
+                let u: f64 = Word(word).gen::<f64>().max(1e-300);
+                (u.ln() / (1.0 - p).ln()) as u64
+            };
+            // The word whose draw is the largest `u` not above `x`.
+            let word_at = |x: f64| ((x * (1u64 << 53) as f64) as u64) << 11;
+            let step = 1u64 << 11;
+            let mut words = vec![0, u64::MAX];
+            for centre in [word_at(s.no_loss_above), word_at(1.0 - p)] {
+                words.extend((0..=4).map(|k| centre + k * step - 2 * step));
+            }
+            let (mut above, mut below) = (0, 0);
+            for w in words {
+                let u: f64 = Word(w).gen();
+                above += u64::from(u > s.no_loss_above);
+                below += u64::from(u <= s.no_loss_above);
+                assert_eq!(s.lost_before(&mut Word(w)), full(w), "p {p}, word {w:#x}");
+            }
+            assert!(above > 0 && below > 0, "p {p}: words must straddle the cut");
+            for _ in 0..100_000 {
+                let w = rng.next_u64();
+                assert_eq!(s.lost_before(&mut Word(w)), full(w), "p {p}, word {w:#x}");
+            }
+        }
     }
 
     #[test]

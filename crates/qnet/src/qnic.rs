@@ -26,7 +26,8 @@ use std::time::Duration;
 static QNIC_OVERWRITE_DROPS: obs::LazyCounter = obs::LazyCounter::new("qnet.qnic.overwrite_drops");
 /// Qubits evicted for exceeding the maximum storage age.
 static QNIC_EXPIRED: obs::LazyCounter = obs::LazyCounter::new("qnet.qnic.expired");
-/// Occupancy high-water mark across all NICs in the process.
+/// Occupancy high-water mark across all NICs in the process, raised by
+/// the distributor once per pass ([`raise_occupancy`]).
 static QNIC_OCCUPANCY: obs::LazyGauge = obs::LazyGauge::new("qnet.qnic.occupancy");
 /// Qubits evicted when a fault clamped capacity below current occupancy.
 static QNIC_CLAMP_EVICTED: obs::LazyCounter = obs::LazyCounter::new("qnet.qnic.clamp_evicted");
@@ -46,11 +47,14 @@ pub struct Qnic {
     slots: VecDeque<StoredQubit>,
     capacity: usize,
     lifetime: Duration,
-    max_age: Duration,
+    /// The eviction age in ns, saturated: an age past `u64::MAX` ns
+    /// never evicts.
+    max_age_ns: u64,
     /// Fault-injected capacity clamp ([`Self::set_capacity_clamp`]).
     clamp: Option<usize>,
-    /// Fault-injected τ multiplier ([`Self::set_lifetime_scale`]).
-    lifetime_scale: f64,
+    /// The coherence lifetime in force, in seconds: τ times the
+    /// fault-injected multiplier ([`Self::set_lifetime_scale`]).
+    tau_s: f64,
     /// Trace timeline this NIC's pair-lifecycle events land on
     /// ([`Self::set_trace_track`]); `None` keeps the NIC silent.
     track: Option<trace::Track>,
@@ -75,9 +79,9 @@ impl Qnic {
             slots: VecDeque::with_capacity(capacity),
             capacity,
             lifetime,
-            max_age,
+            max_age_ns: u64::try_from(max_age.as_nanos()).unwrap_or(u64::MAX),
             clamp: None,
-            lifetime_scale: 1.0,
+            tau_s: lifetime.as_secs_f64(),
             track: None,
             dropped_full: 0,
             expired: 0,
@@ -140,7 +144,7 @@ impl Qnic {
     /// Panics if `scale` is not positive.
     pub fn set_lifetime_scale(&mut self, scale: f64) {
         assert!(scale > 0.0, "lifetime scale must be positive");
-        self.lifetime_scale = scale;
+        self.tau_s = self.lifetime.as_secs_f64() * scale;
     }
 
     /// Number of stored qubits.
@@ -157,12 +161,14 @@ impl Qnic {
     /// qubit is overwritten (and counted in `dropped_full`): a fresh
     /// photon is always worth more than the most-decohered one, and this
     /// matches how a cyclic memory register behaves. Returns the evicted
-    /// qubit, if any.
+    /// qubit, if any. `tracing` is the caller's one read of
+    /// [`trace::enabled`] for its pass; the NIC's stored/dropped events
+    /// are recorded only when it is set.
     ///
     /// # Panics
     /// Panics if `arrival` is earlier than the newest stored qubit's:
     /// memory is kept in arrival order.
-    pub fn store(&mut self, pair_id: u64, arrival: SimTime) -> Option<StoredQubit> {
+    pub fn store(&mut self, pair_id: u64, arrival: SimTime, tracing: bool) -> Option<StoredQubit> {
         if let Some(newest) = self.slots.back() {
             assert!(
                 arrival >= newest.arrival,
@@ -178,8 +184,7 @@ impl Qnic {
             None
         };
         self.slots.push_back(StoredQubit { pair_id, arrival });
-        QNIC_OCCUPANCY.set_max(self.slots.len() as i64);
-        if let (Some(track), true) = (self.track, trace::enabled()) {
+        if let (Some(track), true) = (self.track, tracing) {
             if let Some(ev) = evicted {
                 trace::pair(
                     track,
@@ -195,21 +200,25 @@ impl Qnic {
 
     /// Evicts qubits older than `max_age` as of `now`. Returns how many
     /// were evicted. Memory is in arrival order, so they are a prefix.
-    pub fn evict_expired(&mut self, now: SimTime) -> usize {
-        let track = self.track.filter(|_| trace::enabled());
+    /// `tracing` gates the expired events, as in [`Self::store`].
+    pub fn evict_expired(&mut self, now: SimTime, tracing: bool) -> usize {
+        let track = self.track.filter(|_| tracing);
+        let now_ns = now.as_nanos();
         let mut evicted = 0;
         while let Some(q) = self.slots.front() {
-            if now.duration_since(q.arrival) <= self.max_age {
+            if now_ns.saturating_sub(q.arrival.as_nanos()) <= self.max_age_ns {
                 break;
             }
             if let Some(track) = track {
-                trace::pair(track, trace::PairStage::Expired, q.pair_id, now.as_nanos());
+                trace::pair(track, trace::PairStage::Expired, q.pair_id, now_ns);
             }
             self.slots.pop_front();
             evicted += 1;
         }
-        self.expired += evicted as u64;
-        QNIC_EXPIRED.add(evicted as u64);
+        if evicted > 0 {
+            self.expired += evicted as u64;
+            QNIC_EXPIRED.add(evicted as u64);
+        }
         evicted
     }
 
@@ -228,8 +237,11 @@ impl Qnic {
 
     /// Removes and returns the stored qubit with `pair_id`, if present.
     /// Searches from the newest end, where a freshest-first consumer's
-    /// partner half sits.
+    /// partner half sits; the newest slot itself is checked first.
     pub fn take_pair_id(&mut self, pair_id: u64) -> Option<StoredQubit> {
+        if self.slots.back().is_some_and(|q| q.pair_id == pair_id) {
+            return self.slots.pop_back();
+        }
         let pos = self.slots.iter().rposition(|q| q.pair_id == pair_id)?;
         self.slots.remove(pos)
     }
@@ -238,7 +250,7 @@ impl Qnic {
     /// `now` after arriving at `arrival`.
     pub fn decay_channel(&self, arrival: SimTime, now: SimTime) -> KrausChannel {
         let held = now.duration_since(arrival).as_secs_f64();
-        KrausChannel::storage_decay(held, self.lifetime.as_secs_f64() * self.lifetime_scale)
+        KrausChannel::storage_decay(held, self.tau_s)
             .expect("held ≥ 0 and lifetime > 0 by construction")
     }
 
@@ -249,8 +261,15 @@ impl Qnic {
     /// [`qsim::werner::WernerPair`] measurement kernel.
     pub fn retention(&self, arrival: SimTime, now: SimTime) -> f64 {
         let held = now.duration_since(arrival).as_secs_f64();
-        (-held / (self.lifetime.as_secs_f64() * self.lifetime_scale)).exp()
+        (-held / self.tau_s).exp()
     }
+}
+
+/// Raises the `qnet.qnic.occupancy` high-water mark to `len`: a caller
+/// that stores many qubits in one pass raises it once, to the largest
+/// occupancy seen after a store.
+pub(crate) fn raise_occupancy(len: usize) {
+    QNIC_OCCUPANCY.set_max(len as i64);
 }
 
 #[cfg(test)]
@@ -265,8 +284,8 @@ mod tests {
     #[test]
     fn store_and_take_fifo() {
         let mut n = nic();
-        assert!(n.store(1, SimTime::from_micros(0)).is_none());
-        assert!(n.store(2, SimTime::from_micros(1)).is_none());
+        assert!(n.store(1, SimTime::from_micros(0), false).is_none());
+        assert!(n.store(2, SimTime::from_micros(1), false).is_none());
         assert_eq!(n.len(), 2);
         assert_eq!(n.take_oldest().unwrap().pair_id, 1);
         assert_eq!(n.take_oldest().unwrap().pair_id, 2);
@@ -276,9 +295,11 @@ mod tests {
     #[test]
     fn capacity_overwrites_oldest() {
         let mut n = nic();
-        assert!(n.store(1, SimTime::ZERO).is_none());
-        assert!(n.store(2, SimTime::ZERO).is_none());
-        let evicted = n.store(3, SimTime::ZERO).expect("full memory evicts");
+        assert!(n.store(1, SimTime::ZERO, false).is_none());
+        assert!(n.store(2, SimTime::ZERO, false).is_none());
+        let evicted = n
+            .store(3, SimTime::ZERO, false)
+            .expect("full memory evicts");
         assert_eq!(evicted.pair_id, 1, "oldest is overwritten");
         assert_eq!(n.dropped_full, 1);
         assert_eq!(n.len(), 2);
@@ -289,9 +310,9 @@ mod tests {
     #[test]
     fn eviction_by_age() {
         let mut n = nic();
-        n.store(1, SimTime::from_micros(0));
-        n.store(2, SimTime::from_micros(100));
-        let evicted = n.evict_expired(SimTime::from_micros(200));
+        n.store(1, SimTime::from_micros(0), false);
+        n.store(2, SimTime::from_micros(100), false);
+        let evicted = n.evict_expired(SimTime::from_micros(200), false);
         assert_eq!(evicted, 1, "only the 200µs-old qubit expires");
         assert_eq!(n.expired, 1);
         assert_eq!(n.take_oldest().unwrap().pair_id, 2);
@@ -300,8 +321,8 @@ mod tests {
     #[test]
     fn take_by_pair_id() {
         let mut n = nic();
-        n.store(7, SimTime::ZERO);
-        n.store(9, SimTime::ZERO);
+        n.store(7, SimTime::ZERO, false);
+        n.store(9, SimTime::ZERO, false);
         assert_eq!(n.take_pair_id(9).unwrap().pair_id, 9);
         assert!(n.take_pair_id(9).is_none());
         assert_eq!(n.len(), 1);
@@ -334,7 +355,7 @@ mod tests {
     fn capacity_clamp_evicts_oldest_and_counts_separately() {
         let mut n = Qnic::new(4, Duration::from_micros(100), Duration::from_micros(160));
         for id in 0..4 {
-            n.store(id, SimTime::from_micros(id));
+            n.store(id, SimTime::from_micros(id), false);
         }
         let evicted = n.set_capacity_clamp(Some(2));
         assert_eq!(
@@ -347,14 +368,14 @@ mod tests {
         assert_eq!(n.dropped_full, 0, "clamp evictions are not overwrite drops");
 
         // While clamped, stores overwrite at the clamped quota.
-        n.store(10, SimTime::from_micros(10));
+        n.store(10, SimTime::from_micros(10), false);
         assert_eq!(n.dropped_full, 1);
         assert_eq!(n.len(), 2);
 
         // Clearing the clamp restores the nominal quota without eviction.
         assert!(n.set_capacity_clamp(None).is_empty());
         assert_eq!(n.effective_capacity(), 4);
-        n.store(11, SimTime::from_micros(11));
+        n.store(11, SimTime::from_micros(11), false);
         assert_eq!(n.dropped_full, 1);
         assert_eq!(n.len(), 3);
     }
@@ -362,8 +383,8 @@ mod tests {
     #[test]
     fn clamp_never_drops_below_one_slot() {
         let mut n = Qnic::new(4, Duration::from_micros(100), Duration::from_micros(160));
-        n.store(1, SimTime::ZERO);
-        n.store(2, SimTime::ZERO);
+        n.store(1, SimTime::ZERO, false);
+        n.store(2, SimTime::ZERO, false);
         let evicted = n.set_capacity_clamp(Some(0));
         assert_eq!(n.effective_capacity(), 1);
         assert_eq!(evicted.len(), 1);

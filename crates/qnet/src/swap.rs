@@ -104,21 +104,6 @@ fn embed_cnot_adjacent(n_qubits: usize, q: usize) -> CMatrix {
     left.kron(&u).kron(&right)
 }
 
-/// Convenience: swap two Werner pairs of the given visibilities and
-/// return the resulting end-to-end state.
-///
-/// # Errors
-/// [`SimError::BadProbability`] for out-of-range visibilities.
-pub fn swap_werner_pairs<R: Rng + ?Sized>(
-    v1: f64,
-    v2: f64,
-    rng: &mut R,
-) -> Result<DensityMatrix, SimError> {
-    let p1 = qsim::noise::werner(v1)?;
-    let p2 = qsim::noise::werner(v2)?;
-    Ok(entanglement_swap(&p1, &p2, rng)?.pair)
-}
-
 /// Swap-layer input errors.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SwapError {
@@ -207,6 +192,14 @@ mod tests {
     use qsim::{bell, tomography};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Swaps two Werner pairs of the given visibilities and returns the
+    /// end-to-end state.
+    fn swap_werner_pairs(v1: f64, v2: f64, rng: &mut StdRng) -> Result<DensityMatrix, SimError> {
+        let p1 = qsim::noise::werner(v1)?;
+        let p2 = qsim::noise::werner(v2)?;
+        Ok(entanglement_swap(&p1, &p2, rng)?.pair)
+    }
 
     #[test]
     fn swapping_perfect_pairs_yields_perfect_pair() {

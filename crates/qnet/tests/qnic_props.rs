@@ -22,8 +22,8 @@ fn contents(nic: &Qnic) -> Vec<StoredQubit> {
 #[should_panic(expected = "out of time order")]
 fn store_earlier_than_newest_arrival_panics() {
     let mut nic = Qnic::new(4, Duration::from_micros(100), MAX_AGE);
-    nic.store(0, SimTime::from_micros(10));
-    nic.store(1, SimTime::from_micros(9));
+    nic.store(0, SimTime::from_micros(10), false);
+    nic.store(1, SimTime::from_micros(9), false);
 }
 
 /// One scripted operation against the NIC, decoded from a (code, arg)
@@ -38,14 +38,14 @@ fn apply_op(
 ) {
     match code {
         0 => {
-            if nic.store(*next_id, *now).is_some() {
+            if nic.store(*next_id, *now, false).is_some() {
                 *overwrites += 1;
             }
             *next_id += 1;
         }
         1 => {
             *now += Duration::from_micros(arg);
-            nic.evict_expired(*now);
+            nic.evict_expired(*now, false);
         }
         2 => {
             nic.take_oldest();
@@ -125,14 +125,14 @@ proptest! {
         arrivals.sort_unstable();
         let mut staged = Qnic::new(32, Duration::from_micros(100), Duration::from_micros(160));
         for (id, &a) in arrivals.iter().enumerate() {
-            staged.store(id as u64, SimTime::from_micros(a));
+            staged.store(id as u64, SimTime::from_micros(a), false);
         }
         let mut direct = staged.clone();
 
         let (t1, t2) = (SimTime::from_micros(t1), SimTime::from_micros(t1 + dt));
-        let first = staged.evict_expired(t1);
-        let second = staged.evict_expired(t2);
-        let all_at_once = direct.evict_expired(t2);
+        let first = staged.evict_expired(t1, false);
+        let second = staged.evict_expired(t2, false);
+        let all_at_once = direct.evict_expired(t2, false);
 
         prop_assert_eq!(first + second, all_at_once, "two-step eviction loses or double-counts");
         prop_assert_eq!(staged.expired, direct.expired);
@@ -166,7 +166,7 @@ proptest! {
             let before = reference.len();
             reference.retain(|q| now.duration_since(q.arrival) <= MAX_AGE);
             let expired_before = nic.expired;
-            let evicted = nic.evict_expired(now);
+            let evicted = nic.evict_expired(now, false);
             prop_assert_eq!(evicted, before - reference.len());
             prop_assert_eq!(nic.expired - expired_before, evicted as u64);
             prop_assert_eq!(contents(&nic), reference);
