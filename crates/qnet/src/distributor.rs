@@ -59,7 +59,7 @@
 use crate::epr::{EprSource, SurvivorProcess};
 use crate::faults::{FaultClock, FaultPlan};
 use crate::link::FiberLink;
-use crate::qnic::{self, Qnic, StoredQubit};
+use crate::qnic::{Qnic, StoredQubit, QNIC_OCCUPANCY};
 use crate::time::{SimTime, SIM_EVENTS};
 use qsim::werner::WernerPair;
 use qsim::{DensityMatrix, SharedPair};
@@ -368,9 +368,8 @@ impl EntanglementDistributor {
     }
 
     /// Adds one generate pass's counts to the stats and to the obs
-    /// counters, once. Callers skip a pass that committed no event, and
-    /// a counter is added to only when its count is nonzero, so it
-    /// registers when it first counts, as it did when added per event.
+    /// counters. Callers skip a pass that committed no event; a zero count
+    /// is not added, so a counter registers only once it counts something.
     fn commit_pass(&mut self, emitted: u64, lost_in_fiber: u64, lost_outage: u64, suppressed: u64) {
         self.stats.emitted += emitted;
         self.stats.lost_in_fiber += lost_in_fiber;
@@ -536,15 +535,15 @@ impl EntanglementDistributor {
             if let Some(ev) = self.nic_a.store(rec.id, rec.arrive_a, tracing) {
                 self.nic_b.take_pair_id(ev.pair_id);
             }
-            let stored_a = self.nic_a.len();
+            let len_a = self.nic_a.len();
             if let Some(ev) = self.nic_b.store(rec.id, rec.arrive_b, tracing) {
                 self.nic_a.take_pair_id(ev.pair_id);
             }
-            occupancy = occupancy.max(stored_a).max(self.nic_b.len());
+            occupancy = occupancy.max(len_a).max(self.nic_b.len());
         }
         if stored > 0 {
             SIM_EVENTS.add(stored);
-            qnic::raise_occupancy(occupancy);
+            QNIC_OCCUPANCY.set_max(occupancy as i64);
         }
     }
 

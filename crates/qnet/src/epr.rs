@@ -202,7 +202,7 @@ mod tests {
     /// Yields one fixed word, so a test can choose the `u` a draw sees.
     struct Word(u64);
 
-    impl rand::RngCore for Word {
+    impl RngCore for Word {
         fn next_u32(&mut self) -> u32 {
             (self.0 >> 32) as u32
         }

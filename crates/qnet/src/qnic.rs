@@ -26,9 +26,10 @@ use std::time::Duration;
 static QNIC_OVERWRITE_DROPS: obs::LazyCounter = obs::LazyCounter::new("qnet.qnic.overwrite_drops");
 /// Qubits evicted for exceeding the maximum storage age.
 static QNIC_EXPIRED: obs::LazyCounter = obs::LazyCounter::new("qnet.qnic.expired");
-/// Occupancy high-water mark across all NICs in the process, raised by
-/// the distributor once per pass ([`raise_occupancy`]).
-static QNIC_OCCUPANCY: obs::LazyGauge = obs::LazyGauge::new("qnet.qnic.occupancy");
+/// Occupancy high-water mark across all NICs in the process. The
+/// distributor raises it once per drain pass, to the largest occupancy
+/// seen after a store.
+pub(crate) static QNIC_OCCUPANCY: obs::LazyGauge = obs::LazyGauge::new("qnet.qnic.occupancy");
 /// Qubits evicted when a fault clamped capacity below current occupancy.
 static QNIC_CLAMP_EVICTED: obs::LazyCounter = obs::LazyCounter::new("qnet.qnic.clamp_evicted");
 
@@ -263,13 +264,6 @@ impl Qnic {
         let held = now.duration_since(arrival).as_secs_f64();
         (-held / self.tau_s).exp()
     }
-}
-
-/// Raises the `qnet.qnic.occupancy` high-water mark to `len`: a caller
-/// that stores many qubits in one pass raises it once, to the largest
-/// occupancy seen after a store.
-pub(crate) fn raise_occupancy(len: usize) {
-    QNIC_OCCUPANCY.set_max(len as i64);
 }
 
 #[cfg(test)]

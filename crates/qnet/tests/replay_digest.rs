@@ -170,9 +170,8 @@ fn chaos_plane_replays_its_golden_digest() {
 
 #[test]
 fn asymmetric_fibers_plane_replays_its_golden_digest() {
-    // 0 km to A, 10 km to B: A's half waits ~49 µs for its partner, so
-    // the halves carry two retentions, and memory overwrites on A orphan
-    // halves that B's store prunes.
+    // 0 km to A, 10 km to B: A's half arrives ~49 µs before its partner,
+    // so the two halves carry two retentions.
     let r = replay(fibers(0.0, 10.0));
     assert!(
         r.split_retentions > 0 && r.stats.consumed > SLOTS / 2,
@@ -189,8 +188,8 @@ fn asymmetric_fibers_plane_replays_its_golden_digest() {
 
 #[test]
 fn reversed_fibers_small_memory_plane_replays_its_golden_digest() {
-    // 10 km to A, 0 km to B, four memory slots: B's half waits, and the
-    // small memory overwrites on both sides.
+    // 10 km to A, 0 km to B, four memory slots: B's half arrives first,
+    // and the small memory overwrites, pruning partner halves.
     let config = DistributorConfig {
         qnic_capacity: 4,
         ..fibers(10.0, 0.0)
